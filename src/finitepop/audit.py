@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .core import (
     CovariatePartition,
@@ -20,7 +21,8 @@ from .core import (
     OracleError,
     SchemaError,
     SupportError,
-    mean_y,
+    average,
+    mean_of,
 )
 
 WeightLike = Callable[[object, int], float] | float | None
@@ -58,8 +60,8 @@ def audit_sp(p, data: ObservedDataset, future: FuturePopulation) -> AuditResult:
         raise SupportError("observed dataset is empty")
     per = {}
     for t in sorted(data.treatments):
-        mu = math.fsum(p(u.x, t) for u in future.units) / len(future)
-        mu_hat = math.fsum(p(r.x, t) for r in data.rows) / len(data)
+        mu = average(lambda x: p(x, t), future.index.n_x)
+        mu_hat = average(lambda x: p(x, t), data.index.n_x)
         per[t] = abs(mu - mu_hat)
     return AuditResult("stable_predictions", per)
 
@@ -70,8 +72,8 @@ def audit_cfd(p, future: FuturePopulation, treatments=(0, 1)) -> AuditResult:
         raise OracleError("CFD unobservable without ground truth")
     per = {}
     for t in treatments:
-        mu_y = future.apo(t)
-        mu_p = math.fsum(p(u.x, t) for u in future.units) / len(future)
+        mu_y = mean_of(tuple(chain.from_iterable(future.outcomes(t).values())))
+        mu_p = average(lambda x: p(x, t), future.index.n_x)
         per[t] = abs(mu_y - mu_p)
     return AuditResult("calibration_on_future_data", per)
 
@@ -89,24 +91,21 @@ def avg_signed_difference(
     by the group's share of the future population.  Signed: opposite-sign local
     gaps cancel.
     """
-    oracle = future.require_oracle()
+    future.require_oracle()
     data.check_treatment(t)
+    truth, ix = future.outcomes(t), data.index
     if partition is None:
-        groups = [(repr(x), future.units_where(x=x), data.rows_where(t=t, x=x))
-                  for x in future.xs()]
+        groups = [(repr(x), (x,), (x,)) for x in future.xs()]
     else:
-        groups = []
-        for cell in partition.cells:
-            units = future.units_where(cell=cell)
-            if units:
-                groups.append((cell.name, units, data.rows_where(t=t, cell=cell)))
+        groups = [(c.name, members, c.members(ix.xs))
+                  for c in partition.cells if (members := c.members(future.xs()))]
     terms = []
-    for label, units, obs_rows in groups:
-        if not obs_rows:
+    for label, fut_xs, obs_xs in groups:
+        obs_ys = ix.y(t, obs_xs)
+        if not obs_ys:
             raise SupportError(f"no observed rows with t={t} in group {label} (common support)")
-        mu = math.fsum(oracle.y(u.unit, t) for u in units) / len(units)
-        mu_hat = mean_y(obs_rows)
-        terms.append(len(units) / len(future) * (mu - mu_hat))
+        ys = tuple(chain.from_iterable(truth[x] for x in fut_xs))
+        terms.append(len(ys) / len(future) * (mean_of(ys) - mean_of(obs_ys)))
     return math.fsum(terms)
 
 
@@ -122,24 +121,34 @@ def audit_ml_groupwise(
     over the cell's future units) minus mean observed residual over the cell's
     treated observed rows.  Headline per treatment is the max absolute cell gap.
     """
-    oracle = future.require_oracle()
+    future.require_oracle()
     details: dict[tuple[str, int], float] = {}
     per: dict[int, float] = {}
+    ix = data.index
     for t in sorted(data.treatments):
+        truth = future.outcomes(t)
         worst = 0.0
         for cell in partition.cells:
-            units = future.units_where(cell=cell)
-            obs_rows = data.rows_where(t=t, cell=cell)
-            if not units or not obs_rows:
+            fut = {x: truth[x] for x in cell.members(future.xs())}
+            obs = {x: ys for x in cell.members(ix.xs) if (ys := ix.ys.get((x, t)))}
+            if not fut or not obs:
                 raise SupportError(
-                    f"cell {cell.name}: empty on {'future' if not units else 'observed'} side"
+                    f"cell {cell.name}: empty on {'future' if not fut else 'observed'} side"
                 )
-            fut_resid = math.fsum(p(u.x, t) - oracle.y(u.unit, t) for u in units) / len(units)
-            obs_resid = math.fsum(p(r.x, t) - r.y for r in obs_rows) / len(obs_rows)
-            details[(cell.name, t)] = fut_resid - obs_resid
-            worst = max(worst, abs(fut_resid - obs_resid))
+            gap = _mean_residual(p, t, fut) - _mean_residual(p, t, obs)
+            details[(cell.name, t)] = gap
+            worst = max(worst, abs(gap))
         per[t] = worst
     return AuditResult("groupwise_residual_transfer", per, details)
+
+
+def _mean_residual(p, t: int, groups: dict) -> float:
+    """Mean of p(x, t) - y over the outcomes y grouped by x; p runs once per x."""
+    resid: list[float] = []
+    for x, ys in groups.items():
+        px = p(x, t)
+        resid += [px - y for y in ys]
+    return mean_of(resid)
 
 
 def audit_dr_condition(
@@ -155,7 +164,7 @@ def audit_dr_condition(
     is treated as a constant function.  Note the weights come from the observed
     composition, unlike avg_signed_difference which weights by the future one.
     """
-    oracle = future.require_oracle()
+    future.require_oracle()
     data.check_treatment(t)
     if f is None:
         fn = lambda x, t: 1.0
@@ -163,16 +172,14 @@ def audit_dr_condition(
         fn = f
     else:
         fn = lambda x, t, _c=float(f): _c
+    truth, ix = future.outcomes(t), data.index
     terms = []
     for x in future.xs():
-        units = future.units_where(x=x)
-        obs_rows = data.rows_where(t=t, x=x)
-        if not obs_rows:
+        obs_ys = ix.ys.get((x, t))
+        if not obs_ys:
             raise SupportError(f"no observed rows with t={t} at x={x!r} (common support)")
-        n_x = len(data.rows_where(x=x))
-        mu = math.fsum(oracle.y(u.unit, t) for u in units) / len(units)
-        mu_hat = mean_y(obs_rows)
-        terms.append(n_x / len(data) * (mu - mu_hat) * fn(x, t))
+        gap = mean_of(truth[x]) - mean_of(obs_ys)
+        terms.append(ix.n_x[x] / len(data) * gap * fn(x, t))
     return math.fsum(terms)
 
 
@@ -206,6 +213,6 @@ def audit_compliance_stability(data: ObservedDataset, future: FuturePopulation) 
     for z in data.instrument_values():
         for t in sorted(data.treatments):
             i_share = len(future.compliance_group(t, z)) / len(future)
-            j_share = len(data.rows_where(t=t, z=z)) / len(data)
+            j_share = len(data.index.ys_tz.get((t, z), ())) / len(data)
             per[(t, z)] = abs(i_share - j_share)
     return AuditResult("compliance_stability", per)

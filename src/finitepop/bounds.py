@@ -8,11 +8,10 @@ audit them (see finitepop.audit.audit_dominance).
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .core import Covariate, ObservedDataset, SchemaError, SupportError, mean_y
+from .core import Covariate, ObservedDataset, SchemaError, SupportError, average, mean_of
 
 ZWisePredictor = Callable[[Covariate, int], float]
 
@@ -81,8 +80,8 @@ def iv_ate_lower_bound(
     for z in (0, 1):
         if z not in zs:
             raise SchemaError(f"instrument value z={z} missing from the data")
-    mean1 = math.fsum(py(r.x, 1) for r in data.rows) / len(data)
-    mean0 = math.fsum(py(r.x, 0) for r in data.rows) / len(data)
+    mean1 = average(lambda x: py(x, 1), data.index.n_x)
+    mean0 = average(lambda x: py(x, 0), data.index.n_x)
     lower = mean1 - mean0 - 2 * (eps + delta)
     return BoundReport(lower, None, eps, delta, "iv_ate_lower_bound", assumed=_IV_ASSUMED)
 
@@ -96,10 +95,10 @@ def iv_ate_lower_bound_randomized(
     data.require_instrument()
     arm = {}
     for z in (0, 1):
-        rows = data.rows_where(z=z)
-        if not rows:
+        ys = [y for t in sorted(data.treatments) for y in data.index.ys_tz.get((t, z), ())]
+        if not ys:
             raise SupportError(f"no observed rows with z={z}")
-        arm[z] = mean_y(rows)
+        arm[z] = mean_of(ys)
     lower = arm[1] - arm[0] - 2 * (eps + delta)
     return BoundReport(
         lower, None, eps, delta, "iv_ate_lower_bound_randomized", assumed=_IV_ASSUMED
@@ -121,21 +120,15 @@ def robins_manski_bounds(
     data.require_instrument()
     data.check_treatment(t)
     bounds.validate(data)
-    if t == 1:
-        edge_rows = data.rows_where(t=0, z=1)   # assigned z=1, took control
-        mean_rows = data.rows_where(t=1, z=1)
-        mean_label = "(t=1, z=1)"
-    elif t == 0:
-        edge_rows = data.rows_where(t=1, z=0)   # assigned z=0, took treatment
-        mean_rows = data.rows_where(t=0, z=0)
-        mean_label = "(t=0, z=0)"
-    else:
+    if t not in (0, 1):
         raise ValueError("interval bounds are defined for binary treatments only")
-    if not mean_rows:
-        raise SupportError(f"group {mean_label} is empty")
-    edge_share = len(edge_rows) / len(data)
-    mean_share = len(mean_rows) / len(data)
-    observed_mean = mean_y(mean_rows)
+    # Of the rows assigned z=t, those that took t give the mean, the others the edge.
+    mean_ys = data.index.ys_tz.get((t, t), ())
+    if not mean_ys:
+        raise SupportError(f"group (t={t}, z={t}) is empty")
+    edge_share = len(data.index.ys_tz.get((1 - t, t), ())) / len(data)
+    mean_share = len(mean_ys) / len(data)
+    observed_mean = mean_of(mean_ys)
     lower = edge_share * bounds.k0 - delta + mean_share * observed_mean
     upper = edge_share * bounds.k1 + delta + mean_share * observed_mean
     return BoundReport(

@@ -43,6 +43,7 @@ from .core import (
     ObservedDataset,
     SchemaError,
     SupportError,
+    mean_of,
 )
 from .estimate import (
     CoarsenedMatching,
@@ -306,15 +307,24 @@ def _auditing_predictor(method: str, data: ObservedDataset, params: dict):
     return None
 
 
-def _method_params(mcfg: dict) -> dict:
+def _method_params(mcfg: dict, loaded: dict) -> dict:
+    """One method's parameters; ``loaded`` holds the files already parsed in this run."""
     params: dict = {}
-    if "partition" in mcfg:
-        params["partition"] = load_partition_file(mcfg["partition"])
-    if "predictor" in mcfg:
-        params["predictor"] = load_predictor_table(mcfg["predictor"])
+    for key, load in (("partition", load_partition_file), ("predictor", load_predictor_table)):
+        if key in mcfg:
+            if not isinstance(mcfg[key], str):
+                raise ConfigError(f"method {mcfg['name']}: {key} must be a file path")
+            if (key, mcfg[key]) not in loaded:
+                loaded[(key, mcfg[key])] = load(mcfg[key])
+            params[key] = loaded[(key, mcfg[key])]
     for key in ("k0", "k1", "eps", "delta", "gamma"):
         if key in mcfg:
-            params[key] = float(mcfg[key])
+            try:
+                params[key] = float(mcfg[key])
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"method {mcfg['name']}: parameter {key} must be a number, got {mcfg[key]!r}"
+                ) from None
     return params
 
 
@@ -341,29 +351,27 @@ def _dr_weights(data: ObservedDataset, params: dict):
     """
 
     def w(x: Covariate, t: int) -> float:
-        treated = len(data.rows_where(t=t, x=x))
+        treated = len(data.index.at.get((x, t), ()))
         if treated == 0:
             raise SupportError(f"no observed rows with x={x!r}, t={t}")
-        return len(data.rows_where(x=x)) / treated
+        return data.index.n_x[x] / treated
 
     return w
 
 
-def _dr_premise(data: ObservedDataset, future: FuturePopulation, params: dict, t: int):
+def _dr_premise(data: ObservedDataset, future: FuturePopulation, p, t: int, sp: float):
     """Which audited arm, if any, covers a doubly robust verdict.
 
     Arm one needs the predictor to match observed cell means.  Arm two needs
     the supplied weights to equal the population-share correction and the
-    f=1 audit condition to vanish.  Returns (budget, label) or (None, None).
+    f=1 audit condition to vanish.  ``sp`` is the predictor's stable-prediction
+    gap at t.  Returns (budget, label) or (None, None).
     """
-    p = params["predictor"]
     cell_gap = 0.0
     for x in data.xs():
-        rows = data.rows_where(t=t, x=x)
-        if rows:
-            mean = math.fsum(r.y for r in rows) / len(rows)
-            cell_gap = max(cell_gap, abs(p(x, t) - mean))
-    sp = audit_sp(p, data, future).per_treatment[t]
+        ys = data.index.ys.get((x, t))
+        if ys:
+            cell_gap = max(cell_gap, abs(p(x, t) - mean_of(ys)))
     if cell_gap <= 1e-9:
         return sp + abs(avg_signed_difference(data, future, t)), "cell_mean_predictor"
     cond = audit_dr_condition(data, future, t)
@@ -372,42 +380,40 @@ def _dr_premise(data: ObservedDataset, future: FuturePopulation, params: dict, t
     return None, None
 
 
-def _oracle_verdict(method, data, future, t, report, params):
-    truth = future.apo(t)
-    error = abs(report.estimate - truth)
+def _oracle_verdicts(method, data, future, truth, per_t, params) -> dict:
+    """Each treatment's estimation error against its audited budget.
+
+    The budget is the stable-prediction gap plus the method's transfer term;
+    every audit runs once per method and serves all treatments.
+    """
+    ts = tuple(per_t)
+    p = _auditing_predictor(method, data, params)
     if method == "rct":
-        p = RctConstant.fit(data)
-        budget = audit_sp(p, data, future).per_treatment[t] + abs(
-            audit_cfd(p, future).per_treatment[t]
-        )
-    elif method == "matching":
-        p = ExactMatching.fit(data)
-        budget = audit_sp(p, data, future).per_treatment[t] + abs(
-            avg_signed_difference(data, future, t)
-        )
-    elif method == "coarsened":
-        part = params["partition"]
-        p = CoarsenedMatching.fit(data, part)
-        budget = audit_sp(p, data, future).per_treatment[t] + abs(
-            avg_signed_difference(data, future, t, partition=part)
-        )
+        transfer = audit_cfd(p, future, ts).per_treatment
     elif method == "plugin":
-        p = params["predictor"]
         part = params.get("partition") or CovariatePartition.singletons(
-            set(data.xs()) | {u.x for u in future.units}
+            set(data.xs()) | set(future.xs())
         )
-        gaps = audit_ml_groupwise(p, data, future, part)
-        budget = audit_sp(p, data, future).per_treatment[t] + abs(gaps.per_treatment[t])
-    elif method == "dr":
-        budget, label = _dr_premise(data, future, params, t)
-        if budget is None:
-            return {"truth": truth, "error": error, "budget": None, "pass": None,
-                    "note": "no audited premise holds; bound not applicable"}
-        return {"truth": truth, "error": error, "budget": budget,
-                "pass": error <= budget + _SLACK, "premise": label}
-    else:
-        return None
-    return {"truth": truth, "error": error, "budget": budget, "pass": error <= budget + _SLACK}
+        transfer = audit_ml_groupwise(p, data, future, part).per_treatment
+    elif method != "dr":  # matching, coarsened; for dr the premise that holds decides
+        part = params["partition"] if method == "coarsened" else None
+        transfer = {t: avg_signed_difference(data, future, t, part) for t in ts}
+    sp = audit_sp(p, data, future).per_treatment
+    verdicts = {}
+    for t, report in per_t.items():
+        error = abs(report.estimate - truth[t])
+        if method == "dr":
+            budget, premise = _dr_premise(data, future, p, t, sp[t])
+        else:
+            budget, premise = sp[t] + abs(transfer[t]), None
+        v = {"truth": truth[t], "error": error, "budget": budget,
+             "pass": None if budget is None else error <= budget + _SLACK}
+        if premise:
+            v["premise"] = premise
+        elif budget is None:
+            v["note"] = "no audited premise holds; bound not applicable"
+        verdicts[str(t)] = v
+    return verdicts
 
 
 def run_methods(cfg: dict, data: ObservedDataset, future: FuturePopulation | None) -> dict:
@@ -415,37 +421,39 @@ def run_methods(cfg: dict, data: ObservedDataset, future: FuturePopulation | Non
     methods_cfg = cfg.get("methods", [])
     if not isinstance(methods_cfg, list) or not methods_cfg:
         raise ConfigError("config needs a nonempty 'methods' list")
-    oracle_mode = mode == "oracle"
-    if oracle_mode:
+    truth = None  # true APO per treatment, in oracle mode
+    if mode == "oracle":
         if future is None or future.oracle is None:
             raise PreconditionError("oracle mode requires a future population with outcomes")
+        truth = {t: future.apo(t) for t in sorted(data.treatments | {0, 1})}
     report: dict = {"methods": {}}
     all_pass = True
+    loaded: dict = {}
     for mcfg in methods_cfg:
         if isinstance(mcfg, str):
             mcfg = {"name": mcfg}
         name = mcfg.get("name")
         if name is None:
             raise ConfigError(f"method entry {mcfg!r} needs a 'name'")
-        params = _method_params(mcfg)
+        params = _method_params(mcfg, loaded)
         if name in ("rm_bounds", "iv_lower"):
-            entry = _run_bound_method(name, mcfg, params, data, future, oracle_mode)
+            entry = _run_bound_method(name, params, data, truth)
         else:
-            entry = _run_point_method(name, params, data, future, oracle_mode)
+            entry = _run_point_method(name, params, data, future, truth)
         for v in entry.get("verdicts", {}).values():
             if v and v.get("pass") is False:
                 all_pass = False
         report["methods"][name] = entry
-    if oracle_mode:
+    if truth is not None:
         report["ground_truth"] = {
-            "apo": {str(t): future.apo(t) for t in (0, 1)},
-            "ate": future.ate(),
+            "apo": {str(t): truth[t] for t in (0, 1)},
+            "ate": truth[1] - truth[0],
         }
     report["ok"] = all_pass
     return report
 
 
-def _run_point_method(name, params, data, future, oracle_mode) -> dict:
+def _run_point_method(name, params, data, future, truth) -> dict:
     try:
         per_t = {t: _estimate(name, data, t, params) for t in sorted(data.treatments)}
     except FinitePopError as exc:
@@ -453,27 +461,26 @@ def _run_point_method(name, params, data, future, oracle_mode) -> dict:
     entry: dict = {"per_treatment": {str(t): r.to_json() for t, r in per_t.items()}}
     if 0 in per_t and 1 in per_t:
         entry["ate"] = ate_estimate(per_t[1], per_t[0]).to_json()
-    if oracle_mode:
-        verdicts = {}
-        for t, r in per_t.items():
-            try:
-                verdicts[str(t)] = _oracle_verdict(name, data, future, t, r, params)
-            except FinitePopError as exc:
-                raise PreconditionError(f"method {name}: {exc}") from None
+    if truth is not None:
+        try:
+            verdicts = _oracle_verdicts(name, data, future, truth, per_t, params)
+        except FinitePopError as exc:
+            raise PreconditionError(f"method {name}: {exc}") from None
         entry["verdicts"] = verdicts
         if 0 in per_t and 1 in per_t:
             v1, v0 = verdicts["1"], verdicts["0"]
-            if v1 and v0 and v1["budget"] is not None and v0["budget"] is not None:
-                err = abs((per_t[1].estimate - per_t[0].estimate) - future.ate())
+            if v1["budget"] is not None and v0["budget"] is not None:
+                ate = truth[1] - truth[0]
+                err = abs((per_t[1].estimate - per_t[0].estimate) - ate)
                 budget = v1["budget"] + v0["budget"]
                 entry["verdicts"]["ate"] = {
-                    "truth": future.ate(), "error": err, "budget": budget,
+                    "truth": ate, "error": err, "budget": budget,
                     "pass": err <= budget + 2 * _SLACK,
                 }
     return entry
 
 
-def _run_bound_method(name, mcfg, params, data, future, oracle_mode) -> dict:
+def _run_bound_method(name, params, data, truth) -> dict:
     try:
         if name == "rm_bounds":
             ob = OutcomeBounds(params["k0"], params["k1"])
@@ -483,11 +490,11 @@ def _run_bound_method(name, mcfg, params, data, future, oracle_mode) -> dict:
                 for t in sorted(data.treatments)
             }
             entry = {"per_treatment": {str(t): b.to_json() for t, b in per_t.items()}}
-            if oracle_mode:
+            if truth is not None:
                 entry["verdicts"] = {
                     str(t): {
-                        "truth": future.apo(t),
-                        "pass": b.lower - _SLACK <= future.apo(t) <= b.upper + _SLACK,
+                        "truth": truth[t],
+                        "pass": b.lower - _SLACK <= truth[t] <= b.upper + _SLACK,
                     }
                     for t, b in per_t.items()
                 }
@@ -495,10 +502,9 @@ def _run_bound_method(name, mcfg, params, data, future, oracle_mode) -> dict:
         if name == "iv_lower":
             b = iv_ate_lower_bound_randomized(data, params["eps"], params["delta"])
             entry = {"ate_lower": b.to_json()}
-            if oracle_mode:
-                entry["verdicts"] = {
-                    "ate": {"truth": future.ate(), "pass": future.ate() >= b.lower - _SLACK}
-                }
+            if truth is not None:
+                ate = truth[1] - truth[0]
+                entry["verdicts"] = {"ate": {"truth": ate, "pass": ate >= b.lower - _SLACK}}
             return entry
     except KeyError as exc:
         raise ConfigError(f"method {name} needs parameter {exc.args[0]!r}")
@@ -569,7 +575,7 @@ def cmd_audit(cfg: dict, text: str) -> int:
                     part = load_partition_file(cfg["partition"])
                 if part is None:
                     part = CovariatePartition.singletons(
-                        set(data.xs()) | {u.x for u in future.units}
+                        set(data.xs()) | set(future.xs())
                     )
                 res = audit_ml_groupwise(p, data, future, part)
             elif name == "dr_condition":
@@ -626,8 +632,16 @@ def _quantile(sorted_vals: list[float], q: float) -> float:
 
 
 def cmd_sweep(cfg: dict, text: str) -> int:
-    replications = int(cfg.get("replications", 0))
-    master_seed = int(cfg.get("seed", 0))
+    try:
+        replications = int(cfg.get("replications", 0))
+        master_seed = int(cfg.get("seed", 0))
+    except (TypeError, ValueError):
+        raise ConfigError("replications and seed must be integers") from None
+    if replications < 1:
+        raise ConfigError(
+            f"replications must be at least 1, got {replications}",
+            _key_line(text, "replications"),
+        )
     scenario_cfg = _require(cfg, "scenario", text)
     methods = cfg.get("methods", ["rct", "matching"])
     base_spec = spec_from_config(dict(scenario_cfg))
@@ -667,10 +681,11 @@ def cmd_sweep(cfg: dict, text: str) -> int:
         "summary": summary,
         "metadata": _metadata(cfg),
     }
-    if has_instrument and replications:
+    if has_instrument:
         report["dominance_fail_rate"] = dominance_failures / replications
     _write_report(report, cfg.get("out"))
-    return EXIT_OK
+    failed = any(b["passes"] < b["judged"] for b in per_method.values())
+    return EXIT_VERDICT_FAIL if failed else EXIT_OK
 
 
 def _metadata(cfg: dict) -> dict:
@@ -707,7 +722,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _apply_overrides(cfg, args)
         return _VERBS[args.verb](cfg, text)
     except SchemaError as exc:
-        print(f"{args.config}: {exc}", file=sys.stderr)
+        print(f"{exc.path or args.config}: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)

@@ -2,13 +2,22 @@
 
 Everything here is immutable after construction and safe to share across
 workers.  All operations are pure functions.
+
+Group statistics read from one index per dataset, built on first use in O(n):
+the rows of each observed (x, t) and (t, z) group, and the units of each
+future x group.  A reduction then costs O(|X| * |T|) on top of that instead
+of a scan of every row per group.  Sums stay exactly rounded (math.fsum), so
+a value evaluated once per distinct x and repeated once per row gives the
+same bits as the row-by-row sum.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, repeat
 from types import MappingProxyType
 
 
@@ -30,6 +39,8 @@ class PredictorError(FinitePopError):
 
 class SchemaError(FinitePopError):
     """Malformed input file or configuration."""
+
+    path: str | None = None  # the input file at fault, when it is not the config
 
 
 def approx_eq(r: float, s: float, eps: float) -> bool:
@@ -85,6 +96,41 @@ class Row:
     z: int | None = None
 
 
+def _positions(keys: Iterable) -> dict:
+    """Positions of equal keys, grouped, each group in order of first appearance."""
+    out: dict = {}
+    for i, key in enumerate(keys):
+        out.setdefault(key, []).append(i)
+    return {key: tuple(pos) for key, pos in out.items()}
+
+
+@dataclass(frozen=True)
+class ObservedIndex:
+    """Rows of an observed dataset grouped by (x, t) and by (t, z), in row order."""
+
+    xs: tuple[Covariate, ...]  # sorted distinct covariate values
+    n_x: Mapping[Covariate, int]  # rows per x, in the order of xs
+    at: Mapping[tuple[Covariate, int], tuple[int, ...]]  # row positions per (x, t)
+    ys: Mapping[tuple[Covariate, int], tuple[float, ...]]  # outcomes per (x, t)
+    ys_tz: Mapping[tuple[int, int | None], tuple[float, ...]]  # outcomes per (t, z)
+
+    @classmethod
+    def build(cls, rows: Sequence[Row]) -> "ObservedIndex":
+        def ys(groups: dict) -> dict:
+            return {key: tuple(rows[i].y for i in pos) for key, pos in groups.items()}
+
+        at = _positions((r.x, r.t) for r in rows)
+        n_x: dict[Covariate, int] = {}
+        for (x, _), pos in at.items():
+            n_x[x] = n_x.get(x, 0) + len(pos)
+        xs = tuple(sorted(n_x))
+        return cls(xs, {x: n_x[x] for x in xs}, at, ys(at), ys(_positions((r.t, r.z) for r in rows)))
+
+    def y(self, t: int, xs: Iterable[Covariate]) -> tuple[float, ...]:
+        """Outcomes of the rows with treatment t and covariate value in xs."""
+        return tuple(chain.from_iterable(self.ys.get((x, t), ()) for x in xs))
+
+
 @dataclass(frozen=True)
 class ObservedDataset:
     """Observed triples (x_i, t_i, y_i), optionally carrying an instrument z_i.
@@ -108,7 +154,11 @@ class ObservedDataset:
     def __len__(self) -> int:
         return len(self.rows)
 
-    @property
+    @cached_property
+    def index(self) -> ObservedIndex:
+        return ObservedIndex.build(self.rows)
+
+    @cached_property
     def has_instrument(self) -> bool:
         return len(self.rows) > 0 and all(r.z is not None for r in self.rows)
 
@@ -118,10 +168,10 @@ class ObservedDataset:
 
     def instrument_values(self) -> tuple[int, ...]:
         self.require_instrument()
-        return tuple(sorted({r.z for r in self.rows}))  # type: ignore[arg-type]
+        return tuple(sorted({z for _, z in self.index.ys_tz}))  # type: ignore[type-var]
 
     def xs(self) -> tuple[Covariate, ...]:
-        return tuple(sorted(set(r.x for r in self.rows)))
+        return self.index.xs
 
     def check_treatment(self, t: int) -> None:
         if t not in self.treatments:
@@ -138,18 +188,12 @@ class ObservedDataset:
             raise ValueError("give at most one of x and cell")
         if t is not None:
             self.check_treatment(t)
-        out = []
-        for r in self.rows:
-            if t is not None and r.t != t:
-                continue
-            if x is not None and r.x != x:
-                continue
-            if cell is not None and not cell.contains(r.x):
-                continue
-            if z is not None and r.z != z:
-                continue
-            out.append(r)
-        return tuple(out)
+        ix = self.index
+        ts = sorted(self.treatments) if t is None else (t,)
+        xs = ix.xs if x is None and cell is None else (x,) if cell is None else cell.members(ix.xs)
+        groups = [ix.at.get((u, s), ()) for u in xs for s in ts]
+        rows = map(self.rows.__getitem__, sorted(chain.from_iterable(groups)))
+        return tuple(r for r in rows if z is None or r.z == z)
 
     def subgroup(
         self,
@@ -161,11 +205,25 @@ class ObservedDataset:
         return frozenset(r.unit for r in self.rows_where(t=t, x=x, cell=cell))
 
 
-def mean_y(rows: Iterable[Row]) -> float:
-    rows = tuple(rows)
-    if not rows:
+def mean_of(values: Sequence[float]) -> float:
+    """Exactly rounded mean of a nonempty group."""
+    if not values:
         raise SupportError("mean over an empty subgroup")
-    return math.fsum(r.y for r in rows) / len(rows)
+    return math.fsum(values) / len(values)
+
+
+def mean_y(rows: Iterable[Row]) -> float:
+    return mean_of([r.y for r in rows])
+
+
+def average(f: Callable[[Covariate], float], n_x: Mapping[Covariate, int]) -> float:
+    """Mean of f(x) over a population given by its count per covariate value.
+
+    f runs once per distinct x; its value enters the exactly rounded sum once
+    per member, so the result is bit-identical to the member-by-member mean.
+    """
+    values = chain.from_iterable(repeat(f(x), n) for x, n in n_x.items())
+    return math.fsum(values) / sum(n_x.values())
 
 
 @dataclass(frozen=True)
@@ -211,6 +269,16 @@ class Unit:
 
 
 @dataclass(frozen=True)
+class FutureIndex:
+    """Units of a future population grouped by x, and oracle outcomes per (x, t)."""
+
+    xs: tuple[Covariate, ...]  # sorted distinct covariate values
+    n_x: Mapping[Covariate, int]  # units per x, in the order of xs
+    at: Mapping[Covariate, tuple[int, ...]]  # unit positions per x
+    outcomes: dict[int, Mapping[Covariate, tuple[float, ...]]]  # filled once per t
+
+
+@dataclass(frozen=True)
 class FuturePopulation:
     """The deployment population: unit ids with covariates, plus optional oracles."""
 
@@ -228,22 +296,24 @@ class FuturePopulation:
     def __len__(self) -> int:
         return len(self.units)
 
+    @cached_property
+    def index(self) -> FutureIndex:
+        at = _positions(u.x for u in self.units)
+        xs = tuple(sorted(at))
+        return FutureIndex(xs, {x: len(at[x]) for x in xs}, {x: at[x] for x in xs}, {})
+
     def xs(self) -> tuple[Covariate, ...]:
-        return tuple(sorted(set(u.x for u in self.units)))
+        return self.index.xs
 
     def units_where(
         self, x: Covariate | None = None, cell: "PartitionCell | None" = None
     ) -> tuple[Unit, ...]:
         if x is not None and cell is not None:
             raise ValueError("give at most one of x and cell")
-        out = []
-        for u in self.units:
-            if x is not None and u.x != x:
-                continue
-            if cell is not None and not cell.contains(u.x):
-                continue
-            out.append(u)
-        return tuple(out)
+        ix = self.index
+        xs = ix.xs if x is None and cell is None else (x,) if cell is None else cell.members(ix.xs)
+        positions = sorted(chain.from_iterable(ix.at.get(u, ()) for u in xs))
+        return tuple(map(self.units.__getitem__, positions))
 
     def require_oracle(self) -> OutcomeOracle:
         if self.oracle is None:
@@ -254,6 +324,16 @@ class FuturePopulation:
         if self.instrument_oracle is None:
             raise OracleError("operation requires the compliance oracle (oracle mode only)")
         return self.instrument_oracle
+
+    def outcomes(self, t: int) -> Mapping[Covariate, tuple[float, ...]]:
+        """Oracle outcomes under t per covariate value, in unit order; read once per t."""
+        memo = self.index.outcomes
+        if t not in memo:
+            y = self.require_oracle().y
+            memo[t] = {
+                x: tuple(y(self.units[i].unit, t) for i in pos) for x, pos in self.index.at.items()
+            }
+        return memo[t]
 
     def apo(self, t: int) -> float:
         """True average potential outcome under treatment t, from the oracle."""
@@ -279,6 +359,10 @@ class FuturePopulation:
 class PartitionCell:
     name: str
     contains: Callable[[Covariate], bool] = field(compare=False)
+
+    def members(self, xs: Iterable[Covariate]) -> tuple[Covariate, ...]:
+        """The covariate values among xs that fall in this cell; one test per value."""
+        return tuple(x for x in xs if self.contains(x))
 
 
 @dataclass(frozen=True)
@@ -362,18 +446,14 @@ def empirical_propensity(
     support themselves.
     """
     data.check_treatment(t)
+    ix = data.index
     if partition is None:
-        out_x: dict[Covariate, float] = {}
-        for x in data.xs():
-            denom = len(data.rows_where(x=x))
-            out_x[x] = len(data.rows_where(t=t, x=x)) / denom
-        return out_x
+        return {x: len(ix.ys.get((x, t), ())) / n for x, n in ix.n_x.items()}
     out_c: dict[str, float] = {}
     for cell in partition.cells:
-        denom = len(data.rows_where(cell=cell))
-        if denom == 0:
-            continue
-        out_c[cell.name] = len(data.rows_where(t=t, cell=cell)) / denom
+        members = cell.members(ix.xs)
+        if members:
+            out_c[cell.name] = len(ix.y(t, members)) / sum(ix.n_x[x] for x in members)
     return out_c
 
 
@@ -384,13 +464,12 @@ def common_support_check(
     """List every (x-or-cell, t) pair with no observed rows; ok iff none."""
     if len(data) == 0:
         return SupportReport(ok=False, note="empty dataset: every cell is vacuously absent")
-    violations: list[tuple[str, int]] = []
+    ix = data.index
     if partition is None:
-        keys = [(repr(x), x, None) for x in data.xs()]
+        groups = [(repr(x), (x,)) for x in ix.xs]
     else:
-        keys = [(c.name, None, c) for c in partition.cells if data.rows_where(cell=c)]
-    for label, x, cell in keys:
-        for t in sorted(data.treatments):
-            if not data.rows_where(t=t, x=x, cell=cell):
-                violations.append((label, t))
-    return SupportReport(ok=not violations, violations=tuple(violations))
+        groups = [(c.name, members) for c in partition.cells if (members := c.members(ix.xs))]
+    violations = tuple(
+        (label, t) for label, xs in groups for t in sorted(data.treatments) if not ix.y(t, xs)
+    )
+    return SupportReport(ok=not violations, violations=violations)

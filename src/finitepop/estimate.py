@@ -17,9 +17,10 @@ from .core import (
     PredictorError,
     SupportError,
     SupportReport,
+    average,
     common_support_check,
     empirical_propensity,
-    mean_y,
+    mean_of,
 )
 
 _IDENTITY_RTOL = 1e-12
@@ -36,6 +37,17 @@ class Predictor:
         raise NotImplementedError
 
 
+def _fitted_mean(data: ObservedDataset, t: int, xs, empty: str, **where) -> float:
+    """Observed mean outcome at treatment t over the covariate values xs.
+
+    An empty group raises, with ``empty`` formatted by t and ``where``.
+    """
+    ys = data.index.y(t, xs)
+    if not ys:
+        raise PredictorError(empty.format(t=t, **where))
+    return mean_of(ys)
+
+
 @dataclass(frozen=True)
 class RctConstant(Predictor):
     """Per-treatment constant: the observed treatment-group mean outcome."""
@@ -44,13 +56,8 @@ class RctConstant(Predictor):
 
     @classmethod
     def fit(cls, data: ObservedDataset) -> "RctConstant":
-        values = {}
-        for t in sorted(data.treatments):
-            rows = data.rows_where(t=t)
-            if not rows:
-                raise PredictorError(f"no observed rows for treatment {t}")
-            values[t] = mean_y(rows)
-        return cls(values)
+        return cls({t: _fitted_mean(data, t, data.xs(), "no observed rows for treatment {t}")
+                    for t in sorted(data.treatments)})
 
     def __call__(self, x: Covariate, t: int) -> float:
         try:
@@ -67,14 +74,10 @@ class ExactMatching(Predictor):
 
     @classmethod
     def fit(cls, data: ObservedDataset) -> "ExactMatching":
-        table = {}
-        for x in data.xs():
-            for t in sorted(data.treatments):
-                rows = data.rows_where(t=t, x=x)
-                if not rows:
-                    raise PredictorError(f"empty cell at x={x!r}, t={t} (common support)")
-                table[(x, t)] = mean_y(rows)
-        return cls(table)
+        return cls({
+            (x, t): _fitted_mean(data, t, (x,), "empty cell at x={x!r}, t={t} (common support)", x=x)
+            for x in data.xs() for t in sorted(data.treatments)
+        })
 
     def __call__(self, x: Covariate, t: int) -> float:
         try:
@@ -92,16 +95,12 @@ class CoarsenedMatching(Predictor):
 
     @classmethod
     def fit(cls, data: ObservedDataset, partition: CovariatePartition) -> "CoarsenedMatching":
-        table = {}
-        for cell in partition.cells:
-            if not data.rows_where(cell=cell):
-                continue
-            for t in sorted(data.treatments):
-                rows = data.rows_where(t=t, cell=cell)
-                if not rows:
-                    raise PredictorError(f"empty cell at U={cell.name}, t={t} (common support)")
-                table[(cell.name, t)] = mean_y(rows)
-        return cls(partition, table)
+        members = {c.name: c.members(data.xs()) for c in partition.cells}
+        return cls(partition, {
+            (name, t): _fitted_mean(
+                data, t, xs, "empty cell at U={name}, t={t} (common support)", name=name)
+            for name, xs in members.items() if xs for t in sorted(data.treatments)
+        })
 
     def __call__(self, x: Covariate, t: int) -> float:
         cell = self.partition.cell_of(x)
@@ -209,10 +208,10 @@ class EstimateReport:
 def rct_estimate(data: ObservedDataset, t: int) -> EstimateReport:
     """Observed treatment-group mean outcome (the degenerate constant predictor plugged in)."""
     data.check_treatment(t)
-    rows = data.rows_where(t=t)
-    if not rows:
+    ys = data.index.y(t, data.xs())
+    if not ys:
         raise SupportError(f"no observed rows for treatment {t}")
-    return EstimateReport(mean_y(rows), "rct", t)
+    return EstimateReport(mean_of(ys), "rct", t)
 
 
 def _assert_identity(lhs: float, rhs: float, label: str) -> None:
@@ -227,36 +226,46 @@ def exact_matching_estimate(data: ObservedDataset, t: int) -> EstimateReport:
     Algebraically identical to averaging the exact-matching predictor over all
     observed rows; the identity is asserted internally.
     """
-    data.check_treatment(t)
-    support = common_support_check(data)
-    bad = [v for v in support.violations if v[1] == t]
-    if bad:
-        raise SupportError(f"common support fails for t={t} at {', '.join(v[0] for v in bad)}")
-    prop = empirical_propensity(data, t)
-    ht = math.fsum(r.y / prop[r.x] for r in data.rows_where(t=t)) / len(data)
-    predictor = ExactMatching.fit(data)
-    plug = math.fsum(predictor(r.x, t) for r in data.rows) / len(data)
-    _assert_identity(ht, plug, "Horvitz-Thompson / matching plug-in identity")
-    return EstimateReport(ht, "exact_matching", t, support=support)
+    return _matching_estimate(data, t, None)
 
 
 def coarsened_matching_estimate(
     data: ObservedDataset, partition: CovariatePartition, t: int
 ) -> EstimateReport:
     """Inverse cell-propensity weighted sum over the treated rows."""
+    return _matching_estimate(data, t, partition)
+
+
+def _matching_estimate(
+    data: ObservedDataset, t: int, partition: CovariatePartition | None
+) -> EstimateReport:
+    """Horvitz-Thompson sum, checked against the matching plug-in it equals."""
     data.check_treatment(t)
     support = common_support_check(data, partition)
-    bad = [v for v in support.violations if v[1] == t]
+    bad = ", ".join(label for label, s in support.violations if s == t)
     if bad:
-        raise SupportError(f"empty treated cell for t={t}: {', '.join(v[0] for v in bad)}")
+        raise SupportError(
+            f"common support fails for t={t} at {bad}" if partition is None
+            else f"empty treated cell for t={t}: {bad}"
+        )
     prop = empirical_propensity(data, t, partition)
-    ht = math.fsum(
-        r.y / prop[partition.cell_of(r.x).name] for r in data.rows_where(t=t)
-    ) / len(data)
-    predictor = CoarsenedMatching.fit(data, partition)
-    plug = math.fsum(predictor(r.x, t) for r in data.rows) / len(data)
-    _assert_identity(ht, plug, "coarsened Horvitz-Thompson / plug-in identity")
-    return EstimateReport(ht, "coarsened_matching", t, support=support)
+    if partition is None:
+        share, predictor = prop.__getitem__, ExactMatching.fit(data)
+        label, method = "Horvitz-Thompson / matching plug-in identity", "exact_matching"
+    else:
+        share = lambda x: prop[partition.cell_of(x).name]  # noqa: E731
+        predictor = CoarsenedMatching.fit(data, partition)
+        label, method = "coarsened Horvitz-Thompson / plug-in identity", "coarsened_matching"
+    terms: list[float] = []
+    for x in data.xs():
+        ys = data.index.ys.get((x, t))
+        if ys:
+            p = share(x)
+            terms += [y / p for y in ys]
+    ht = math.fsum(terms) / len(data)
+    plug = average(lambda x: predictor(x, t), data.index.n_x)
+    _assert_identity(ht, plug, label)
+    return EstimateReport(ht, method, t, support=support)
 
 
 def plugin_estimate(p: Predictor, data: ObservedDataset, t: int) -> EstimateReport:
@@ -264,8 +273,7 @@ def plugin_estimate(p: Predictor, data: ObservedDataset, t: int) -> EstimateRepo
     data.check_treatment(t)
     if len(data) == 0:
         raise SupportError("empty dataset")
-    est = math.fsum(p(r.x, t) for r in data.rows) / len(data)
-    return EstimateReport(est, "plugin", t)
+    return EstimateReport(average(lambda x: p(x, t), data.index.n_x), "plugin", t)
 
 
 def doubly_robust_estimate(
@@ -284,13 +292,10 @@ def doubly_robust_estimate(
     if len(data) == 0:
         raise SupportError("empty dataset")
     terms = []
-    for x in data.xs():
-        x_rows = data.rows_where(x=x)
-        t_rows = data.rows_where(t=t, x=x)
+    for x, n_x in data.index.n_x.items():
         px = p(x, t)
-        resid = math.fsum(r.y - px for r in t_rows) / len(x_rows)
-        gamma = px + w(x, t) * resid
-        terms.append(len(x_rows) / len(data) * gamma)
+        resid = math.fsum(y - px for y in data.index.ys.get((x, t), ())) / n_x
+        terms.append(n_x / len(data) * (px + w(x, t) * resid))
     return EstimateReport(math.fsum(terms), "doubly_robust", t)
 
 
@@ -403,7 +408,8 @@ def policy_value_estimate(
     for t, xs in sorted(level_sets.items()):
         data.check_treatment(t)
         weight = math.fsum(profile.get(x, 0.0) for x in xs)
-        sub_rows = tuple(r for r in data.rows if r.x in set(xs))
+        members = set(xs)
+        sub_rows = tuple(r for r in data.rows if r.x in members)
         if not sub_rows:
             if weight == 0:
                 continue
@@ -430,8 +436,8 @@ def stochastic_policy_value(
         raise ValueError("stochastic_policy_value requires a stochastic policy")
     if len(data) == 0:
         raise SupportError("empty dataset")
-    total = math.fsum(
-        math.fsum(prob * p(r.x, t) for t, prob in policy.probs(r.x).items())
-        for r in data.rows
+    value = average(
+        lambda x: math.fsum(prob * p(x, t) for t, prob in policy.probs(x).items()),
+        data.index.n_x,
     )
-    return EstimateReport(total / len(data), "stochastic_policy_value")
+    return EstimateReport(value, "stochastic_policy_value")

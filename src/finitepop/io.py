@@ -3,12 +3,15 @@
 Observed header: ``id,t,y[,z],xc_<name>...,xn_<name>...`` where ``xc_`` columns
 are categorical and ``xn_`` columns are numeric.  Future header: ``id`` plus
 covariate columns, with optional oracle columns ``y_t<k>`` per treatment and
-``s_z<k>`` per instrument value.  UTF-8, ``.`` decimal separator.
+``s_z<k>`` per instrument value.  UTF-8, ``.`` decimal separator.  Numbers
+must be finite.  A schema error names the file and the line at fault.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import math
 from pathlib import Path
 
 from .core import (
@@ -23,6 +26,20 @@ from .core import (
 )
 
 
+def _names_file(load):
+    """Schema errors raised while loading a file carry its path."""
+
+    @functools.wraps(load)
+    def wrapper(path, *args, **kwargs):
+        try:
+            return load(path, *args, **kwargs)
+        except SchemaError as exc:
+            exc.path = str(path)
+            raise
+
+    return wrapper
+
+
 def _covariate_columns(header: list[str]) -> list[str]:
     return [c for c in header if c.startswith("xc_") or c.startswith("xn_")]
 
@@ -32,13 +49,7 @@ def _parse_covariate(record: dict[str, str], cov_cols: list[str], line: int) -> 
     for col in cov_cols:
         raw = record[col]
         name = col[3:]
-        if col.startswith("xc_"):
-            fields[name] = raw
-        else:
-            try:
-                fields[name] = float(raw)
-            except ValueError:
-                raise SchemaError(f"line {line}: column {col}: not a number: {raw!r}") from None
+        fields[name] = raw if col.startswith("xc_") else _parse_float(record, col, line)
     return Covariate.of(**fields)
 
 
@@ -51,11 +62,15 @@ def _parse_int(record: dict[str, str], col: str, line: int) -> int:
 
 def _parse_float(record: dict[str, str], col: str, line: int) -> float:
     try:
-        return float(record[col])
+        value = float(record[col])
     except (ValueError, TypeError):
         raise SchemaError(f"line {line}: column {col}: not a number: {record.get(col)!r}") from None
+    if not math.isfinite(value):
+        raise SchemaError(f"line {line}: column {col}: not a finite number: {record[col]!r}")
+    return value
 
 
+@_names_file
 def load_observed_csv(path: str | Path, treatments: frozenset[int] | None = None) -> ObservedDataset:
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -93,16 +108,18 @@ def save_observed_csv(data: ObservedDataset, path: str | Path) -> None:
     cov_cols = [
         ("xc_" if isinstance(data.rows[0].x.get(n), str) else "xn_") + n for n in cov_names
     ]
-    header = ["id", "t", "y"] + (["z"] if data.has_instrument else []) + cov_cols
+    has_z = data.has_instrument
+    header = ["id", "t", "y"] + (["z"] if has_z else []) + cov_cols
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for r in data.rows:
-            record = [r.unit, r.t, repr(r.y)] + ([r.z] if data.has_instrument else [])
+            record = [r.unit, r.t, repr(r.y)] + ([r.z] if has_z else [])
             record += [v if isinstance(v, str) else repr(v) for _, v in r.x.items]
             writer.writerow(record)
 
 
+@_names_file
 def load_future_csv(path: str | Path) -> FuturePopulation:
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:

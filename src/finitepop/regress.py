@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Covariate, FinitePopError, ObservedDataset, SupportError, mean_y
+from .core import Covariate, FinitePopError, ObservedDataset, SupportError, mean_of, mean_y
 from .estimate import Policy
 
 
@@ -142,10 +142,10 @@ def check_linear_identification(
     worst = 0.0
     for x in data.xs():
         for t in sorted(data.treatments):
-            rows = data.rows_where(t=t, x=x)
-            if not rows:
+            ys = data.index.ys.get((x, t))
+            if not ys:
                 continue
-            gap = abs(mean_y(rows) - model.predict(x, float(t)))
+            gap = abs(mean_of(ys) - model.predict(x, float(t)))
             residuals[f"{x!r}|t={t}"] = gap
             worst = max(worst, gap)
     design, _ = _design(data, model.encoding)

@@ -212,7 +212,7 @@ def generate(spec: ScenarioSpec) -> Scenario:
             noise = spec.noise_sd * obs_shared_noise[i]
         else:
             noise = spec.noise_sd * rng_noise.standard_normal()
-        return _clamp(base[level][t] + noise, k0, k1)
+        return float(_clamp(base[level][t] + noise, k0, k1))
 
     obs_shared_noise = rng_noise.standard_normal(len(obs_levels)) if spec.shared_unit_noise else None
     rows = []
@@ -252,7 +252,7 @@ def generate(spec: ScenarioSpec) -> Scenario:
                 noise = spec.noise_sd * fut_shared_noise[j]
             else:
                 noise = spec.noise_sd * rng_fut_noise.standard_normal()
-            outcomes[(unit, t)] = _clamp(base[level][t] + local_shift + noise, k0, k1)
+            outcomes[(unit, t)] = float(_clamp(base[level][t] + local_shift + noise, k0, k1))
         if spec.instrument is not None and spec.instrument.dominance_break > 0:
             if compliance[(unit, 1)] == 0:  # would not take treatment under z=1
                 outcomes[(unit, 1)] = outcomes[(unit, 0)] - spec.instrument.dominance_break
@@ -262,11 +262,8 @@ def generate(spec: ScenarioSpec) -> Scenario:
         oracle=OutcomeOracle(outcomes),
         instrument_oracle=ComplianceOracle(compliance) if compliance else None,
     )
-    truth = {
-        "apo": {t: future.apo(t) for t in (0, 1)},
-        "ate": future.ate(),
-    }
-    return Scenario(observed, future, spec, truth)
+    apo = {t: future.apo(t) for t in (0, 1)}
+    return Scenario(observed, future, spec, {"apo": apo, "ate": apo[1] - apo[0]})
 
 
 def _force_support(levels: list[str], ts: list[int]) -> None:

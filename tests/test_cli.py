@@ -153,16 +153,116 @@ def test_sweep_byte_identical_reruns(tmp_path):
     assert report["summary"]["rct"]["pass_rate"] == 1.0
 
 
-def test_sweep_zero_replications(tmp_path):
+SMALL_SCENARIO = (
+    "scenario:\n  n_observed: 10\n  n_future: 10\n  levels: [a]\n"
+    "  base_outcomes:\n    a: [2.0, 6.0]\n"
+)
+
+
+@pytest.mark.parametrize("replications", [0, -5])
+def test_sweep_rejects_replications_below_one(tmp_path, capsys, replications):
     cfg = write_config(
         tmp_path, "sweep.yaml",
-        "schema: 1\nseed: 1\nreplications: 0\nmethods: [rct]\n"
-        "scenario:\n  n_observed: 10\n  n_future: 10\n  levels: [a]\n"
-        "  base_outcomes:\n    a: [2.0, 6.0]\n",
+        f"schema: 1\nseed: 1\nreplications: {replications}\nmethods: [rct]\n" + SMALL_SCENARIO,
     )
     out = tmp_path / "s.json"
-    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["summary"] == {}
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert "replications must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_exits_1_when_a_verdict_fails(tmp_path):
+    # delta 0 prices none of the compliance-share gap, so the interval misses.
+    cfg = write_config(
+        tmp_path, "sweep.yaml",
+        "schema: 1\nseed: 3\nreplications: 3\n"
+        "methods: [rct, {name: rm_bounds, k0: 0.0, k1: 10.0, delta: 0.0}]\n"
+        "scenario:\n  n_observed: 60\n  n_future: 60\n  levels: [a, b]\n"
+        "  base_outcomes:\n    a: [2.0, 6.0]\n    b: [3.0, 5.0]\n  noise_sd: 0.5\n"
+        "  instrument: {z_probability: 0.5}\n",
+    )
+    out = tmp_path / "s.json"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["rct"]["pass_rate"] == 1.0
+    assert summary["rm_bounds"]["pass_rate"] < 1.0
+
+
+@pytest.mark.parametrize("entry, key", [
+    ("{name: rm_bounds, k0: abc, k1: 10}", "k0"),
+    ("{name: coarsened, partition: [a, b]}", "partition"),
+])
+def test_malformed_method_parameter_exits_2(tmp_path, p8_files, capsys, entry, key):
+    obs, fut = p8_files
+    out = tmp_path / "report.json"
+    cfg = write_config(
+        tmp_path, "run.yaml",
+        f"schema: 1\nobserved: {obs}\nfuture: {fut}\nout: {out}\nmethods: [{entry}]\n",
+    )
+    assert main(["run", "--config", cfg]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_outcome_exits_2_naming_the_csv(tmp_path, capsys):
+    obs = tmp_path / "obs.csv"
+    obs.write_text("id,t,y,xc_level\n1,1,2.0,a\n2,0,nan,a\n")
+    out = tmp_path / "report.json"
+    cfg = write_config(
+        tmp_path, "run.yaml", f"schema: 1\nobserved: {obs}\nmethods: [rct]\nout: {out}\n"
+    )
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{obs}: line 3: column y:")
+    assert "run.yaml" not in err
+    assert not out.exists()
+
+
+def test_run_on_simulated_shared_noise_scenario(tmp_path):
+    sim = tmp_path / "sim"
+    cfg = write_config(
+        tmp_path, "sim.yaml",
+        "schema: 1\nn_observed: 40\nn_future: 40\nlevels: [a, b]\n"
+        "base_outcomes:\n  a: [2.0, 6.0]\n  b: [3.0, 5.0]\nnoise_sd: 0.4\n"
+        "shared_unit_noise: true\nseed: 4\n",
+    )
+    assert main(["simulate", "--config", cfg, "--out", str(sim)]) == 0
+    assert "np.float64" not in (sim / "observed.csv").read_text()
+    out = tmp_path / "report.json"
+    run = write_config(
+        tmp_path, "run.yaml",
+        f"schema: 1\nmode: oracle\nobserved: {sim / 'observed.csv'}\n"
+        f"future: {sim / 'future.csv'}\nmethods: [rct, matching]\nout: {out}\n",
+    )
+    assert main(["run", "--config", run]) == 0
+    assert json.loads(out.read_text())["ok"] is True
+
+
+def test_run_parses_each_partition_and_predictor_file_once(tmp_path, p8_files, monkeypatch):
+    import finitepop.cli as cli
+
+    obs, fut = p8_files
+    part = write_config(
+        tmp_path, "part.yaml", "schema: 1\ncells:\n  all: [{level: a}, {level: b}]\n"
+    )
+    pred = write_config(
+        tmp_path, "pred.yaml",
+        "schema: 1\nentries:\n"
+        + "".join(f"  - {{x: {{level: {lv}}}, t: {t}, p: {p}}}\n"
+                  for lv, t, p in (("a", 0, 6.0), ("a", 1, 10.0), ("b", 0, 2.0), ("b", 1, 4.0))),
+    )
+    cfg = write_config(
+        tmp_path, "run.yaml",
+        f"schema: 1\nmode: oracle\nobserved: {obs}\nfuture: {fut}\nout: {tmp_path / 'r.json'}\n"
+        f"methods:\n  - {{name: coarsened, partition: {part}}}\n"
+        f"  - {{name: plugin, predictor: {pred}, partition: {part}}}\n"
+        f"  - {{name: dr, predictor: {pred}}}\n",
+    )
+    loaded = []
+    real = cli.load_config
+    monkeypatch.setattr(cli, "load_config", lambda path: loaded.append(path) or real(path))
+    assert main(["run", "--config", cfg]) == 0
+    assert sorted(loaded) == sorted([cfg, part, pred])
 
 
 def test_render_report_17_significant_digits():

@@ -89,3 +89,42 @@ def test_float_precision_survives_roundtrip(tmp_path):
     path = tmp_path / "obs.csv"
     save_observed_csv(d, path)
     assert load_observed_csv(path).rows[0].y == y
+
+
+@pytest.mark.parametrize("where, text", [
+    ("line 3: column y:", "id,t,y,xn_age\n1,1,2.0,40\n2,0,nan,41\n"),
+    ("line 2: column y:", "id,t,y,xn_age\n1,1,inf,40\n"),
+    ("line 3: column xn_age:", "id,t,y,xn_age\n1,1,2.0,40\n2,0,1.0,-inf\n"),
+])
+def test_non_finite_observed_value_rejected_with_line_and_column(tmp_path, where, text):
+    path = tmp_path / "obs.csv"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=where):
+        load_observed_csv(path)
+
+
+def test_non_finite_oracle_value_rejected(tmp_path):
+    path = tmp_path / "fut.csv"
+    path.write_text("id,xc_level,y_t0,y_t1\n11,a,1.0,2.0\n12,b,3.0,NaN\n")
+    with pytest.raises(SchemaError, match="line 3: column y_t1:") as info:
+        load_future_csv(path)
+    assert info.value.path == str(path)
+
+
+def test_save_observed_csv_reads_has_instrument_once_per_call(tmp_path):
+    from finitepop.core import ObservedDataset
+
+    reads = []
+
+    class Counting(ObservedDataset):
+        @property
+        def has_instrument(self):
+            reads.append(1)
+            return super().has_instrument
+
+    d = p8_observed(with_instrument=True)
+    counting = Counting(d.rows, d.treatments)
+    save_observed_csv(counting, tmp_path / "a.csv")
+    save_observed_csv(counting, tmp_path / "b.csv")
+    assert len(reads) == 2 and len(d.rows) > 1
+    assert load_observed_csv(tmp_path / "a.csv").rows == d.rows
