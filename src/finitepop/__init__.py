@@ -20,7 +20,6 @@ from .core import (
     SchemaError,
     SupportError,
     SupportReport,
-    ToleranceBudget,
     Unit,
     approx_eq,
     common_support_check,

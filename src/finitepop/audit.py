@@ -113,15 +113,18 @@ def audit_ml_groupwise(
     p,
     data: ObservedDataset,
     future: FuturePopulation,
-    partition: CovariatePartition,
+    partition: CovariatePartition | None = None,
 ) -> AuditResult:
     """Area-wise residual-transfer gaps for an arbitrary predictor.
 
     Per cell and treatment: mean future residual (prediction minus true outcome
     over the cell's future units) minus mean observed residual over the cell's
     treated observed rows.  Headline per treatment is the max absolute cell gap.
+    Without a partition every covariate value is its own cell.
     """
     future.require_oracle()
+    if partition is None:
+        partition = CovariatePartition.singletons(set(data.xs()) | set(future.xs()))
     details: dict[tuple[str, int], float] = {}
     per: dict[int, float] = {}
     ix = data.index

@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
@@ -42,21 +45,8 @@ from .core import (
     FuturePopulation,
     ObservedDataset,
     SchemaError,
-    SupportError,
-    mean_of,
 )
-from .estimate import (
-    CoarsenedMatching,
-    ExactMatching,
-    RctConstant,
-    Tabular,
-    ate_estimate,
-    coarsened_matching_estimate,
-    doubly_robust_estimate,
-    exact_matching_estimate,
-    plugin_estimate,
-    rct_estimate,
-)
+from .estimate import METHODS, Tabular, ate_estimate
 from .io import load_future_csv, load_observed_csv, save_future_csv, save_observed_csv
 from .simulate import InstrumentSpec, ScenarioSpec, generate, scenario_seed
 
@@ -99,7 +89,7 @@ def _render(obj, out: list[str]) -> None:
         else:
             out.append(format(obj, ".17g"))
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):
@@ -199,10 +189,6 @@ def _require(cfg: dict, key: str, text: str):
     return cfg[key]
 
 
-def _covariate_from_fields(fields: dict) -> Covariate:
-    return Covariate.of(**fields)
-
-
 def load_partition_file(path: str) -> CovariatePartition:
     cfg, _ = load_config(path)
     cells = cfg.get("cells")
@@ -210,9 +196,10 @@ def load_partition_file(path: str) -> CovariatePartition:
         raise ConfigError("partition file needs a nonempty 'cells' mapping")
     members = {}
     for name, xs in cells.items():
-        if not isinstance(xs, list):
-            raise ConfigError(f"partition cell {name!r} must list covariate records")
-        members[str(name)] = [_covariate_from_fields(f) for f in xs]
+        try:
+            members[str(name)] = [Covariate.of(**f) for f in xs]
+        except (TypeError, ValueError):
+            raise ConfigError(f"partition cell {name!r} must list covariate records") from None
     return CovariatePartition.from_members(members)
 
 
@@ -224,7 +211,7 @@ def load_predictor_table(path: str) -> Tabular:
     table = {}
     for e in entries:
         try:
-            table[(_covariate_from_fields(e["x"]), int(e["t"]))] = float(e["p"])
+            table[(Covariate.of(**e["x"]), int(e["t"]))] = float(e["p"])
         except (KeyError, TypeError, ValueError):
             raise ConfigError(f"bad predictor entry {e!r}: need x, t, p")
     return Tabular(table)
@@ -285,27 +272,6 @@ def spec_from_config(cfg: dict) -> ScenarioSpec:
 # ----------------------------------------------------------------------------
 # method runners
 
-_ORACLE_ONLY_AUDITS = {
-    "cfd": "CFD unobservable without ground truth",
-    "signed_difference": "average signed difference needs the future outcome oracle",
-    "ml_groupwise": "groupwise residual transfer needs the future outcome oracle",
-    "dr_condition": "the doubly robust condition needs the future outcome oracle",
-    "dominance": "dominance is defined on the future compliance and outcome oracles",
-    "compliance_stability": "compliance stability needs the future compliance oracle",
-}
-
-
-def _auditing_predictor(method: str, data: ObservedDataset, params: dict):
-    if method == "rct":
-        return RctConstant.fit(data)
-    if method == "matching":
-        return ExactMatching.fit(data)
-    if method == "coarsened":
-        return CoarsenedMatching.fit(data, params["partition"])
-    if method in ("plugin", "dr"):
-        return params["predictor"]
-    return None
-
 
 def _method_params(mcfg: dict, loaded: dict) -> dict:
     """One method's parameters; ``loaded`` holds the files already parsed in this run."""
@@ -328,92 +294,49 @@ def _method_params(mcfg: dict, loaded: dict) -> dict:
     return params
 
 
-def _estimate(method: str, data: ObservedDataset, t: int, params: dict):
-    if method == "rct":
-        return rct_estimate(data, t)
-    if method == "matching":
-        return exact_matching_estimate(data, t)
-    if method == "coarsened":
-        return coarsened_matching_estimate(data, params["partition"], t)
-    if method == "plugin":
-        return plugin_estimate(params["predictor"], data, t)
-    if method == "dr":
-        w = _dr_weights(data, params)
-        return doubly_robust_estimate(params["predictor"], w, data, t)
-    raise PreconditionError(f"method {method}: unknown estimator")
+def _lookup(table: dict, kind: str, name, params: dict | None = None):
+    """``table[name]``; an unknown name or a missing needed parameter is a config error."""
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(f"unknown {kind} {name!r}; known: {', '.join(table)}")
+    entry = table[name]
+    for key in getattr(entry, "needs", ()):
+        if key not in params:
+            raise ConfigError(f"{kind} {name} needs parameter {key!r}")
+    return entry
 
 
-def _dr_weights(data: ObservedDataset, params: dict):
-    """Population-share correction weights |I^x|/|J_t^x| * |J|/|I|.
-
-    Without a stated future composition the observed composition stands in
-    for it, which reduces the weight to the inverse empirical propensity.
-    """
-
-    def w(x: Covariate, t: int) -> float:
-        treated = len(data.index.at.get((x, t), ()))
-        if treated == 0:
-            raise SupportError(f"no observed rows with x={x!r}, t={t}")
-        return data.index.n_x[x] / treated
-
-    return w
+def _rm_bounds(params: dict, data: ObservedDataset, truth: dict | None) -> dict:
+    ob = OutcomeBounds(params["k0"], params["k1"])
+    delta = params.get("delta", 0.0)
+    per_t = {t: robins_manski_bounds(data, t, ob, delta) for t in sorted(data.treatments)}
+    entry: dict = {"per_treatment": {str(t): b.to_json() for t, b in per_t.items()}}
+    if truth is not None:
+        entry["verdicts"] = {
+            str(t): {"truth": truth[t], "pass": b.lower - _SLACK <= truth[t] <= b.upper + _SLACK}
+            for t, b in per_t.items()
+        }
+    return entry
 
 
-def _dr_premise(data: ObservedDataset, future: FuturePopulation, p, t: int, sp: float):
-    """Which audited arm, if any, covers a doubly robust verdict.
-
-    Arm one needs the predictor to match observed cell means.  Arm two needs
-    the supplied weights to equal the population-share correction and the
-    f=1 audit condition to vanish.  ``sp`` is the predictor's stable-prediction
-    gap at t.  Returns (budget, label) or (None, None).
-    """
-    cell_gap = 0.0
-    for x in data.xs():
-        ys = data.index.ys.get((x, t))
-        if ys:
-            cell_gap = max(cell_gap, abs(p(x, t) - mean_of(ys)))
-    if cell_gap <= 1e-9:
-        return sp + abs(avg_signed_difference(data, future, t)), "cell_mean_predictor"
-    cond = audit_dr_condition(data, future, t)
-    if abs(cond) <= 1e-9:
-        return sp, "weighted_condition"
-    return None, None
+def _iv_lower(params: dict, data: ObservedDataset, truth: dict | None) -> dict:
+    b = iv_ate_lower_bound_randomized(data, params["eps"], params["delta"])
+    entry: dict = {"ate_lower": b.to_json()}
+    if truth is not None:
+        ate = truth[1] - truth[0]
+        entry["verdicts"] = {"ate": {"truth": ate, "pass": ate >= b.lower - _SLACK}}
+    return entry
 
 
-def _oracle_verdicts(method, data, future, truth, per_t, params) -> dict:
-    """Each treatment's estimation error against its audited budget.
+class _Bound(NamedTuple):
+    needs: tuple[str, ...]
+    run: Callable[[dict, ObservedDataset, dict | None], dict]
 
-    The budget is the stable-prediction gap plus the method's transfer term;
-    every audit runs once per method and serves all treatments.
-    """
-    ts = tuple(per_t)
-    p = _auditing_predictor(method, data, params)
-    if method == "rct":
-        transfer = audit_cfd(p, future, ts).per_treatment
-    elif method == "plugin":
-        part = params.get("partition") or CovariatePartition.singletons(
-            set(data.xs()) | set(future.xs())
-        )
-        transfer = audit_ml_groupwise(p, data, future, part).per_treatment
-    elif method != "dr":  # matching, coarsened; for dr the premise that holds decides
-        part = params["partition"] if method == "coarsened" else None
-        transfer = {t: avg_signed_difference(data, future, t, part) for t in ts}
-    sp = audit_sp(p, data, future).per_treatment
-    verdicts = {}
-    for t, report in per_t.items():
-        error = abs(report.estimate - truth[t])
-        if method == "dr":
-            budget, premise = _dr_premise(data, future, p, t, sp[t])
-        else:
-            budget, premise = sp[t] + abs(transfer[t]), None
-        v = {"truth": truth[t], "error": error, "budget": budget,
-             "pass": None if budget is None else error <= budget + _SLACK}
-        if premise:
-            v["premise"] = premise
-        elif budget is None:
-            v["note"] = "no audited premise holds; bound not applicable"
-        verdicts[str(t)] = v
-    return verdicts
+
+_BOUNDS = {
+    "rm_bounds": _Bound(("k0", "k1"), _rm_bounds),
+    "iv_lower": _Bound(("eps", "delta"), _iv_lower),
+}
+_RUNNABLE = {**METHODS, **_BOUNDS}
 
 
 def run_methods(cfg: dict, data: ObservedDataset, future: FuturePopulation | None) -> dict:
@@ -432,14 +355,20 @@ def run_methods(cfg: dict, data: ObservedDataset, future: FuturePopulation | Non
     for mcfg in methods_cfg:
         if isinstance(mcfg, str):
             mcfg = {"name": mcfg}
-        name = mcfg.get("name")
-        if name is None:
+        if not isinstance(mcfg, dict) or "name" not in mcfg:
             raise ConfigError(f"method entry {mcfg!r} needs a 'name'")
+        name = mcfg["name"]
         params = _method_params(mcfg, loaded)
-        if name in ("rm_bounds", "iv_lower"):
-            entry = _run_bound_method(name, params, data, truth)
-        else:
-            entry = _run_point_method(name, params, data, future, truth)
+        method = _lookup(_RUNNABLE, "method", name, params)
+        try:
+            if isinstance(method, _Bound):
+                entry = method.run(params, data, truth)
+            else:
+                entry = _run_point_method(method, params, data, future, truth)
+        except ValueError as exc:
+            raise ConfigError(f"method {name}: {exc}") from None
+        except FinitePopError as exc:
+            raise PreconditionError(f"method {name}: {exc}") from None
         for v in entry.get("verdicts", {}).values():
             if v and v.get("pass") is False:
                 all_pass = False
@@ -453,64 +382,48 @@ def run_methods(cfg: dict, data: ObservedDataset, future: FuturePopulation | Non
     return report
 
 
-def _run_point_method(name, params, data, future, truth) -> dict:
-    try:
-        per_t = {t: _estimate(name, data, t, params) for t in sorted(data.treatments)}
-    except FinitePopError as exc:
-        raise PreconditionError(f"method {name}: {exc}") from None
+def _run_point_method(method, params, data, future, truth) -> dict:
+    per_t = {t: method.estimate(data, t, params) for t in sorted(data.treatments)}
     entry: dict = {"per_treatment": {str(t): r.to_json() for t, r in per_t.items()}}
     if 0 in per_t and 1 in per_t:
         entry["ate"] = ate_estimate(per_t[1], per_t[0]).to_json()
     if truth is not None:
-        try:
-            verdicts = _oracle_verdicts(name, data, future, truth, per_t, params)
-        except FinitePopError as exc:
-            raise PreconditionError(f"method {name}: {exc}") from None
-        entry["verdicts"] = verdicts
+        entry["verdicts"] = verdicts = _oracle_verdicts(method, params, data, future, truth, per_t)
         if 0 in per_t and 1 in per_t:
             v1, v0 = verdicts["1"], verdicts["0"]
             if v1["budget"] is not None and v0["budget"] is not None:
                 ate = truth[1] - truth[0]
                 err = abs((per_t[1].estimate - per_t[0].estimate) - ate)
                 budget = v1["budget"] + v0["budget"]
-                entry["verdicts"]["ate"] = {
+                verdicts["ate"] = {
                     "truth": ate, "error": err, "budget": budget,
                     "pass": err <= budget + 2 * _SLACK,
                 }
     return entry
 
 
-def _run_bound_method(name, params, data, truth) -> dict:
-    try:
-        if name == "rm_bounds":
-            ob = OutcomeBounds(params["k0"], params["k1"])
-            delta = params.get("delta", 0.0)
-            per_t = {
-                t: robins_manski_bounds(data, t, ob, delta)
-                for t in sorted(data.treatments)
-            }
-            entry = {"per_treatment": {str(t): b.to_json() for t, b in per_t.items()}}
-            if truth is not None:
-                entry["verdicts"] = {
-                    str(t): {
-                        "truth": truth[t],
-                        "pass": b.lower - _SLACK <= truth[t] <= b.upper + _SLACK,
-                    }
-                    for t, b in per_t.items()
-                }
-            return entry
-        if name == "iv_lower":
-            b = iv_ate_lower_bound_randomized(data, params["eps"], params["delta"])
-            entry = {"ate_lower": b.to_json()}
-            if truth is not None:
-                ate = truth[1] - truth[0]
-                entry["verdicts"] = {"ate": {"truth": ate, "pass": ate >= b.lower - _SLACK}}
-            return entry
-    except KeyError as exc:
-        raise ConfigError(f"method {name} needs parameter {exc.args[0]!r}")
-    except FinitePopError as exc:
-        raise PreconditionError(f"method {name}: {exc}") from None
-    raise PreconditionError(f"method {name}: unknown bound")
+def _oracle_verdicts(method, params, data, future, truth, per_t) -> dict:
+    """Each treatment's estimation error against its audited budget.
+
+    The budget is the bound of the method's guarantee: the stable-prediction
+    gap plus its transfer term.  Every audit runs once per method and serves
+    all treatments.
+    """
+    p = method.predictor(data, params)
+    guarantees = method.budget(p, data, future, tuple(per_t), params)
+    verdicts = {}
+    for t, report in per_t.items():
+        guarantee, premise = guarantees[t]
+        error = abs(report.estimate - truth[t])
+        budget = None if guarantee is None else guarantee.bound
+        v = {"truth": truth[t], "error": error, "budget": budget,
+             "pass": None if budget is None else error <= budget + _SLACK}
+        if premise:
+            v["premise"] = premise
+        elif budget is None:
+            v["note"] = "no audited premise holds; bound not applicable"
+        verdicts[str(t)] = v
+    return verdicts
 
 
 # ----------------------------------------------------------------------------
@@ -534,6 +447,34 @@ def cmd_run(cfg: dict, text: str) -> int:
     return EXIT_OK if report["ok"] else EXIT_VERDICT_FAIL
 
 
+_AUDITS = {  # name -> (audit, why it needs oracle mode, or None)
+    "sp": (lambda p, d, f, _: audit_sp(p, d, f), None),
+    "cfd": (lambda p, d, f, _: audit_cfd(p, f), "CFD unobservable without ground truth"),
+    "signed_difference": (
+        lambda p, d, f, _: AuditResult("avg_signed_difference", {
+            t: avg_signed_difference(d, f, t) for t in sorted(d.treatments)}),
+        "average signed difference needs the future outcome oracle",
+    ),
+    "ml_groupwise": (
+        lambda p, d, f, ps: audit_ml_groupwise(p, d, f, ps.get("partition")),
+        "groupwise residual transfer needs the future outcome oracle",
+    ),
+    "dr_condition": (
+        lambda p, d, f, _: AuditResult("dr_condition", {
+            t: audit_dr_condition(d, f, t) for t in sorted(d.treatments)}),
+        "the doubly robust condition needs the future outcome oracle",
+    ),
+    "dominance": (
+        lambda p, d, f, _: audit_dominance(f),
+        "dominance is defined on the future compliance and outcome oracles",
+    ),
+    "compliance_stability": (
+        lambda p, d, f, _: audit_compliance_stability(d, f),
+        "compliance stability needs the future compliance oracle",
+    ),
+}
+
+
 def cmd_audit(cfg: dict, text: str) -> int:
     data, future = _load_inputs(cfg, text)
     mode = cfg.get("mode", "data")
@@ -542,61 +483,25 @@ def cmd_audit(cfg: dict, text: str) -> int:
         raise ConfigError("config needs a nonempty 'audits' list")
     if future is None:
         raise ConfigError("audits compare against a future population; set 'future'")
-    predictor_kind = cfg.get("predictor", "matching")
-    if isinstance(predictor_kind, str) and predictor_kind.endswith((".json", ".yaml", ".yml")):
-        p = load_predictor_table(predictor_kind)
+    # 'predictor' names a method whose predictor is audited, or a predictor
+    # file, which is audited as the plug-in method's predictor.
+    kind = cfg.get("predictor", "matching")
+    files = {key: cfg[key] for key in ("partition", "predictor") if key in cfg}
+    if isinstance(kind, str) and kind.endswith((".json", ".yaml", ".yml")):
+        kind = "plugin"
     else:
-        params = {}
-        if "partition" in cfg:
-            params["partition"] = load_partition_file(cfg["partition"])
-        p = _auditing_predictor(predictor_kind, data, params)
-        if p is None:
-            raise ConfigError(f"unknown auditing predictor {predictor_kind!r}")
+        files.pop("predictor", None)
+    params = _method_params({"name": "audit", **files}, {})
+    p = _lookup(METHODS, "auditing predictor", kind, params).predictor(data, params)
     results = {}
     for name in audits:
-        if mode != "oracle" and name in _ORACLE_ONLY_AUDITS:
-            raise PreconditionError(f"audit {name}: {_ORACLE_ONLY_AUDITS[name]}")
+        run, oracle_only = _lookup(_AUDITS, "audit", name)
+        if mode != "oracle" and oracle_only:
+            raise PreconditionError(f"audit {name}: {oracle_only}")
         try:
-            if name == "sp":
-                res = audit_sp(p, data, future)
-            elif name == "cfd":
-                res = audit_cfd(p, future)
-            elif name == "signed_difference":
-                res = AuditResult(
-                    name="avg_signed_difference",
-                    per_treatment={
-                        t: avg_signed_difference(data, future, t)
-                        for t in sorted(data.treatments)
-                    },
-                )
-            elif name == "ml_groupwise":
-                part = None
-                if "partition" in cfg:
-                    part = load_partition_file(cfg["partition"])
-                if part is None:
-                    part = CovariatePartition.singletons(
-                        set(data.xs()) | set(future.xs())
-                    )
-                res = audit_ml_groupwise(p, data, future, part)
-            elif name == "dr_condition":
-                res = AuditResult(
-                    name="dr_condition",
-                    per_treatment={
-                        t: audit_dr_condition(data, future, t)
-                        for t in sorted(data.treatments)
-                    },
-                )
-            elif name == "dominance":
-                res = audit_dominance(future)
-            elif name == "compliance_stability":
-                res = audit_compliance_stability(data, future)
-            else:
-                raise ConfigError(f"unknown audit {name!r}")
-        except ConfigError:
-            raise
+            results[name] = run(p, data, future, params).to_json()
         except FinitePopError as exc:
             raise PreconditionError(f"audit {name}: {exc}") from None
-        results[name] = res.to_json()
     report = {"audits": results, "metadata": _metadata(cfg), "ok": True}
     _write_report(report, cfg.get("out"))
     return EXIT_OK
@@ -720,13 +625,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg, text = load_config(args.config)
         cfg = _apply_overrides(cfg, args)
+        if cfg.get("mode", "data") not in ("data", "oracle"):
+            raise ConfigError(
+                f"mode must be data or oracle, got {cfg['mode']!r}", _key_line(text, "mode")
+            )
         return _VERBS[args.verb](cfg, text)
     except SchemaError as exc:
         print(f"{exc.path or args.config}: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except PreconditionError as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    except OSError as exc:  # an input or output path that cannot be read or written
+        print(f"{exc.filename or args.config}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_SCHEMA
     except FinitePopError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -409,19 +409,6 @@ class CovariatePartition:
 
 
 @dataclass(frozen=True)
-class ToleranceBudget:
-    """The scalars attached to stable-prediction, calibration and treatment-average slack."""
-
-    eps: float = 0.0
-    delta: float = 0.0
-    gamma: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.eps < 0 or self.delta < 0 or self.gamma < 0:
-            raise ValueError("tolerances must be nonnegative")
-
-
-@dataclass(frozen=True)
 class SupportReport:
     ok: bool
     violations: tuple[tuple[str, int], ...] = ()

@@ -1,6 +1,7 @@
 """Point estimators: RCT, matching (exact and coarsened), plug-in, doubly
 robust, treatment-effect differences, difference-in-differences, and policy
-values for deterministic and stochastic treatment rules.
+values for deterministic and stochastic treatment rules.  ``METHODS`` pairs
+each point method with the audits that set its error budget.
 """
 
 from __future__ import annotations
@@ -9,6 +10,13 @@ import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
+from .audit import (
+    audit_cfd,
+    audit_dr_condition,
+    audit_ml_groupwise,
+    audit_sp,
+    avg_signed_difference,
+)
 from .core import (
     Covariate,
     CovariatePartition,
@@ -317,6 +325,122 @@ def ate_estimate(apo1: EstimateReport, apo0: EstimateReport) -> EstimateReport:
 
 
 # ---------------------------------------------------------------------------
+# Method registry
+
+
+@dataclass(frozen=True)
+class Method:
+    """A point method: the parameters it needs, its APO estimator, the predictor
+    whose audits price its error, and that price.
+
+    ``budget(p, data, future, ts, params)`` maps each treatment to its
+    ``Guarantee`` (eps the stable-prediction gap, delta the absolute transfer
+    term) and the premise it rests on, or to ``(None, None)`` when no audited
+    premise holds.  Entries call estimators and audits through module globals,
+    so rebinding one of them reaches every caller.
+    """
+
+    needs: tuple[str, ...]
+    estimate: Callable[[ObservedDataset, int, dict], EstimateReport]
+    predictor: Callable[[ObservedDataset, dict], Predictor]
+    budget: Callable[..., dict[int, tuple[Guarantee | None, str | None]]]
+
+
+def _sp_plus(p, data, future, transfer: Mapping[int, float]) -> dict:
+    """Stable-prediction gap plus the absolute transfer term, per treatment."""
+    sp = audit_sp(p, data, future).per_treatment
+    return {t: (Guarantee(sp[t], abs(d)), None) for t, d in transfer.items()}
+
+
+def _dr_weights(data: ObservedDataset) -> Callable[[Covariate, int], float]:
+    """Population-share correction weights |I^x|/|J_t^x| * |J|/|I|.
+
+    Without a stated future composition the observed composition stands in
+    for it, which reduces the weight to the inverse empirical propensity.
+    """
+
+    def w(x: Covariate, t: int) -> float:
+        treated = len(data.index.at.get((x, t), ()))
+        if treated == 0:
+            raise SupportError(f"no observed rows with x={x!r}, t={t}")
+        return data.index.n_x[x] / treated
+
+    return w
+
+
+def _dr_premise(data: ObservedDataset, future: FuturePopulation, p, t: int, sp: float):
+    """Which audited arm, if any, covers a doubly robust verdict.
+
+    Arm one needs the predictor to match observed cell means.  Arm two needs
+    the supplied weights to equal the population-share correction and the
+    f=1 audit condition to vanish.  ``sp`` is the predictor's stable-prediction
+    gap at t.  Returns (guarantee, label) or (None, None).
+    """
+    cell_gap = 0.0
+    for x in data.xs():
+        ys = data.index.ys.get((x, t))
+        if ys:
+            cell_gap = max(cell_gap, abs(p(x, t) - mean_of(ys)))
+    if cell_gap <= 1e-9:
+        return Guarantee(sp, abs(avg_signed_difference(data, future, t))), "cell_mean_predictor"
+    if abs(audit_dr_condition(data, future, t)) <= 1e-9:
+        return Guarantee(sp, 0.0), "weighted_condition"
+    return None, None
+
+
+def _dr_budget(p, data, future, ts) -> dict:
+    sp = audit_sp(p, data, future).per_treatment
+    return {t: _dr_premise(data, future, p, t, sp[t]) for t in ts}
+
+
+METHODS: dict[str, Method] = {
+    "rct": Method(
+        (),
+        lambda d, t, _: rct_estimate(d, t),
+        lambda d, _: RctConstant.fit(d),
+        lambda p, d, f, ts, _: _sp_plus(p, d, f, audit_cfd(p, f, ts).per_treatment),
+    ),
+    "matching": Method(
+        (),
+        lambda d, t, _: exact_matching_estimate(d, t),
+        lambda d, _: ExactMatching.fit(d),
+        lambda p, d, f, ts, _: _sp_plus(p, d, f, {t: avg_signed_difference(d, f, t) for t in ts}),
+    ),
+    "coarsened": Method(
+        ("partition",),
+        lambda d, t, ps: coarsened_matching_estimate(d, ps["partition"], t),
+        lambda d, ps: CoarsenedMatching.fit(d, ps["partition"]),
+        lambda p, d, f, ts, ps: _sp_plus(
+            p, d, f, {t: avg_signed_difference(d, f, t, ps["partition"]) for t in ts}
+        ),
+    ),
+    "plugin": Method(
+        ("predictor",),
+        lambda d, t, ps: plugin_estimate(ps["predictor"], d, t),
+        lambda d, ps: ps["predictor"],
+        lambda p, d, f, ts, ps: _sp_plus(
+            p, d, f, audit_ml_groupwise(p, d, f, ps.get("partition")).per_treatment
+        ),
+    ),
+    "dr": Method(
+        ("predictor",),
+        lambda d, t, ps: doubly_robust_estimate(ps["predictor"], _dr_weights(d), d, t),
+        lambda d, ps: ps["predictor"],
+        lambda p, d, f, ts, _: _dr_budget(p, d, f, ts),
+    ),
+}
+
+
+def named_estimator(name: str) -> Callable[[ObservedDataset, int], EstimateReport]:
+    """The APO estimator of a registered method that needs no parameters."""
+    method = METHODS.get(name)
+    if method is None or method.needs:
+        free = [n for n, m in METHODS.items() if not m.needs]
+        raise ValueError(f"unknown estimator selector {name!r}; known: {', '.join(free)}")
+    return lambda data, t: method.estimate(data, t, {})
+
+
+# ---------------------------------------------------------------------------
 # Difference-in-differences
 
 
@@ -358,20 +482,6 @@ def did_predict(panel: PanelDataset) -> tuple[EstimateReport, EstimateReport]:
 
 EstimatorSelector = str | Callable[[ObservedDataset, int], EstimateReport]
 
-_NAMED_ESTIMATORS: dict[str, Callable[[ObservedDataset, int], EstimateReport]] = {
-    "rct": rct_estimate,
-    "matching": exact_matching_estimate,
-}
-
-
-def _resolve_estimator(selector: EstimatorSelector) -> Callable[[ObservedDataset, int], EstimateReport]:
-    if callable(selector):
-        return selector
-    try:
-        return _NAMED_ESTIMATORS[selector]
-    except KeyError:
-        raise ValueError(f"unknown estimator selector {selector!r}") from None
-
 
 def policy_value_estimate(
     policy: Policy,
@@ -388,7 +498,7 @@ def policy_value_estimate(
     """
     if not policy.deterministic:
         raise ValueError("policy_value_estimate requires a deterministic policy")
-    run = _resolve_estimator(estimator)
+    run = estimator if callable(estimator) else named_estimator(estimator)
 
     if isinstance(future, FuturePopulation):
         profile: dict[Covariate, float] = {}

@@ -23,7 +23,7 @@ from .core import (
     Row,
     Unit,
 )
-from .estimate import PanelDataset, exact_matching_estimate, rct_estimate
+from .estimate import PanelDataset, named_estimator
 
 # Component stream ids; changing one knob must not reshuffle the other streams.
 _STREAM_OBS_COV = 0
@@ -400,12 +400,6 @@ def random_partition_concentration(
     return violations / trials
 
 
-_CONVERGENCE_ESTIMATORS = {
-    "rct": lambda sc: rct_estimate(sc.observed, 1).estimate,
-    "matching": lambda sc: exact_matching_estimate(sc.observed, 1).estimate,
-}
-
-
 def convergence_check(
     base_spec: ScenarioSpec,
     estimator: str,
@@ -414,7 +408,7 @@ def convergence_check(
     seed: int,
 ) -> list[tuple[int, float]]:
     """Replication-mean absolute estimation error of the APO of t=1, per population size."""
-    run = _CONVERGENCE_ESTIMATORS[estimator]
+    run = named_estimator(estimator)
     curve = []
     for si, size in enumerate(sizes):
         errors = []
@@ -426,7 +420,7 @@ def convergence_check(
                 seed=scenario_seed(seed, si * replications + rep),
             )
             scenario = generate(spec)
-            errors.append(abs(run(scenario) - scenario.ground_truth["apo"][1]))
+            errors.append(abs(run(scenario.observed, 1).estimate - scenario.ground_truth["apo"][1]))
         curve.append((size, math.fsum(errors) / len(errors)))
     return curve
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -275,3 +276,120 @@ def test_render_report_sorted_and_stable():
     b = render_report({"a": [2.0, None, True], "b": 1})
     assert a == b
     assert json.loads(a) == {"a": [2.0, None, True], "b": 1}
+
+
+SWEEP_HEAD = "schema: 1\nseed: 1\nreplications: 2\n" + SMALL_SCENARIO
+
+
+@pytest.mark.parametrize("verb, body, message", [
+    pytest.param("run", "methods: [coarsened]\n",
+                 "method coarsened needs parameter 'partition'", id="run-coarsened"),
+    pytest.param("sweep", "methods: [coarsened]\n",
+                 "method coarsened needs parameter 'partition'", id="sweep-coarsened"),
+    pytest.param("run", "methods: [plugin]\n",
+                 "method plugin needs parameter 'predictor'", id="plugin"),
+    pytest.param("run", "methods: [dr]\n", "method dr needs parameter 'predictor'", id="dr"),
+    pytest.param("audit", "predictor: plugin\naudits: [sp]\n",
+                 "predictor plugin needs parameter 'predictor'", id="audit-plugin"),
+    pytest.param("audit", "predictor: coarsened\naudits: [sp]\n",
+                 "predictor coarsened needs parameter 'partition'", id="audit-coarsened"),
+    pytest.param("run", "methods: [{name: iv_lower, eps: -1, delta: 0}]\n",
+                 "method iv_lower: eps and delta", id="iv-negative-eps"),
+    pytest.param("run", "methods: [{name: rm_bounds, k0: 10, k1: 0}]\n",
+                 "method rm_bounds: k0=10.0", id="rm-crossed-range"),
+    pytest.param("run", "methods: [{name: rm_bounds, k0: 0, k1: 10, delta: -1}]\n",
+                 "method rm_bounds: delta must be nonnegative", id="rm-negative-delta"),
+    pytest.param("run", "methods: [bogus]\n",
+                 "unknown method 'bogus'; known: rct, matching, coarsened", id="unknown-method"),
+    pytest.param("audit", "audits: [bogus]\n",
+                 "unknown audit 'bogus'; known: sp, cfd", id="unknown-audit"),
+    pytest.param("run", "methods: [3]\n", "method entry 3 needs a 'name'", id="nameless"),
+])
+def test_method_boundary_errors_exit_2(tmp_path, p8_files, capsys, verb, body, message):
+    obs, fut = p8_files
+    out = tmp_path / "report.json"
+    head = SWEEP_HEAD if verb == "sweep" else (
+        f"schema: 1\nmode: oracle\nobserved: {obs}\nfuture: {fut}\n")
+    cfg = write_config(tmp_path, "c.yaml", head + f"out: {out}\n" + body)
+    assert main([verb, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert err.count(message) == 1  # named once, not once per wrapping handler
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config_mode, env_mode", [
+    pytest.param("orcale", None, id="typo"),
+    pytest.param('"data\\nx"', None, id="newline"),
+    pytest.param("oracle", "orcale", id="env"),
+])
+def test_mode_other_than_data_or_oracle_exits_2(
+    tmp_path, p8_files, capsys, monkeypatch, config_mode, env_mode
+):
+    obs, _ = p8_files
+    out = tmp_path / "report.json"
+    if env_mode:
+        monkeypatch.setenv("FINITEPOP_MODE", env_mode)
+    cfg = write_config(
+        tmp_path, "run.yaml",
+        f"schema: 1\nobserved: {obs}\nmode: {config_mode}\nmethods: [rct]\nout: {out}\n",
+    )
+    assert main(["run", "--config", cfg]) == 2
+    assert "line 3: mode must be data or oracle" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_render_report_escapes_control_characters():
+    text = render_report({"note\t": "a\nb\x01\"\\"})
+    assert json.loads(text) == {"note\t": "a\nb\x01\"\\"}
+    assert render_report({"k": "é/ü"}) == '{"k":"é/ü"}\n'
+
+
+@pytest.mark.parametrize("verb, body", [
+    pytest.param("run", "out: {tmp}/missing/dir/report.json\nmethods: [rct]\n",
+                 id="report-in-missing-dir"),
+    pytest.param("run", "methods: [{{name: coarsened, partition: {tmp}/part.yaml}}]\n",
+                 id="bare-partition-strings"),
+    pytest.param("audit", "partition: 42\naudits: [sp]\n", id="audit-partition-not-a-path"),
+])
+def test_bad_paths_and_partition_records_exit_2(tmp_path, p8_files, capsys, verb, body):
+    obs, fut = p8_files
+    write_config(tmp_path, "part.yaml", "schema: 1\ncells:\n  c1: [a, b]\n")
+    cfg = write_config(
+        tmp_path, "c.yaml",
+        f"schema: 1\nmode: oracle\nobserved: {obs}\nfuture: {fut}\n" + body.format(tmp=tmp_path),
+    )
+    assert main([verb, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.out == ""  # no report on stdout
+    assert not (tmp_path / "missing").exists()
+
+
+def test_audit_parses_the_partition_file_once(tmp_path, p8_files, monkeypatch):
+    import finitepop.cli as cli
+
+    obs, fut = p8_files
+    part = write_config(
+        tmp_path, "part.yaml", "schema: 1\ncells:\n  all: [{level: a}, {level: b}]\n"
+    )
+    cfg = write_config(
+        tmp_path, "audit.yaml",
+        f"schema: 1\nmode: oracle\nobserved: {obs}\nfuture: {fut}\nout: {tmp_path / 'a.json'}\n"
+        f"predictor: coarsened\npartition: {part}\naudits: [sp, ml_groupwise]\n",
+    )
+    loaded = []
+    real = cli.load_config
+    monkeypatch.setattr(cli, "load_config", lambda path: loaded.append(path) or real(path))
+    assert main(["audit", "--config", cfg]) == 0
+    assert sorted(loaded) == sorted([cfg, part])
+
+
+def test_proposition_sweep_config_passes(tmp_path):
+    cfg = Path(__file__).resolve().parents[1] / "scripts" / "proposition_sweep.yaml"
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--config", str(cfg), "--replications", "50", "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())["summary"]
+    for method in ("rct", "matching"):
+        assert summary[method]["pass_rate"] == 1
+        assert summary[method]["judged"] == 50 * 3  # t=0, t=1 and the ATE

@@ -8,7 +8,6 @@ from finitepop.core import (
     ObservedDataset,
     Row,
     SupportError,
-    ToleranceBudget,
     approx_eq,
     common_support_check,
     empirical_propensity,
@@ -152,11 +151,6 @@ def test_future_population_apo_ate():
     assert f.apo(1) == 7.0
     assert f.apo(0) == 4.0
     assert f.ate() == 3.0
-
-
-def test_tolerance_budget_rejects_negative():
-    with pytest.raises(ValueError):
-        ToleranceBudget(eps=-0.1)
 
 
 def test_instrument_detection():

@@ -10,7 +10,7 @@ import rowscan_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitepop import audit, bounds, cli, estimate
+from finitepop import audit, bounds, estimate
 from finitepop.bounds import OutcomeBounds
 from finitepop.core import (
     ComplianceOracle,
@@ -121,7 +121,7 @@ def test_estimators(case):
     same(lambda: dict(estimate.ExactMatching.fit(data).table), lambda: ref.matching_table(data))
     same(lambda: dict(estimate.CoarsenedMatching.fit(data, partition).table),
          lambda: ref.coarsened_table(data, partition))
-    weights = cli._dr_weights(data, {})
+    weights = estimate._dr_weights(data)
     for t in sorted(data.treatments):
         same(lambda: estimate.rct_estimate(data, t).estimate, lambda: ref.rct_estimate(data, t))
         same(lambda: estimate.exact_matching_estimate(data, t).estimate,
@@ -164,6 +164,13 @@ def test_audits(case):
                  lambda: ref.audit_dr_condition(data, future, t, f))
 
 
+def dr_budget(p, data, future, t):
+    """(budget, premise label) of a doubly robust verdict, from its guarantee."""
+    sp = ref.audit_sp(p, data, future)[t]
+    guarantee, premise = estimate._dr_premise(data, future, p, t, sp)
+    return (guarantee and guarantee.bound), premise
+
+
 @EXAMPLES
 @given(scenarios())
 def test_dr_premise(case):
@@ -174,8 +181,7 @@ def test_dr_premise(case):
         cell_means = table
     for p in (table, cell_means):
         for t in sorted(data.treatments):
-            same(lambda: cli._dr_premise(data, future, p, t, ref.audit_sp(p, data, future)[t]),
-                 lambda: ref.dr_premise(p, data, future, t))
+            same(lambda: dr_budget(p, data, future, t), lambda: ref.dr_premise(p, data, future, t))
 
 
 @EXAMPLES
