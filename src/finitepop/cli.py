@@ -278,11 +278,16 @@ def _method_params(mcfg: dict, loaded: dict) -> dict:
     params: dict = {}
     for key, load in (("partition", load_partition_file), ("predictor", load_predictor_table)):
         if key in mcfg:
-            if not isinstance(mcfg[key], str):
+            path = mcfg[key]
+            if not isinstance(path, str):
                 raise ConfigError(f"method {mcfg['name']}: {key} must be a file path")
-            if (key, mcfg[key]) not in loaded:
-                loaded[(key, mcfg[key])] = load(mcfg[key])
-            params[key] = loaded[(key, mcfg[key])]
+            if (key, path) not in loaded:
+                try:
+                    loaded[(key, path)] = load(path)
+                except SchemaError as exc:
+                    exc.path = path
+                    raise
+            params[key] = loaded[(key, path)]
     for key in ("k0", "k1", "eps", "delta", "gamma"):
         if key in mcfg:
             try:
@@ -339,19 +344,22 @@ _BOUNDS = {
 _RUNNABLE = {**METHODS, **_BOUNDS}
 
 
-def run_methods(cfg: dict, data: ObservedDataset, future: FuturePopulation | None) -> dict:
+def run_methods(cfg: dict, data: ObservedDataset, future: FuturePopulation | None,
+                truth: dict | None = None, loaded: dict | None = None) -> dict:
+    """``truth``: true APO per treatment in oracle mode, if known; ``loaded``: parsed files."""
     mode = cfg.get("mode", "data")
     methods_cfg = cfg.get("methods", [])
     if not isinstance(methods_cfg, list) or not methods_cfg:
         raise ConfigError("config needs a nonempty 'methods' list")
-    truth = None  # true APO per treatment, in oracle mode
-    if mode == "oracle":
-        if future is None or future.oracle is None:
-            raise PreconditionError("oracle mode requires a future population with outcomes")
+    if mode != "oracle":
+        truth = None
+    elif future is None or future.oracle is None:
+        raise PreconditionError("oracle mode requires a future population with outcomes")
+    elif truth is None:
         truth = {t: future.apo(t) for t in sorted(data.treatments | {0, 1})}
     report: dict = {"methods": {}}
     all_pass = True
-    loaded: dict = {}
+    loaded = {} if loaded is None else loaded
     for mcfg in methods_cfg:
         if isinstance(mcfg, str):
             mcfg = {"name": mcfg}
@@ -553,11 +561,14 @@ def cmd_sweep(cfg: dict, text: str) -> int:
     per_method: dict[str, dict] = {}
     dominance_failures = 0
     has_instrument = base_spec.instrument is not None
+    run_cfg = {"mode": "oracle", "methods": list(methods)}
+    loaded: dict = {}  # partition and predictor files, parsed once per sweep
     for i in range(replications):
         spec = dataclasses.replace(base_spec, seed=scenario_seed(master_seed, i))
         scenario = generate(spec)
-        run_cfg = {"mode": "oracle", "methods": list(methods)}
-        sub = run_methods(run_cfg, scenario.observed, scenario.future)
+        sub = run_methods(
+            run_cfg, scenario.observed, scenario.future, scenario.ground_truth["apo"], loaded
+        )
         for name, entry in sub["methods"].items():
             bucket = per_method.setdefault(name, {"errors": [], "passes": 0, "judged": 0})
             for t, verdict in entry.get("verdicts", {}).items():

@@ -7,6 +7,7 @@ side) so that turning one violation knob does not reshuffle the others.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections.abc import Sequence
@@ -148,19 +149,50 @@ def _weights(levels: tuple[str, ...], pairs) -> np.ndarray:
     return w / w.sum()
 
 
-def _draw_levels(levels, weights, n, rng, min_per_level: int) -> list[str]:
-    """n draws from the level weights, with at least min_per_level of each level."""
-    forced = [lv for lv in levels for _ in range(min_per_level)]
+def _draw_levels(levels, weights, n, rng, min_per_level: int) -> np.ndarray:
+    """n draws from the level weights, with at least min_per_level of each level.
+
+    Returns codes into ``sorted(set(levels))``.  The shuffle permutes an
+    integer array exactly as it would permute the list of level strings.
+    """
+    forced = np.repeat(np.arange(len(levels)), min_per_level)
     if len(forced) > n:
         raise ValueError(f"population of size {n} cannot hold {min_per_level} of each level")
-    drawn = list(rng.choice(len(levels), size=n - len(forced), p=weights))
-    out = forced + [levels[i] for i in drawn]
+    drawn = rng.choice(len(levels), size=n - len(forced), p=weights)
+    code = {lv: i for i, lv in enumerate(sorted(set(levels)))}
+    out = np.asarray([code[lv] for lv in levels])[np.concatenate([forced, drawn])]
     rng.shuffle(out)
     return out
 
 
-def _clamp(v: float, lo: float, hi: float) -> float:
-    return min(hi, max(lo, v))
+def _cells(codes: np.ndarray) -> list[np.ndarray]:
+    """Positions of the units of each level code, cells in order of first appearance."""
+    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    groups = np.split(np.argsort(codes, kind="stable"), np.cumsum(counts)[:-1])
+    return [groups[k] for k in np.argsort(first)]
+
+
+def _clip(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Elementwise ``min(hi, max(lo, v))``.
+
+    Not ``np.clip``, which keeps ``-0.0`` at ``lo = 0.0`` where ``max`` gives ``lo``.
+    """
+    w = np.where(v > lo, v, lo)
+    return np.where(w < hi, w, hi)
+
+
+def _oracle_table(ids: range, keys: tuple[int, int], values: np.ndarray) -> dict:
+    """``{(unit, key): value}`` from one row of values per unit, one column per key."""
+    return dict(zip(itertools.product(ids, keys), values.ravel().tolist()))
+
+
+def _ground_truth(y: np.ndarray) -> dict:
+    """APOs and ATE of an outcome table with one row per unit and one column per t.
+
+    ``math.fsum`` is exactly rounded, so each APO equals ``future.apo(t)``.
+    """
+    apo = {t: math.fsum(y[:, t].tolist()) / len(y) for t in (0, 1)}
+    return {"apo": apo, "ate": apo[1] - apo[0]}
 
 
 def generate(spec: ScenarioSpec) -> Scenario:
@@ -169,146 +201,104 @@ def generate(spec: ScenarioSpec) -> Scenario:
     Observed covariate cells are guaranteed to contain both treatments (support
     holds by construction), and every level present in the future side occurs
     in the observed side.
-    """
-    base = dict(spec.base_outcomes)
-    shift = dict(spec.future_outcome_shift or ())
-    k0, k1 = spec.outcome_range
-    rng_obs = component_rng(spec.seed, _STREAM_OBS_COV)
-    rng_assign = component_rng(spec.seed, _STREAM_ASSIGN)
-    rng_noise = component_rng(spec.seed, _STREAM_OBS_NOISE)
-    rng_fut = component_rng(spec.seed, _STREAM_FUT_COV)
-    rng_fut_noise = component_rng(spec.seed, _STREAM_FUT_NOISE)
 
+    Each stream is drawn in bulk, in the order of the scalar draws it replaces:
+    assignment gives one uniform per observed unit (balanced: one permutation
+    per cell, cells in order of first appearance); the instrument gives z per
+    observed unit, then a (z=0, z=1) compliance pair per unit, and stream
+    ``+ 100`` the future pairs; observed noise one normal per unit; future
+    noise one normal per unit when shared, else a (t=0, t=1) pair per unit.
+    """
+    n, m = spec.n_observed, spec.n_future
+    k0, k1 = spec.outcome_range
+    levels = tuple(sorted(set(spec.levels)))  # every level holds >= 2 observed units
+    base_by_level = dict(spec.base_outcomes)
+    shift_by_level = dict(spec.future_outcome_shift or ())
+    base = np.asarray([base_by_level[lv] for lv in levels], dtype=float)
+    shift = np.asarray([shift_by_level.get(lv, 0.0) for lv in levels])
+    covariates = [Covariate.of(level=lv) for lv in levels]
+
+    rng_obs = component_rng(spec.seed, _STREAM_OBS_COV)
     if spec.assignment == "balanced":
-        obs_levels = even_cell_levels(
-            spec.levels, spec.observed_level_weights, spec.n_observed, rng_obs
-        )
+        codes = _even_cell_codes(spec.levels, spec.observed_level_weights, n, rng_obs)
     else:
-        obs_levels = _draw_levels(
+        codes = _draw_levels(
             spec.levels, _weights(spec.levels, spec.observed_level_weights),
-            spec.n_observed, rng_obs, min_per_level=2,
+            n, rng_obs, min_per_level=2,
         )
 
     # --- treatment assignment (instrument-free case)
-    if spec.instrument is None:
-        if spec.assignment == "balanced":
-            ts = _balanced_assignment(obs_levels, rng_assign)
+    inst = spec.instrument
+    if inst is None:
+        rng_assign = component_rng(spec.seed, _STREAM_ASSIGN)
+        if spec.assignment == "balanced":  # treat exactly half of each (even) cell
+            ts = np.zeros(n, dtype=int)
+            for idxs in _cells(codes):
+                ts[idxs[rng_assign.permutation(len(idxs))[: len(idxs) // 2]]] = 1
         else:
-            ts = [int(rng_assign.random() < spec.propensity(lv)) for lv in obs_levels]
-            _force_support(obs_levels, ts)
-        zs: list[int | None] = [None] * len(obs_levels)
-        compliance_obs = None
+            p = np.asarray([spec.propensity(lv) for lv in levels])
+            ts = (rng_assign.random(n) < p[codes]).astype(int)
+            for idxs in _cells(codes):  # flip one unit per cell that lacks a treatment
+                assigned = set(ts[idxs].tolist())
+                if 1 not in assigned:
+                    ts[idxs[0]] = 1
+                if 0 not in assigned:
+                    ts[idxs[-1]] = 0
+        zs: list[int | None] = [None] * n
     else:
-        inst = spec.instrument
+        take = np.asarray([inst.take_prob(z) for z in (0, 1)])
         rng_z = component_rng(spec.seed, _STREAM_INSTRUMENT)
-        zs = [int(rng_z.random() < inst.z_probability) for _ in obs_levels]
-        compliance_obs = [
-            {z: int(rng_z.random() < inst.take_prob(z)) for z in (0, 1)} for _ in obs_levels
-        ]
-        ts = [compliance_obs[i][zs[i]] for i in range(len(obs_levels))]
+        z_drawn = (rng_z.random(n) < inst.z_probability).astype(int)
+        ts = (rng_z.random((n, 2)) < take).astype(int)[np.arange(n), z_drawn]
+        zs = z_drawn.tolist()
 
-    def observed_outcome(i: int, level: str, t: int) -> float:
-        if spec.shared_unit_noise:
-            noise = spec.noise_sd * obs_shared_noise[i]
-        else:
-            noise = spec.noise_sd * rng_noise.standard_normal()
-        return float(_clamp(base[level][t] + noise, k0, k1))
-
-    obs_shared_noise = rng_noise.standard_normal(len(obs_levels)) if spec.shared_unit_noise else None
-    rows = []
-    for i, (level, t) in enumerate(zip(obs_levels, ts)):
-        rows.append(
-            Row(unit=i, x=Covariate.of(level=level), t=t, y=observed_outcome(i, level, t), z=zs[i])
-        )
-    observed = ObservedDataset(tuple(rows))
+    noise = spec.noise_sd * component_rng(spec.seed, _STREAM_OBS_NOISE).standard_normal(n)
+    ys = _clip(base[codes, ts] + noise, k0, k1)
+    xs = [covariates[c] for c in codes.tolist()]
+    observed = ObservedDataset(tuple(map(Row, range(n), xs, ts.tolist(), ys.tolist(), zs)))
 
     # --- future side: draw only levels that occur in the observed data
-    present = tuple(sorted(set(obs_levels)))
-    fut_weights = _weights(present, None if spec.future_level_weights is None else tuple(
-        (lv, w) for lv, w in spec.future_level_weights if lv in present
+    fut_weights = _weights(levels, None if spec.future_level_weights is None else tuple(
+        (lv, w) for lv, w in spec.future_level_weights if lv in levels
     ))
-    fut_levels = _draw_levels(present, fut_weights, spec.n_future, rng_fut, min_per_level=1)
+    fut_codes = _draw_levels(
+        levels, fut_weights, m, component_rng(spec.seed, _STREAM_FUT_COV), min_per_level=1
+    )
+    rng_fut_noise = component_rng(spec.seed, _STREAM_FUT_NOISE)
+    if spec.shared_unit_noise:
+        noise = spec.noise_sd * rng_fut_noise.standard_normal(m)[:, None]
+    else:
+        noise = spec.noise_sd * rng_fut_noise.standard_normal((m, 2))
+    y = _clip((base[fut_codes] + shift[fut_codes, None]) + noise, k0, k1)
 
-    outcomes: dict[tuple[int, int], float] = {}
-    compliance: dict[tuple[int, int], int] = {}
-    units = []
-    fut_shared_noise = (
-        rng_fut_noise.standard_normal(len(fut_levels)) if spec.shared_unit_noise else None
-    )
-    rng_fut_inst = (
-        component_rng(spec.seed, _STREAM_INSTRUMENT + 100) if spec.instrument else None
-    )
-    for j, level in enumerate(fut_levels):
-        unit = spec.n_observed + j
-        units.append(Unit(unit, Covariate.of(level=level)))
-        local_shift = shift.get(level, 0.0)
-        if spec.instrument is not None:
-            for z in (0, 1):
-                compliance[(unit, z)] = int(
-                    rng_fut_inst.random() < spec.instrument.take_prob(z)
-                )
-        for t in (0, 1):
-            if spec.shared_unit_noise:
-                noise = spec.noise_sd * fut_shared_noise[j]
-            else:
-                noise = spec.noise_sd * rng_fut_noise.standard_normal()
-            outcomes[(unit, t)] = float(_clamp(base[level][t] + local_shift + noise, k0, k1))
-        if spec.instrument is not None and spec.instrument.dominance_break > 0:
-            if compliance[(unit, 1)] == 0:  # would not take treatment under z=1
-                outcomes[(unit, 1)] = outcomes[(unit, 0)] - spec.instrument.dominance_break
+    ids = range(n, n + m)
+    compliance = None
+    if inst is not None:
+        s = component_rng(spec.seed, _STREAM_INSTRUMENT + 100).random((m, 2)) < take
+        compliance = ComplianceOracle(_oracle_table(ids, (0, 1), s.astype(int)))
+        if inst.dominance_break > 0:  # units that would not take treatment under z=1
+            y[:, 1] = np.where(s[:, 1], y[:, 1], y[:, 0] - inst.dominance_break)
 
     future = FuturePopulation(
-        tuple(units),
-        oracle=OutcomeOracle(outcomes),
-        instrument_oracle=ComplianceOracle(compliance) if compliance else None,
+        tuple(map(Unit, ids, [covariates[c] for c in fut_codes.tolist()])),
+        oracle=OutcomeOracle(_oracle_table(ids, (0, 1), y)),
+        instrument_oracle=compliance,
     )
-    apo = {t: future.apo(t) for t in (0, 1)}
-    return Scenario(observed, future, spec, {"apo": apo, "ate": apo[1] - apo[0]})
+    return Scenario(observed, future, spec, _ground_truth(y))
 
 
-def _force_support(levels: list[str], ts: list[int]) -> None:
-    """Flip one unit per deficient covariate cell so every cell has both treatments."""
-    by_level: dict[str, list[int]] = {}
-    for i, lv in enumerate(levels):
-        by_level.setdefault(lv, []).append(i)
-    for idxs in by_level.values():
-        assigned = {ts[i] for i in idxs}
-        if 1 not in assigned:
-            ts[idxs[0]] = 1
-        if 0 not in assigned:
-            ts[idxs[-1]] = 0
-
-
-def _balanced_assignment(levels: list[str], rng: np.random.Generator) -> list[int]:
-    """Treat exactly half of each covariate cell (cells are padded to even size upstream).
-
-    On an odd cell the extra unit is moved to control, so the realized treated
-    fraction is constant across cells only when every cell is even.
-    """
-    ts = [0] * len(levels)
-    by_level: dict[str, list[int]] = {}
-    for i, lv in enumerate(levels):
-        by_level.setdefault(lv, []).append(i)
-    for idxs in by_level.values():
-        chosen = rng.permutation(len(idxs))[: len(idxs) // 2]
-        for c in chosen:
-            ts[idxs[c]] = 1
-    return ts
-
-
-def even_cell_levels(levels: tuple[str, ...], weights, n: int, rng: np.random.Generator) -> list[str]:
-    """Level draws with every cell count even (for exactly-balanced assignment)."""
+def _even_cell_codes(levels, weights, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Level codes with every cell count even (for exactly-balanced assignment)."""
     if n % 2:
         raise ValueError("population size must be even for balanced cells")
     draws = _draw_levels(levels, _weights(levels, weights), n, rng, min_per_level=2)
-    counts: dict[str, int] = {}
-    for lv in draws:
-        counts[lv] = counts.get(lv, 0) + 1
-    odd = [lv for lv, c in counts.items() if c % 2]
-    for a, b in zip(odd[::2], odd[1::2]):
-        counts[a] += 1
-        counts[b] -= 1
-    out = [lv for lv, c in counts.items() for _ in range(c)]
+    cells = _cells(draws)
+    order = np.asarray([draws[cell[0]] for cell in cells])
+    counts = np.asarray([len(cell) for cell in cells])
+    odd = np.flatnonzero(counts % 2)
+    counts[odd[::2]] += 1
+    counts[odd[1::2]] -= 1
+    out = np.repeat(order, counts)
     rng.shuffle(out)
     return out
 
@@ -328,50 +318,47 @@ def generate_compliance_stable_scenario(
     t=1, z=0 for t=0), and the future population replicates the observed
     compliance composition clone_factor times, so the group-share premise of
     the interval bounds holds with equality.
+
+    Streams: the instrument stream gives one take uniform per observed unit,
+    then one off-arm uniform per unit; the observed noise stream one normal
+    per observed unit; the future noise stream one normal per future clone,
+    in (unit, clone) order.
     """
     if t not in (0, 1):
         raise ValueError("t must be 0 or 1")
     z_arm = 1 if t == 1 else 0
     k0, k1 = outcome_range
     rng = component_rng(seed, _STREAM_INSTRUMENT)
-    rng_noise = component_rng(seed, _STREAM_OBS_NOISE)
-    rng_fut = component_rng(seed, _STREAM_FUT_NOISE)
-
-    takes = [int(rng.random() < take_probability) for _ in range(n_observed)]
+    takes = (rng.random(n_observed) < take_probability).astype(int)
     takes[0], takes[1] = 1, 0  # both compliance groups nonempty
-    off_arm = [int(rng.random() < 0.5) for _ in range(n_observed)]
+    off_arm = (rng.random(n_observed) < 0.5).astype(int)
 
-    def draw_pair(r) -> tuple[float, float]:
-        y0 = _clamp(k0 + (k1 - k0) * 0.3 + noise_sd * r.standard_normal(), k0, k1)
-        y1 = _clamp(y0 + (k1 - k0) * 0.2, k0, k1)
-        return y0, y1
+    def draw_pairs(stream: int, size: int) -> np.ndarray:
+        normals = component_rng(seed, stream).standard_normal(size)
+        y0 = _clip(k0 + (k1 - k0) * 0.3 + noise_sd * normals, k0, k1)
+        return np.column_stack([y0, _clip(y0 + (k1 - k0) * 0.2, k0, k1)])
 
     x = Covariate.of(level="all")
-    rows = []
-    for i, take in enumerate(takes):
-        y0, y1 = draw_pair(rng_noise)
-        rows.append(Row(unit=i, x=x, t=take, y=(y1 if take else y0), z=z_arm))
-    observed = ObservedDataset(tuple(rows))
+    y_obs = draw_pairs(_STREAM_OBS_NOISE, n_observed)[np.arange(n_observed), takes]
+    observed = ObservedDataset(tuple(
+        Row(unit=i, x=x, t=take, y=y, z=z_arm)
+        for i, (take, y) in enumerate(zip(takes.tolist(), y_obs.tolist()))
+    ))
 
-    units, outcomes, compliance = [], {}, {}
-    unit = n_observed
-    for i, take in enumerate(takes):
-        for _ in range(clone_factor):
-            y0, y1 = draw_pair(rng_fut)
-            units.append(Unit(unit, x))
-            outcomes[(unit, 0)], outcomes[(unit, 1)] = y0, y1
-            compliance[(unit, z_arm)] = takes[i]
-            compliance[(unit, 1 - z_arm)] = off_arm[i]
-            unit += 1
+    m = n_observed * clone_factor
+    y = draw_pairs(_STREAM_FUT_NOISE, m)
+    ids = range(n_observed, n_observed + m)
+    choices = np.repeat(np.column_stack([takes, off_arm]), clone_factor, axis=0)
     future = FuturePopulation(
-        tuple(units), OutcomeOracle(outcomes), ComplianceOracle(compliance)
+        tuple(Unit(unit, x) for unit in ids),
+        OutcomeOracle(_oracle_table(ids, (0, 1), y)),
+        ComplianceOracle(_oracle_table(ids, (z_arm, 1 - z_arm), choices)),
     )
-    truth = {"apo": {s: future.apo(s) for s in (0, 1)}, "ate": future.ate()}
     return Scenario(observed, future, ScenarioSpec(
-        n_observed=n_observed, n_future=len(units), levels=("all",),
+        n_observed=n_observed, n_future=m, levels=("all",),
         base_outcomes=(("all", ((k0 + k1) / 2, (k0 + k1) / 2)),),
         outcome_range=outcome_range, seed=seed,
-    ), truth)
+    ), _ground_truth(y))
 
 
 def random_partition_concentration(

@@ -385,6 +385,47 @@ def test_audit_parses_the_partition_file_once(tmp_path, p8_files, monkeypatch):
     assert sorted(loaded) == sorted([cfg, part])
 
 
+def test_sweep_parses_the_partition_file_once(tmp_path, monkeypatch):
+    import finitepop.cli as cli
+
+    part = write_config(
+        tmp_path, "part.yaml", "schema: 1\ncells:\n  all: [{level: a}, {level: b}]\n"
+    )
+    cfg = write_config(
+        tmp_path, "sweep.yaml",
+        f"schema: 1\nseed: 5\nreplications: 5\nmethods:\n  - {{name: coarsened, partition: {part}}}\n"
+        "scenario:\n  n_observed: 24\n  n_future: 30\n  levels: [a, b]\n"
+        "  base_outcomes:\n    a: [2.0, 6.0]\n    b: [3.0, 5.0]\n  noise_sd: 0.5\n",
+    )
+    loaded = []
+    real = cli.load_config
+    monkeypatch.setattr(cli, "load_config", lambda path: loaded.append(path) or real(path))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.json")]) == 0
+    assert loaded == [cfg, part]
+
+
+@pytest.mark.parametrize("entry, text, message", [
+    pytest.param("{{name: coarsened, partition: {path}}}", "schema: 1\ncells:\n  c1: [a, b]\n",
+                 "line 1: partition cell 'c1' must list covariate records", id="partition-record"),
+    pytest.param("{{name: coarsened, partition: {path}}}", "schema: 1\ncells:\n  c1: [{level: a}\n",
+                 "line 4: config parse error", id="partition-parse"),
+    pytest.param("{{name: plugin, predictor: {path}}}", "schema: 1\nentries: []\n",
+                 "line 1: predictor file needs a nonempty 'entries' list", id="predictor-entries"),
+    pytest.param("{{name: plugin, predictor: {path}}}", "schema: 2\nentries: []\n",
+                 "line 1: unsupported schema version 2", id="predictor-schema"),
+])
+def test_method_file_errors_name_that_file(tmp_path, p8_files, capsys, entry, text, message):
+    obs, fut = p8_files
+    bad = write_config(tmp_path, "bad_file.yaml", text)
+    cfg = write_config(
+        tmp_path, "c.yaml",
+        f"schema: 1\nmode: oracle\nobserved: {obs}\nfuture: {fut}\n"
+        f"methods:\n  - {entry.format(path=bad)}\n",
+    )
+    assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"{bad}: {message}")
+
+
 def test_proposition_sweep_config_passes(tmp_path):
     cfg = Path(__file__).resolve().parents[1] / "scripts" / "proposition_sweep.yaml"
     out = tmp_path / "sweep.json"
