@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import chain
 
 from .core import (
     CovariatePartition,
@@ -23,6 +22,7 @@ from .core import (
     SupportError,
     average,
     mean_of,
+    pooled,
 )
 
 WeightLike = Callable[[object, int], float] | float | None
@@ -60,8 +60,8 @@ def audit_sp(p, data: ObservedDataset, future: FuturePopulation) -> AuditResult:
         raise SupportError("observed dataset is empty")
     per = {}
     for t in sorted(data.treatments):
-        mu = average(lambda x: p(x, t), future.index.n_x)
-        mu_hat = average(lambda x: p(x, t), data.index.n_x)
+        mu = average(lambda x: p(x, t), future.n_x)
+        mu_hat = average(lambda x: p(x, t), data.n_x)
         per[t] = abs(mu - mu_hat)
     return AuditResult("stable_predictions", per)
 
@@ -72,9 +72,8 @@ def audit_cfd(p, future: FuturePopulation, treatments=(0, 1)) -> AuditResult:
         raise OracleError("CFD unobservable without ground truth")
     per = {}
     for t in treatments:
-        mu_y = mean_of(tuple(chain.from_iterable(future.outcomes(t).values())))
-        mu_p = average(lambda x: p(x, t), future.index.n_x)
-        per[t] = abs(mu_y - mu_p)
+        mu_p = average(lambda x: p(x, t), future.n_x)
+        per[t] = abs(future.apo(t) - mu_p)
     return AuditResult("calibration_on_future_data", per)
 
 
@@ -93,18 +92,18 @@ def avg_signed_difference(
     """
     future.require_oracle()
     data.check_treatment(t)
-    truth, ix = future.outcomes(t), data.index
+    truth, observed = future.ys(t), data.ys(t)
     if partition is None:
         groups = [(repr(x), (x,), (x,)) for x in future.xs()]
     else:
-        groups = [(c.name, members, c.members(ix.xs))
+        groups = [(c.name, members, c.members(data.xs()))
                   for c in partition.cells if (members := c.members(future.xs()))]
     terms = []
     for label, fut_xs, obs_xs in groups:
-        obs_ys = ix.y(t, obs_xs)
+        obs_ys = pooled(observed, obs_xs)
         if not obs_ys:
             raise SupportError(f"no observed rows with t={t} in group {label} (common support)")
-        ys = tuple(chain.from_iterable(truth[x] for x in fut_xs))
+        ys = pooled(truth, fut_xs)
         terms.append(len(ys) / len(future) * (mean_of(ys) - mean_of(obs_ys)))
     return math.fsum(terms)
 
@@ -127,13 +126,12 @@ def audit_ml_groupwise(
         partition = CovariatePartition.singletons(set(data.xs()) | set(future.xs()))
     details: dict[tuple[str, int], float] = {}
     per: dict[int, float] = {}
-    ix = data.index
     for t in sorted(data.treatments):
-        truth = future.outcomes(t)
+        truth, observed = future.ys(t), data.ys(t)
         worst = 0.0
         for cell in partition.cells:
             fut = {x: truth[x] for x in cell.members(future.xs())}
-            obs = {x: ys for x in cell.members(ix.xs) if (ys := ix.ys.get((x, t)))}
+            obs = {x: observed[x] for x in cell.members(observed)}
             if not fut or not obs:
                 raise SupportError(
                     f"cell {cell.name}: empty on {'future' if not fut else 'observed'} side"
@@ -175,14 +173,14 @@ def audit_dr_condition(
         fn = f
     else:
         fn = lambda x, t, _c=float(f): _c
-    truth, ix = future.outcomes(t), data.index
+    truth, observed = future.ys(t), data.ys(t)
     terms = []
     for x in future.xs():
-        obs_ys = ix.ys.get((x, t))
+        obs_ys = observed.get(x)
         if not obs_ys:
             raise SupportError(f"no observed rows with t={t} at x={x!r} (common support)")
         gap = mean_of(truth[x]) - mean_of(obs_ys)
-        terms.append(ix.n_x[x] / len(data) * gap * fn(x, t))
+        terms.append(data.n_x[x] / len(data) * gap * fn(x, t))
     return math.fsum(terms)
 
 
@@ -216,6 +214,6 @@ def audit_compliance_stability(data: ObservedDataset, future: FuturePopulation) 
     for z in data.instrument_values():
         for t in sorted(data.treatments):
             i_share = len(future.compliance_group(t, z)) / len(future)
-            j_share = len(data.index.ys_tz.get((t, z), ())) / len(data)
+            j_share = len(data.ys_tz.get((t, z), ())) / len(data)
             per[(t, z)] = abs(i_share - j_share)
     return AuditResult("compliance_stability", per)

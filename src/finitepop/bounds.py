@@ -80,8 +80,8 @@ def iv_ate_lower_bound(
     for z in (0, 1):
         if z not in zs:
             raise SchemaError(f"instrument value z={z} missing from the data")
-    mean1 = average(lambda x: py(x, 1), data.index.n_x)
-    mean0 = average(lambda x: py(x, 0), data.index.n_x)
+    mean1 = average(lambda x: py(x, 1), data.n_x)
+    mean0 = average(lambda x: py(x, 0), data.n_x)
     lower = mean1 - mean0 - 2 * (eps + delta)
     return BoundReport(lower, None, eps, delta, "iv_ate_lower_bound", assumed=_IV_ASSUMED)
 
@@ -95,7 +95,7 @@ def iv_ate_lower_bound_randomized(
     data.require_instrument()
     arm = {}
     for z in (0, 1):
-        ys = [y for t in sorted(data.treatments) for y in data.index.ys_tz.get((t, z), ())]
+        ys = [y for t in sorted(data.treatments) for y in data.ys_tz.get((t, z), ())]
         if not ys:
             raise SupportError(f"no observed rows with z={z}")
         arm[z] = mean_of(ys)
@@ -123,10 +123,10 @@ def robins_manski_bounds(
     if t not in (0, 1):
         raise ValueError("interval bounds are defined for binary treatments only")
     # Of the rows assigned z=t, those that took t give the mean, the others the edge.
-    mean_ys = data.index.ys_tz.get((t, t), ())
+    mean_ys = data.ys_tz.get((t, t), ())
     if not mean_ys:
         raise SupportError(f"group (t={t}, z={t}) is empty")
-    edge_share = len(data.index.ys_tz.get((1 - t, t), ())) / len(data)
+    edge_share = len(data.ys_tz.get((1 - t, t), ())) / len(data)
     mean_share = len(mean_ys) / len(data)
     observed_mean = mean_of(mean_ys)
     lower = edge_share * bounds.k0 - delta + mean_share * observed_mean

@@ -59,11 +59,14 @@ _SLACK = 1e-10
 
 
 class ConfigError(SchemaError):
-    """Schema violation in a config file, carrying a line number."""
+    """Schema violation in a config file, at a line or at a top-level key ``main`` resolves."""
 
-    def __init__(self, msg: str, line: int = 1):
-        super().__init__(f"line {line}: {msg}")
-        self.line = line
+    def __init__(self, msg: str, line: int = 1, key: str | None = None):
+        super().__init__(msg)
+        self.line, self.key = line, key
+
+    def __str__(self) -> str:
+        return f"line {self.line}: {self.args[0]}"
 
 
 class PreconditionError(FinitePopError):
@@ -183,9 +186,9 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     return merged
 
 
-def _require(cfg: dict, key: str, text: str):
+def _require(cfg: dict, key: str):
     if key not in cfg:
-        raise ConfigError(f"missing required key {key!r}", _key_line(text, "schema"))
+        raise ConfigError(f"missing required key {key!r}", key="schema")
     return cfg[key]
 
 
@@ -221,7 +224,7 @@ def load_predictor_table(path: str) -> Tabular:
 # scenario specs from config trees
 
 
-def spec_from_config(cfg: dict) -> ScenarioSpec:
+def spec_from_config(cfg) -> ScenarioSpec:
     def pairs(v):
         if v is None or isinstance(v, (int, float)):
             return v
@@ -230,25 +233,26 @@ def spec_from_config(cfg: dict) -> ScenarioSpec:
     def _tupled(v):
         return tuple(v) if isinstance(v, list) else v
 
-    inst = None
-    if cfg.get("instrument") is not None:
-        icfg = dict(cfg["instrument"])
-        take = icfg.get("take_probability", {0: 0.2, 1: 0.8})
-        inst = InstrumentSpec(
-            z_probability=float(icfg.get("z_probability", 0.5)),
-            take_probability=tuple(sorted((int(z), float(p)) for z, p in dict(take).items())),
-            dominance_break=float(icfg.get("dominance_break", 0.0)),
-        )
     known = {
         "schema", "n_observed", "n_future", "levels", "base_outcomes", "noise_sd",
         "outcome_range", "assignment", "propensities", "observed_level_weights",
         "future_level_weights", "future_outcome_shift", "shared_unit_noise",
         "instrument", "seed",
     }
-    extra = set(cfg) - known
-    if extra:
-        raise ConfigError(f"unknown scenario keys: {sorted(extra)}")
     try:
+        cfg = dict(cfg)
+        extra = set(cfg) - known
+        if extra:
+            raise ConfigError(f"unknown scenario keys: {sorted(extra)}")
+        inst = None
+        if cfg.get("instrument") is not None:
+            icfg = dict(cfg["instrument"])
+            take = icfg.get("take_probability", {0: 0.2, 1: 0.8})
+            inst = InstrumentSpec(
+                z_probability=float(icfg.get("z_probability", 0.5)),
+                take_probability=tuple(sorted((int(z), float(p)) for z, p in dict(take).items())),
+                dominance_break=float(icfg.get("dominance_break", 0.0)),
+            )
         return ScenarioSpec(
             n_observed=int(cfg["n_observed"]),
             n_future=int(cfg["n_future"]),
@@ -273,14 +277,17 @@ def spec_from_config(cfg: dict) -> ScenarioSpec:
 # method runners
 
 
-def _method_params(mcfg: dict, loaded: dict) -> dict:
-    """One method's parameters; ``loaded`` holds the files already parsed in this run."""
+def _method_params(mcfg: dict, loaded: dict, at: str | None = None) -> dict:
+    """One method's parameters; ``loaded`` holds the files already parsed in this run and
+    ``at`` the config key of the entry (None when its own keys are top-level keys)."""
     params: dict = {}
     for key, load in (("partition", load_partition_file), ("predictor", load_predictor_table)):
         if key in mcfg:
             path = mcfg[key]
             if not isinstance(path, str):
-                raise ConfigError(f"method {mcfg['name']}: {key} must be a file path")
+                raise ConfigError(
+                    f"method {mcfg['name']}: {key} must be a file path", key=at or key
+                )
             if (key, path) not in loaded:
                 try:
                     loaded[(key, path)] = load(path)
@@ -294,19 +301,20 @@ def _method_params(mcfg: dict, loaded: dict) -> dict:
                 params[key] = float(mcfg[key])
             except (TypeError, ValueError):
                 raise ConfigError(
-                    f"method {mcfg['name']}: parameter {key} must be a number, got {mcfg[key]!r}"
+                    f"method {mcfg['name']}: parameter {key} must be a number, got {mcfg[key]!r}",
+                    key=at or key,
                 ) from None
     return params
 
 
-def _lookup(table: dict, kind: str, name, params: dict | None = None):
-    """``table[name]``; an unknown name or a missing needed parameter is a config error."""
+def _lookup(table: dict, kind: str, name, at: str, params: dict | None = None):
+    """``table[name]``; an unknown name or a missing needed parameter is an error at ``at``."""
     if not isinstance(name, str) or name not in table:
-        raise ConfigError(f"unknown {kind} {name!r}; known: {', '.join(table)}")
+        raise ConfigError(f"unknown {kind} {name!r}; known: {', '.join(table)}", key=at)
     entry = table[name]
     for key in getattr(entry, "needs", ()):
         if key not in params:
-            raise ConfigError(f"{kind} {name} needs parameter {key!r}")
+            raise ConfigError(f"{kind} {name} needs parameter {key!r}", key=at)
     return entry
 
 
@@ -350,7 +358,7 @@ def run_methods(cfg: dict, data: ObservedDataset, future: FuturePopulation | Non
     mode = cfg.get("mode", "data")
     methods_cfg = cfg.get("methods", [])
     if not isinstance(methods_cfg, list) or not methods_cfg:
-        raise ConfigError("config needs a nonempty 'methods' list")
+        raise ConfigError("config needs a nonempty 'methods' list", key="methods")
     if mode != "oracle":
         truth = None
     elif future is None or future.oracle is None:
@@ -364,17 +372,17 @@ def run_methods(cfg: dict, data: ObservedDataset, future: FuturePopulation | Non
         if isinstance(mcfg, str):
             mcfg = {"name": mcfg}
         if not isinstance(mcfg, dict) or "name" not in mcfg:
-            raise ConfigError(f"method entry {mcfg!r} needs a 'name'")
+            raise ConfigError(f"method entry {mcfg!r} needs a 'name'", key="methods")
         name = mcfg["name"]
-        params = _method_params(mcfg, loaded)
-        method = _lookup(_RUNNABLE, "method", name, params)
+        params = _method_params(mcfg, loaded, "methods")
+        method = _lookup(_RUNNABLE, "method", name, "methods", params)
         try:
             if isinstance(method, _Bound):
                 entry = method.run(params, data, truth)
             else:
                 entry = _run_point_method(method, params, data, future, truth)
         except ValueError as exc:
-            raise ConfigError(f"method {name}: {exc}") from None
+            raise ConfigError(f"method {name}: {exc}", key="methods") from None
         except FinitePopError as exc:
             raise PreconditionError(f"method {name}: {exc}") from None
         for v in entry.get("verdicts", {}).values():
@@ -438,8 +446,8 @@ def _oracle_verdicts(method, params, data, future, truth, per_t) -> dict:
 # verbs
 
 
-def _load_inputs(cfg: dict, text: str) -> tuple[ObservedDataset, FuturePopulation | None]:
-    observed_path = _require(cfg, "observed", text)
+def _load_inputs(cfg: dict) -> tuple[ObservedDataset, FuturePopulation | None]:
+    observed_path = _require(cfg, "observed")
     data = load_observed_csv(observed_path)
     future = None
     if cfg.get("future"):
@@ -447,8 +455,8 @@ def _load_inputs(cfg: dict, text: str) -> tuple[ObservedDataset, FuturePopulatio
     return data, future
 
 
-def cmd_run(cfg: dict, text: str) -> int:
-    data, future = _load_inputs(cfg, text)
+def cmd_run(cfg: dict) -> int:
+    data, future = _load_inputs(cfg)
     report = run_methods(cfg, data, future)
     report["metadata"] = _metadata(cfg)
     _write_report(report, cfg.get("out"))
@@ -483,12 +491,13 @@ _AUDITS = {  # name -> (audit, why it needs oracle mode, or None)
 }
 
 
-def cmd_audit(cfg: dict, text: str) -> int:
-    data, future = _load_inputs(cfg, text)
+def cmd_audit(cfg: dict) -> int:
+    data, future = _load_inputs(cfg)
     mode = cfg.get("mode", "data")
-    audits = cfg.get("audits") or cfg.get("methods")
+    at = "audits" if cfg.get("audits") else "methods"
+    audits = cfg.get(at)
     if not isinstance(audits, list) or not audits:
-        raise ConfigError("config needs a nonempty 'audits' list")
+        raise ConfigError("config needs a nonempty 'audits' list", key="audits")
     if future is None:
         raise ConfigError("audits compare against a future population; set 'future'")
     # 'predictor' names a method whose predictor is audited, or a predictor
@@ -500,10 +509,10 @@ def cmd_audit(cfg: dict, text: str) -> int:
     else:
         files.pop("predictor", None)
     params = _method_params({"name": "audit", **files}, {})
-    p = _lookup(METHODS, "auditing predictor", kind, params).predictor(data, params)
+    p = _lookup(METHODS, "auditing predictor", kind, "predictor", params).predictor(data, params)
     results = {}
     for name in audits:
-        run, oracle_only = _lookup(_AUDITS, "audit", name)
+        run, oracle_only = _lookup(_AUDITS, "audit", name, at)
         if mode != "oracle" and oracle_only:
             raise PreconditionError(f"audit {name}: {oracle_only}")
         try:
@@ -515,7 +524,7 @@ def cmd_audit(cfg: dict, text: str) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(cfg: dict, text: str) -> int:
+def cmd_simulate(cfg: dict) -> int:
     spec_cfg = {k: v for k, v in cfg.items() if k not in ("mode", "out", "replications")}
     if "seed" in cfg:
         spec_cfg["seed"] = cfg["seed"]
@@ -544,7 +553,7 @@ def _quantile(sorted_vals: list[float], q: float) -> float:
     return sorted_vals[lo] * (1 - frac) + sorted_vals[hi] * frac
 
 
-def cmd_sweep(cfg: dict, text: str) -> int:
+def cmd_sweep(cfg: dict) -> int:
     try:
         replications = int(cfg.get("replications", 0))
         master_seed = int(cfg.get("seed", 0))
@@ -552,12 +561,13 @@ def cmd_sweep(cfg: dict, text: str) -> int:
         raise ConfigError("replications and seed must be integers") from None
     if replications < 1:
         raise ConfigError(
-            f"replications must be at least 1, got {replications}",
-            _key_line(text, "replications"),
+            f"replications must be at least 1, got {replications}", key="replications"
         )
-    scenario_cfg = _require(cfg, "scenario", text)
+    if master_seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {master_seed}", key="seed")
+    scenario_cfg = _require(cfg, "scenario")
     methods = cfg.get("methods", ["rct", "matching"])
-    base_spec = spec_from_config(dict(scenario_cfg))
+    base_spec = spec_from_config(scenario_cfg)
     per_method: dict[str, dict] = {}
     dominance_failures = 0
     has_instrument = base_spec.instrument is not None
@@ -633,15 +643,16 @@ _VERBS = {"run": cmd_run, "audit": cmd_audit, "simulate": cmd_simulate, "sweep":
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    text = ""
     try:
         cfg, text = load_config(args.config)
         cfg = _apply_overrides(cfg, args)
         if cfg.get("mode", "data") not in ("data", "oracle"):
-            raise ConfigError(
-                f"mode must be data or oracle, got {cfg['mode']!r}", _key_line(text, "mode")
-            )
-        return _VERBS[args.verb](cfg, text)
+            raise ConfigError(f"mode must be data or oracle, got {cfg['mode']!r}", key="mode")
+        return _VERBS[args.verb](cfg)
     except SchemaError as exc:
+        if isinstance(exc, ConfigError) and exc.key and exc.path is None:
+            exc.line = _key_line(text, exc.key)
         print(f"{exc.path or args.config}: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except OSError as exc:  # an input or output path that cannot be read or written

@@ -3,12 +3,15 @@
 Everything here is immutable after construction and safe to share across
 workers.  All operations are pure functions.
 
-Group statistics read from one index per dataset, built on first use in O(n):
-the rows of each observed (x, t) and (t, z) group, and the units of each
-future x group.  A reduction then costs O(|X| * |T|) on top of that instead
-of a scan of every row per group.  Sums stay exactly rounded (math.fsum), so
-a value evaluated once per distinct x and repeated once per row gives the
-same bits as the row-by-row sum.
+The observed dataset and the future population are grouped the same way, by
+covariate value, once and on first use in O(n).  Both answer the same three
+queries: ``xs()``, the sorted distinct values; ``n_x``, the members per value;
+and ``ys(t)``, the outcomes under t per value (the realised outcomes of the
+rows with treatment t, or the oracle outcomes of every unit).  Instrument
+queries add the observed ``ys_tz``.  Every estimator, audit and bound is a
+reduction over these, costing O(|X| * |T|) once they are built.  Sums stay
+exactly rounded (math.fsum), so a value evaluated once per distinct x and
+repeated once per member gives the same bits as the member-by-member sum.
 """
 
 from __future__ import annotations
@@ -79,9 +82,6 @@ class Covariate:
     def names(self) -> tuple[str, ...]:
         return tuple(k for k, _ in self.items)
 
-    def as_dict(self) -> dict[str, str | float]:
-        return dict(self.items)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in self.items)
         return f"Covariate({inner})"
@@ -96,43 +96,51 @@ class Row:
     z: int | None = None
 
 
-def _positions(keys: Iterable) -> dict:
-    """Positions of equal keys, grouped, each group in order of first appearance."""
-    out: dict = {}
-    for i, key in enumerate(keys):
-        out.setdefault(key, []).append(i)
-    return {key: tuple(pos) for key, pos in out.items()}
+class _Grouped:
+    """Members grouped by covariate value: values sorted, positions in member order.
+
+    Shared by ``ObservedDataset`` (members are rows) and ``FuturePopulation``
+    (members are units); built on first use, never at construction.
+    """
+
+    _members: Sequence[Row] | Sequence[Unit]
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    @cached_property
+    def _at(self) -> dict[Covariate, tuple[int, ...]]:
+        groups: dict[Covariate, list[int]] = {}
+        for i, m in enumerate(self._members):
+            groups.setdefault(m.x, []).append(i)
+        return {x: tuple(groups[x]) for x in sorted(groups)}
+
+    @cached_property
+    def n_x(self) -> Mapping[Covariate, int]:
+        """Members per covariate value, in the order of xs()."""
+        return {x: len(pos) for x, pos in self._at.items()}
+
+    @cached_property
+    def _ys(self) -> dict[int, Mapping[Covariate, tuple[float, ...]]]:
+        return {}  # ys(t), filled once per t
+
+    def _where(self, x: Covariate | None, cell: PartitionCell | None) -> Sequence[int]:
+        """Positions of the members with value x, or in cell, or of all; in member order."""
+        if x is not None and cell is not None:
+            raise ValueError("give at most one of x and cell")
+        xs = (x,) if x is not None else self._at if cell is None else cell.members(self._at)
+        return sorted(chain.from_iterable(self._at.get(u, ()) for u in xs))
+
+
+def pooled(
+    groups: Mapping[Covariate, Sequence[float]], xs: Iterable[Covariate]
+) -> tuple[float, ...]:
+    """The groups of the covariate values xs, concatenated; absent values add nothing."""
+    return tuple(chain.from_iterable(groups.get(x, ()) for x in xs))
 
 
 @dataclass(frozen=True)
-class ObservedIndex:
-    """Rows of an observed dataset grouped by (x, t) and by (t, z), in row order."""
-
-    xs: tuple[Covariate, ...]  # sorted distinct covariate values
-    n_x: Mapping[Covariate, int]  # rows per x, in the order of xs
-    at: Mapping[tuple[Covariate, int], tuple[int, ...]]  # row positions per (x, t)
-    ys: Mapping[tuple[Covariate, int], tuple[float, ...]]  # outcomes per (x, t)
-    ys_tz: Mapping[tuple[int, int | None], tuple[float, ...]]  # outcomes per (t, z)
-
-    @classmethod
-    def build(cls, rows: Sequence[Row]) -> "ObservedIndex":
-        def ys(groups: dict) -> dict:
-            return {key: tuple(rows[i].y for i in pos) for key, pos in groups.items()}
-
-        at = _positions((r.x, r.t) for r in rows)
-        n_x: dict[Covariate, int] = {}
-        for (x, _), pos in at.items():
-            n_x[x] = n_x.get(x, 0) + len(pos)
-        xs = tuple(sorted(n_x))
-        return cls(xs, {x: n_x[x] for x in xs}, at, ys(at), ys(_positions((r.t, r.z) for r in rows)))
-
-    def y(self, t: int, xs: Iterable[Covariate]) -> tuple[float, ...]:
-        """Outcomes of the rows with treatment t and covariate value in xs."""
-        return tuple(chain.from_iterable(self.ys.get((x, t), ()) for x in xs))
-
-
-@dataclass(frozen=True)
-class ObservedDataset:
+class ObservedDataset(_Grouped):
     """Observed triples (x_i, t_i, y_i), optionally carrying an instrument z_i.
 
     The declared treatment set is explicit; rows must stay inside it.
@@ -151,12 +159,28 @@ class ObservedDataset:
             if r.t not in self.treatments:
                 raise ValueError(f"row {r.unit}: treatment {r.t} not in declared set")
 
-    def __len__(self) -> int:
-        return len(self.rows)
+    @property
+    def _members(self) -> tuple[Row, ...]:
+        return self.rows
+
+    def ys(self, t: int) -> Mapping[Covariate, tuple[float, ...]]:
+        """Outcomes of the rows with treatment t per covariate value, in row order.
+
+        Only nonempty groups appear, so a treatment without rows gives {}.
+        """
+        if t not in self._ys:
+            groups = {x: tuple(r.y for r in map(self.rows.__getitem__, pos) if r.t == t)
+                      for x, pos in self._at.items()}
+            self._ys[t] = {x: ys for x, ys in groups.items() if ys}
+        return self._ys[t]
 
     @cached_property
-    def index(self) -> ObservedIndex:
-        return ObservedIndex.build(self.rows)
+    def ys_tz(self) -> Mapping[tuple[int, int | None], tuple[float, ...]]:
+        """Outcomes per (t, z), in row order; built only for instrument queries."""
+        groups: dict[tuple[int, int | None], list[float]] = {}
+        for r in self.rows:
+            groups.setdefault((r.t, r.z), []).append(r.y)
+        return {key: tuple(ys) for key, ys in groups.items()}
 
     @cached_property
     def has_instrument(self) -> bool:
@@ -168,10 +192,10 @@ class ObservedDataset:
 
     def instrument_values(self) -> tuple[int, ...]:
         self.require_instrument()
-        return tuple(sorted({z for _, z in self.index.ys_tz}))  # type: ignore[type-var]
+        return tuple(sorted({z for _, z in self.ys_tz}))  # type: ignore[type-var]
 
     def xs(self) -> tuple[Covariate, ...]:
-        return self.index.xs
+        return tuple(self._at)
 
     def check_treatment(self, t: int) -> None:
         if t not in self.treatments:
@@ -184,16 +208,11 @@ class ObservedDataset:
         cell: "PartitionCell | None" = None,
         z: int | None = None,
     ) -> tuple[Row, ...]:
-        if x is not None and cell is not None:
-            raise ValueError("give at most one of x and cell")
+        positions = self._where(x, cell)
         if t is not None:
             self.check_treatment(t)
-        ix = self.index
-        ts = sorted(self.treatments) if t is None else (t,)
-        xs = ix.xs if x is None and cell is None else (x,) if cell is None else cell.members(ix.xs)
-        groups = [ix.at.get((u, s), ()) for u in xs for s in ts]
-        rows = map(self.rows.__getitem__, sorted(chain.from_iterable(groups)))
-        return tuple(r for r in rows if z is None or r.z == z)
+        rows = map(self.rows.__getitem__, positions)
+        return tuple(r for r in rows if (t is None or r.t == t) and (z is None or r.z == z))
 
     def subgroup(
         self,
@@ -269,17 +288,7 @@ class Unit:
 
 
 @dataclass(frozen=True)
-class FutureIndex:
-    """Units of a future population grouped by x, and oracle outcomes per (x, t)."""
-
-    xs: tuple[Covariate, ...]  # sorted distinct covariate values
-    n_x: Mapping[Covariate, int]  # units per x, in the order of xs
-    at: Mapping[Covariate, tuple[int, ...]]  # unit positions per x
-    outcomes: dict[int, Mapping[Covariate, tuple[float, ...]]]  # filled once per t
-
-
-@dataclass(frozen=True)
-class FuturePopulation:
+class FuturePopulation(_Grouped):
     """The deployment population: unit ids with covariates, plus optional oracles."""
 
     units: tuple[Unit, ...]
@@ -293,27 +302,25 @@ class FuturePopulation:
         if len(set(ids)) != len(ids):
             raise ValueError("unit ids must be unique")
 
-    def __len__(self) -> int:
-        return len(self.units)
-
-    @cached_property
-    def index(self) -> FutureIndex:
-        at = _positions(u.x for u in self.units)
-        xs = tuple(sorted(at))
-        return FutureIndex(xs, {x: len(at[x]) for x in xs}, {x: at[x] for x in xs}, {})
+    @property
+    def _members(self) -> tuple[Unit, ...]:
+        return self.units
 
     def xs(self) -> tuple[Covariate, ...]:
-        return self.index.xs
+        return tuple(self._at)
+
+    def ys(self, t: int) -> Mapping[Covariate, tuple[float, ...]]:
+        """Oracle outcomes under t per covariate value, in unit order; read once per t."""
+        if t not in self._ys:
+            y = self.require_oracle().y
+            self._ys[t] = {x: tuple(y(self.units[i].unit, t) for i in pos)
+                           for x, pos in self._at.items()}
+        return self._ys[t]
 
     def units_where(
         self, x: Covariate | None = None, cell: "PartitionCell | None" = None
     ) -> tuple[Unit, ...]:
-        if x is not None and cell is not None:
-            raise ValueError("give at most one of x and cell")
-        ix = self.index
-        xs = ix.xs if x is None and cell is None else (x,) if cell is None else cell.members(ix.xs)
-        positions = sorted(chain.from_iterable(ix.at.get(u, ()) for u in xs))
-        return tuple(map(self.units.__getitem__, positions))
+        return tuple(map(self.units.__getitem__, self._where(x, cell)))
 
     def require_oracle(self) -> OutcomeOracle:
         if self.oracle is None:
@@ -325,20 +332,9 @@ class FuturePopulation:
             raise OracleError("operation requires the compliance oracle (oracle mode only)")
         return self.instrument_oracle
 
-    def outcomes(self, t: int) -> Mapping[Covariate, tuple[float, ...]]:
-        """Oracle outcomes under t per covariate value, in unit order; read once per t."""
-        memo = self.index.outcomes
-        if t not in memo:
-            y = self.require_oracle().y
-            memo[t] = {
-                x: tuple(y(self.units[i].unit, t) for i in pos) for x, pos in self.index.at.items()
-            }
-        return memo[t]
-
     def apo(self, t: int) -> float:
         """True average potential outcome under treatment t, from the oracle."""
-        oracle = self.require_oracle()
-        return math.fsum(oracle.y(u.unit, t) for u in self.units) / len(self.units)
+        return mean_of(pooled(self.ys(t), self.n_x))
 
     def ate(self, t1: int = 1, t0: int = 0) -> float:
         return self.apo(t1) - self.apo(t0)
@@ -403,10 +399,6 @@ class CovariatePartition:
             )
         return hits[0]
 
-    def validate_on(self, xs: Iterable[Covariate]) -> None:
-        for x in xs:
-            self.cell_of(x)
-
 
 @dataclass(frozen=True)
 class SupportReport:
@@ -433,14 +425,14 @@ def empirical_propensity(
     support themselves.
     """
     data.check_treatment(t)
-    ix = data.index
+    ys = data.ys(t)
     if partition is None:
-        return {x: len(ix.ys.get((x, t), ())) / n for x, n in ix.n_x.items()}
+        return {x: len(ys.get(x, ())) / n for x, n in data.n_x.items()}
     out_c: dict[str, float] = {}
     for cell in partition.cells:
-        members = cell.members(ix.xs)
+        members = cell.members(data.xs())
         if members:
-            out_c[cell.name] = len(ix.y(t, members)) / sum(ix.n_x[x] for x in members)
+            out_c[cell.name] = len(pooled(ys, members)) / sum(data.n_x[x] for x in members)
     return out_c
 
 
@@ -451,12 +443,12 @@ def common_support_check(
     """List every (x-or-cell, t) pair with no observed rows; ok iff none."""
     if len(data) == 0:
         return SupportReport(ok=False, note="empty dataset: every cell is vacuously absent")
-    ix = data.index
     if partition is None:
-        groups = [(repr(x), (x,)) for x in ix.xs]
+        groups = [(repr(x), (x,)) for x in data.xs()]
     else:
-        groups = [(c.name, members) for c in partition.cells if (members := c.members(ix.xs))]
+        groups = [(c.name, members) for c in partition.cells if (members := c.members(data.xs()))]
     violations = tuple(
-        (label, t) for label, xs in groups for t in sorted(data.treatments) if not ix.y(t, xs)
+        (label, t) for label, xs in groups for t in sorted(data.treatments)
+        if not pooled(data.ys(t), xs)
     )
     return SupportReport(ok=not violations, violations=violations)

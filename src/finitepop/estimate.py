@@ -29,6 +29,7 @@ from .core import (
     common_support_check,
     empirical_propensity,
     mean_of,
+    pooled,
 )
 
 _IDENTITY_RTOL = 1e-12
@@ -50,7 +51,7 @@ def _fitted_mean(data: ObservedDataset, t: int, xs, empty: str, **where) -> floa
 
     An empty group raises, with ``empty`` formatted by t and ``where``.
     """
-    ys = data.index.y(t, xs)
+    ys = pooled(data.ys(t), xs)
     if not ys:
         raise PredictorError(empty.format(t=t, **where))
     return mean_of(ys)
@@ -216,7 +217,7 @@ class EstimateReport:
 def rct_estimate(data: ObservedDataset, t: int) -> EstimateReport:
     """Observed treatment-group mean outcome (the degenerate constant predictor plugged in)."""
     data.check_treatment(t)
-    ys = data.index.y(t, data.xs())
+    ys = pooled(data.ys(t), data.xs())
     if not ys:
         raise SupportError(f"no observed rows for treatment {t}")
     return EstimateReport(mean_of(ys), "rct", t)
@@ -265,13 +266,11 @@ def _matching_estimate(
         predictor = CoarsenedMatching.fit(data, partition)
         label, method = "coarsened Horvitz-Thompson / plug-in identity", "coarsened_matching"
     terms: list[float] = []
-    for x in data.xs():
-        ys = data.index.ys.get((x, t))
-        if ys:
-            p = share(x)
-            terms += [y / p for y in ys]
+    for x, ys in data.ys(t).items():
+        p = share(x)
+        terms += [y / p for y in ys]
     ht = math.fsum(terms) / len(data)
-    plug = average(lambda x: predictor(x, t), data.index.n_x)
+    plug = average(lambda x: predictor(x, t), data.n_x)
     _assert_identity(ht, plug, label)
     return EstimateReport(ht, method, t, support=support)
 
@@ -281,7 +280,7 @@ def plugin_estimate(p: Predictor, data: ObservedDataset, t: int) -> EstimateRepo
     data.check_treatment(t)
     if len(data) == 0:
         raise SupportError("empty dataset")
-    return EstimateReport(average(lambda x: p(x, t), data.index.n_x), "plugin", t)
+    return EstimateReport(average(lambda x: p(x, t), data.n_x), "plugin", t)
 
 
 def doubly_robust_estimate(
@@ -299,10 +298,10 @@ def doubly_robust_estimate(
     data.check_treatment(t)
     if len(data) == 0:
         raise SupportError("empty dataset")
-    terms = []
-    for x, n_x in data.index.n_x.items():
+    terms, ys = [], data.ys(t)
+    for x, n_x in data.n_x.items():
         px = p(x, t)
-        resid = math.fsum(y - px for y in data.index.ys.get((x, t), ())) / n_x
+        resid = math.fsum(y - px for y in ys.get(x, ())) / n_x
         terms.append(n_x / len(data) * (px + w(x, t) * resid))
     return EstimateReport(math.fsum(terms), "doubly_robust", t)
 
@@ -360,10 +359,10 @@ def _dr_weights(data: ObservedDataset) -> Callable[[Covariate, int], float]:
     """
 
     def w(x: Covariate, t: int) -> float:
-        treated = len(data.index.at.get((x, t), ()))
+        treated = len(data.ys(t).get(x, ()))
         if treated == 0:
             raise SupportError(f"no observed rows with x={x!r}, t={t}")
-        return data.index.n_x[x] / treated
+        return data.n_x[x] / treated
 
     return w
 
@@ -377,10 +376,8 @@ def _dr_premise(data: ObservedDataset, future: FuturePopulation, p, t: int, sp: 
     gap at t.  Returns (guarantee, label) or (None, None).
     """
     cell_gap = 0.0
-    for x in data.xs():
-        ys = data.index.ys.get((x, t))
-        if ys:
-            cell_gap = max(cell_gap, abs(p(x, t) - mean_of(ys)))
+    for x, ys in data.ys(t).items():
+        cell_gap = max(cell_gap, abs(p(x, t) - mean_of(ys)))
     if cell_gap <= 1e-9:
         return Guarantee(sp, abs(avg_signed_difference(data, future, t))), "cell_mean_predictor"
     if abs(audit_dr_condition(data, future, t)) <= 1e-9:
@@ -548,6 +545,6 @@ def stochastic_policy_value(
         raise SupportError("empty dataset")
     value = average(
         lambda x: math.fsum(prob * p(x, t) for t, prob in policy.probs(x).items()),
-        data.index.n_x,
+        data.n_x,
     )
     return EstimateReport(value, "stochastic_policy_value")

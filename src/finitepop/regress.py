@@ -142,7 +142,7 @@ def check_linear_identification(
     worst = 0.0
     for x in data.xs():
         for t in sorted(data.treatments):
-            ys = data.index.ys.get((x, t))
+            ys = data.ys(t).get(x)
             if not ys:
                 continue
             gap = abs(mean_of(ys) - model.predict(x, float(t)))

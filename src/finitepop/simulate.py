@@ -59,6 +59,15 @@ class InstrumentSpec:
     take_probability: tuple[tuple[int, float], ...] = ((0, 0.2), (1, 0.8))
     dominance_break: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.z_probability <= 1.0:
+            raise ValueError(f"z_probability must lie in [0, 1], got {self.z_probability}")
+        take = dict(self.take_probability)
+        if not {0, 1} <= set(take):
+            raise ValueError("take_probability must give P(t=1 | z) for both z=0 and z=1")
+        if any(not 0.0 <= p <= 1.0 for p in take.values()):
+            raise ValueError("take probabilities must lie in [0, 1]")
+
     def take_prob(self, z: int) -> float:
         return dict(self.take_probability)[z]
 
@@ -85,8 +94,18 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.n_observed < 1 or self.n_future < 1:
             raise ValueError("population sizes must be >= 1")
+        if not self.levels:
+            raise ValueError("levels must be nonempty")
+        if self.n_observed < 2 * len(self.levels) or self.n_future < len(set(self.levels)):
+            raise ValueError("every level needs 2 observed units and 1 future unit")
         if self.assignment not in ("rct", "propensity", "balanced"):
             raise ValueError(f"unknown assignment mechanism {self.assignment!r}")
+        if self.assignment == "balanced" and self.n_observed % 2:
+            raise ValueError("balanced assignment needs an even n_observed")
+        if not self.noise_sd >= 0:
+            raise ValueError(f"noise_sd must be nonnegative, got {self.noise_sd}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         k0, k1 = self.outcome_range
         if k0 > k1:
             raise ValueError("outcome_range lower bound exceeds upper bound")
@@ -103,8 +122,16 @@ class ScenarioSpec:
             probs = [float(self.propensities)]
         else:
             probs = [p for _, p in self.propensities]
+            _require_levels(self.propensities, self.levels, "propensities")
         if any(not (0.0 <= p <= 1.0) for p in probs):
             raise ValueError("propensities must lie in [0, 1]")
+        for name in ("observed_level_weights", "future_level_weights"):
+            if getattr(self, name) is not None:
+                w = _require_levels(getattr(self, name), self.levels, name)
+                if not all(0 <= v < math.inf for v in w) or not math.fsum(w) > 0:
+                    raise ValueError(f"{name} must be finite, nonnegative and not all zero")
+        if not all(math.isfinite(v) for _, v in self.future_outcome_shift or ()):
+            raise ValueError("future_outcome_shift values must be finite")
 
     def propensity(self, level: str) -> float:
         if isinstance(self.propensities, (int, float)):
@@ -138,6 +165,15 @@ class Scenario:
 
     def serialized(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
+
+
+def _require_levels(pairs, levels: tuple[str, ...], name: str) -> list:
+    """The values of ``pairs`` at each distinct level; every level must have one."""
+    lookup = dict(pairs)
+    missing = sorted(set(levels) - set(lookup))
+    if missing:
+        raise ValueError(f"{name} missing levels {missing}")
+    return [lookup[level] for level in sorted(set(levels))]
 
 
 def _weights(levels: tuple[str, ...], pairs) -> np.ndarray:

@@ -7,7 +7,7 @@ outcomes are 7 (treated) and 4 (control); true effect is 3.
 
 from __future__ import annotations
 
-from .core import (
+from finitepop.core import (
     Covariate,
     FuturePopulation,
     ObservedDataset,

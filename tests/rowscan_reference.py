@@ -51,6 +51,30 @@ def units_where(future, x=None, cell=None):
     return tuple(out)
 
 
+def n_x(pop):
+    items = pop.rows if hasattr(pop, "rows") else pop.units
+    return {x: sum(1 for r in items if r.x == x) for x in xs(pop)}
+
+
+def observed_ys(data, t):
+    """Outcomes of the rows with treatment t per covariate value; nonempty groups only."""
+    groups = {x: tuple(r.y for r in data.rows if r.x == x and r.t == t) for x in xs(data)}
+    return {x: ys for x, ys in groups.items() if ys}
+
+
+def future_ys(future, t):
+    oracle = future.require_oracle()
+    return {x: tuple(oracle.y(u.unit, t) for u in future.units if u.x == x) for x in xs(future)}
+
+
+def ys_tz(data):
+    """Outcomes per (t, z), keys in order of first appearance."""
+    groups = {}
+    for r in data.rows:
+        groups.setdefault((r.t, r.z), []).append(r.y)
+    return {key: tuple(ys) for key, ys in groups.items()}
+
+
 def mean_y(rows):
     rows = tuple(rows)
     if not rows:

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from fixtures import XA, XB, p8_future, p8_observed
 
 from finitepop.audit import (
     audit_cfd,
@@ -22,7 +23,6 @@ from finitepop.core import (
     Unit,
 )
 from finitepop.estimate import ExactMatching, External
-from finitepop.fixtures import XA, XB, p8_future, p8_observed
 
 
 def shifted_p8_future(shift_a=0.0, shift_b=0.0):

@@ -1,4 +1,5 @@
 import pytest
+from fixtures import XA, XB, p8_observed
 
 from finitepop.bounds import (
     BoundReport,
@@ -8,7 +9,6 @@ from finitepop.bounds import (
     robins_manski_bounds,
 )
 from finitepop.core import ObservedDataset, Row, SchemaError, SupportError
-from finitepop.fixtures import XA, XB, p8_observed
 
 
 def iv_fixture():

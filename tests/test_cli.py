@@ -2,9 +2,9 @@ import json
 from pathlib import Path
 
 import pytest
+from fixtures import p8_future, p8_observed
 
 from finitepop.cli import main, render_report
-from finitepop.fixtures import p8_future, p8_observed
 from finitepop.io import save_future_csv, save_observed_csv
 
 
@@ -434,3 +434,78 @@ def test_proposition_sweep_config_passes(tmp_path):
     for method in ("rct", "matching"):
         assert summary[method]["pass_rate"] == 1
         assert summary[method]["judged"] == 50 * 3  # t=0, t=1 and the ATE
+
+
+TWO_LEVELS = (
+    "schema: 1\nn_observed: 20\nn_future: 20\nlevels: [a, b]\n"
+    "base_outcomes: {a: [2.0, 6.0], b: [3.0, 5.0]}\n"
+)
+
+
+@pytest.mark.parametrize("verb, body, message", [
+    pytest.param("simulate", "schema: 1\nn_observed: 20\nn_future: 20\nlevels: []\n"
+                 "base_outcomes: {}\n", "levels must be nonempty", id="no-levels"),
+    pytest.param("simulate", TWO_LEVELS.replace("n_observed: 20", "n_observed: 3"),
+                 "every level needs 2 observed units and 1 future unit", id="n-observed-small"),
+    pytest.param("simulate", TWO_LEVELS.replace("n_future: 20", "n_future: 1"),
+                 "every level needs 2 observed units and 1 future unit", id="n-future-small"),
+    pytest.param("simulate", TWO_LEVELS.replace("n_observed: 20", "n_observed: 21")
+                 + "assignment: balanced\n", "balanced assignment needs an even",
+                 id="balanced-odd"),
+    pytest.param("simulate", TWO_LEVELS + "instrument: {take_probability: {0: 0.2}}\n",
+                 "for both z=0 and z=1", id="take-without-z1"),
+    pytest.param("simulate", TWO_LEVELS + "instrument: {take_probability: {0: 0.2, 1: 1.5}}\n",
+                 "take probabilities must lie in [0, 1]", id="take-out-of-range"),
+    pytest.param("simulate", TWO_LEVELS + "observed_level_weights: {a: 1.0}\n",
+                 "observed_level_weights missing levels ['b']", id="observed-weights-missing"),
+    pytest.param("simulate", TWO_LEVELS + "future_level_weights: {b: 1.0}\n",
+                 "future_level_weights missing levels ['a']", id="future-weights-missing"),
+    pytest.param("simulate", TWO_LEVELS + "propensities: {a: 0.5}\n",
+                 "propensities missing levels ['b']", id="propensities-missing"),
+    pytest.param("simulate", TWO_LEVELS + "observed_level_weights: {a: -1.0, b: 2.0}\n",
+                 "observed_level_weights must be finite, nonnegative", id="negative-weight"),
+    pytest.param("simulate", TWO_LEVELS + "future_level_weights: {a: 0.0, b: 0.0}\n",
+                 "future_level_weights must be finite, nonnegative and not all zero",
+                 id="zero-weights"),
+    pytest.param("simulate", TWO_LEVELS + "instrument: 5\n", "bad scenario spec",
+                 id="instrument-5"),
+    pytest.param("simulate", TWO_LEVELS + "instrument: {z_probability: 2}\n",
+                 "z_probability must lie in [0, 1]", id="z-probability-2"),
+    pytest.param("simulate", TWO_LEVELS + "noise_sd: -1\n", "noise_sd must be nonnegative",
+                 id="negative-noise"),
+    pytest.param("simulate", TWO_LEVELS + "seed: -1\n", "seed must be nonnegative",
+                 id="negative-seed"),
+    pytest.param("sweep", "schema: 1\nseed: 1\nreplications: 2\nmethods: [rct]\nscenario: 5\n",
+                 "bad scenario spec", id="sweep-scenario-5"),
+    pytest.param("sweep", "schema: 1\nseed: -1\nreplications: 2\nmethods: [rct]\n"
+                 + SMALL_SCENARIO, "line 2: seed must be nonnegative", id="sweep-negative-seed"),
+])
+def test_scenario_that_cannot_be_drawn_exits_2(tmp_path, capsys, verb, body, message):
+    cfg = write_config(tmp_path, "c.yaml", body)
+    out = tmp_path / "out"
+    assert main([verb, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb, body, message", [
+    pytest.param("run", "methods: [rct, coarsened]\n",
+                 "line 6: method coarsened needs parameter 'partition'", id="run-methods"),
+    pytest.param("audit", "audits: [sp, bogus]\n", "line 6: unknown audit 'bogus'", id="audits"),
+    pytest.param("audit", "predictor: coarsened\naudits: [sp]\n",
+                 "line 6: auditing predictor coarsened needs parameter", id="predictor"),
+    pytest.param("run", "methods: [{name: rm_bounds, k0: 10, k1: 0}]\n",
+                 "line 6: method rm_bounds: k0=10.0", id="method-value-error"),
+])
+def test_config_errors_name_the_line_of_their_key(
+    tmp_path, p8_files, capsys, verb, body, message
+):
+    obs, fut = p8_files
+    cfg = write_config(
+        tmp_path, "c.yaml",
+        f"schema: 1\nmode: oracle\nobserved: {obs}\nfuture: {fut}\nout: {tmp_path / 'r.json'}\n"
+        + body,
+    )
+    assert main([verb, "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"{cfg}: {message}")

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from fixtures import XA, XB, p8_future, p8_observed
 
 from finitepop.core import (
     Covariate,
@@ -13,7 +14,6 @@ from finitepop.core import (
     empirical_propensity,
     mean_y,
 )
-from finitepop.fixtures import XA, XB, p8_future, p8_observed
 
 
 def test_approx_eq_is_strict():

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from fixtures import XA, XB, p8_future, p8_observed
 
 from finitepop.core import (
     Covariate,
@@ -29,7 +30,6 @@ from finitepop.estimate import (
     rct_estimate,
     stochastic_policy_value,
 )
-from finitepop.fixtures import XA, XB, p8_future, p8_observed
 
 XC = Covariate.of(level="c")
 

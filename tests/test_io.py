@@ -1,7 +1,7 @@
 import pytest
+from fixtures import p8_future, p8_observed
 
 from finitepop.core import SchemaError
-from finitepop.fixtures import p8_future, p8_observed
 from finitepop.io import (
     load_future_csv,
     load_observed_csv,

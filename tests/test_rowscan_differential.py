@@ -101,6 +101,13 @@ def test_group_queries(case):
          data.has_instrument else 1 / 0)
     for t in sorted(data.treatments):
         assert future.apo(t) == ref.apo(future, t)
+    # values and key order; 7 is an undeclared treatment
+    assert list(data.n_x.items()) == list(ref.n_x(data).items())
+    assert list(future.n_x.items()) == list(ref.n_x(future).items())
+    assert list(data.ys_tz.items()) == list(ref.ys_tz(data).items())
+    for t in (*sorted(data.treatments), 7):
+        assert list(data.ys(t).items()) == list(ref.observed_ys(data, t).items())
+        same(lambda: list(future.ys(t).items()), lambda: list(ref.future_ys(future, t).items()))
 
 
 @EXAMPLES

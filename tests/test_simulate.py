@@ -2,6 +2,7 @@ import dataclasses
 import math
 
 import pytest
+from fixtures import XA
 
 from finitepop.audit import (
     audit_compliance_stability,
@@ -10,7 +11,6 @@ from finitepop.audit import (
     dominance_holds,
 )
 from finitepop.core import ComplianceOracle, FuturePopulation, OutcomeOracle, Unit
-from finitepop.fixtures import XA
 from finitepop.simulate import (
     InstrumentSpec,
     PanelSpec,
