@@ -120,11 +120,23 @@ def render_report(obj) -> str:
 
 
 def _write_report(report: dict, out_path: str | None) -> None:
+    """Writes the report to ``out_path`` whole or not at all (to stdout without a path).
+
+    The text goes to a temporary file beside the target, which then replaces
+    the target; on any failure the temporary file is removed.
+    """
     text = render_report(report)
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
+    if not out_path:
         sys.stdout.write(text)
+        return
+    target = Path(out_path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ----------------------------------------------------------------------------
@@ -132,11 +144,37 @@ def _write_report(report: dict, out_path: str | None) -> None:
 
 
 def _key_line(text: str, key: str) -> int:
-    for i, line in enumerate(text.splitlines(), start=1):
-        stripped = line.lstrip().lstrip('"').lstrip("'")
-        if stripped.startswith(key) and ":" in stripped:
-            return i
-    return 1
+    """The line of a top-level key, or of a dotted key such as ``scenario.instrument``;
+    where a part is not found, the line of the last part found (1 if none)."""
+    lines = text.splitlines()
+    found = start = 0
+    for part in key.split("."):
+        for i in range(start, len(lines)):
+            stripped = lines[i].lstrip().lstrip('"').lstrip("'")
+            if stripped.startswith(part) and ":" in stripped:
+                found = start = i + 1
+                break
+        else:
+            break
+    return found or 1
+
+
+# libyaml parses a config several times faster than the pure-Python loader
+# and builds the same tree, with two exceptions.  It skips a byte-order mark
+# inside the text, where the pure loader reads one as part of a key, so such
+# a text goes to the pure loader.  And it takes some text the pure loader
+# rejects, such as a tab after a colon.  Wherever libyaml fails, the pure
+# loader parses again, so an error carries its message and line.
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
+def _parse_yaml(text: str):
+    if "\ufeff" not in text[1:]:
+        try:
+            return yaml.load(text, Loader=_LOADER)
+        except Exception:  # the pure loader raises again, or decides otherwise
+            pass
+    return yaml.safe_load(text)
 
 
 def load_config(path: str) -> tuple[dict, str]:
@@ -145,7 +183,7 @@ def load_config(path: str) -> tuple[dict, str]:
         raise ConfigError(f"config file not found: {path}")
     text = p.read_text(encoding="utf-8")
     try:
-        cfg = yaml.safe_load(text)
+        cfg = _parse_yaml(text)
     except yaml.YAMLError as exc:
         line = 1
         mark = getattr(exc, "problem_mark", None)
@@ -224,53 +262,100 @@ def load_predictor_table(path: str) -> Tabular:
 # scenario specs from config trees
 
 
-def spec_from_config(cfg) -> ScenarioSpec:
-    def pairs(v):
-        if v is None or isinstance(v, (int, float)):
-            return v
-        return tuple(sorted((str(k), _tupled(val)) for k, val in dict(v).items()))
+_SCENARIO_KEYS = {
+    "schema", "n_observed", "n_future", "levels", "base_outcomes", "noise_sd",
+    "outcome_range", "assignment", "propensities", "observed_level_weights",
+    "future_level_weights", "future_outcome_shift", "shared_unit_noise",
+    "instrument", "seed",
+}
+_REQUIRED = object()
 
-    def _tupled(v):
-        return tuple(v) if isinstance(v, list) else v
 
-    known = {
-        "schema", "n_observed", "n_future", "levels", "base_outcomes", "noise_sd",
-        "outcome_range", "assignment", "propensities", "observed_level_weights",
-        "future_level_weights", "future_outcome_shift", "shared_unit_noise",
-        "instrument", "seed",
-    }
-    try:
-        cfg = dict(cfg)
-        extra = set(cfg) - known
-        if extra:
-            raise ConfigError(f"unknown scenario keys: {sorted(extra)}")
-        inst = None
-        if cfg.get("instrument") is not None:
-            icfg = dict(cfg["instrument"])
-            take = icfg.get("take_probability", {0: 0.2, 1: 0.8})
-            inst = InstrumentSpec(
-                z_probability=float(icfg.get("z_probability", 0.5)),
-                take_probability=tuple(sorted((int(z), float(p)) for z, p in dict(take).items())),
-                dominance_break=float(icfg.get("dominance_break", 0.0)),
+def _pairs(v) -> tuple:
+    """A mapping, or a list of pairs, as (str key, value) pairs sorted by key; a list value
+    becomes a tuple."""
+    items = dict(v).items()
+    return tuple(sorted((str(k), tuple(x) if isinstance(x, list) else x) for k, x in items))
+
+
+def _outcome_pairs(v) -> tuple:
+    pairs = _pairs(v)
+    if not all(isinstance(y, tuple) and len(y) == 2 for _, y in pairs):
+        raise ValueError(v)
+    return pairs
+
+
+def _range(v) -> tuple:
+    low_high = tuple(v)
+    if len(low_high) != 2:
+        raise ValueError(v)
+    return low_high
+
+
+def spec_from_config(cfg, at: str | None = None) -> ScenarioSpec:
+    """The scenario of a config tree; ``at`` is the config key holding it (None: top level).
+
+    A missing or mistyped value is a ``ConfigError`` that names its key, at the key's line.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"bad scenario spec: {at} must be a mapping, got {cfg!r}", key=at)
+    extra = set(cfg) - _SCENARIO_KEYS
+    if extra:
+        raise ConfigError(f"unknown scenario keys: {sorted(extra)}", key=at)
+
+    def get(tree: dict, name: str, convert, what: str, default=_REQUIRED):
+        key = name.rpartition(".")[2]
+        if tree.get(key) is None and default is not _REQUIRED:
+            return default
+        if key not in tree:
+            raise ConfigError(
+                f"bad scenario spec: missing required key {name!r}", key=at or "schema"
             )
-        return ScenarioSpec(
-            n_observed=int(cfg["n_observed"]),
-            n_future=int(cfg["n_future"]),
-            levels=tuple(str(v) for v in cfg["levels"]),
-            base_outcomes=pairs(cfg["base_outcomes"]),
-            noise_sd=float(cfg.get("noise_sd", 0.0)),
-            outcome_range=tuple(cfg.get("outcome_range", (0.0, 10.0))),
-            assignment=str(cfg.get("assignment", "rct")),
-            propensities=pairs(cfg.get("propensities", 0.5)),
-            observed_level_weights=pairs(cfg.get("observed_level_weights")),
-            future_level_weights=pairs(cfg.get("future_level_weights")),
-            future_outcome_shift=pairs(cfg.get("future_outcome_shift")),
-            shared_unit_noise=bool(cfg.get("shared_unit_noise", False)),
-            instrument=inst,
-            seed=int(cfg.get("seed", 0)),
+        try:
+            return convert(tree[key])
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"bad scenario spec: {name} must be {what}, got {tree[key]!r}",
+                key=f"{at}.{name}" if at else name,
+            ) from None
+
+    def by_level(name: str):
+        return get(cfg, name, _pairs, "a mapping from level to number", None)
+
+    values = dict(
+        n_observed=get(cfg, "n_observed", int, "an integer"),
+        n_future=get(cfg, "n_future", int, "an integer"),
+        levels=get(cfg, "levels", lambda v: tuple(str(lv) for lv in v), "a list"),
+        base_outcomes=get(cfg, "base_outcomes", _outcome_pairs,
+                          "a mapping from level to [y(t=0), y(t=1)]"),
+        noise_sd=get(cfg, "noise_sd", float, "a number", 0.0),
+        outcome_range=get(cfg, "outcome_range", _range, "a [low, high] pair", (0.0, 10.0)),
+        assignment=get(cfg, "assignment", str, "a string", "rct"),
+        propensities=get(cfg, "propensities",
+                         lambda v: v if isinstance(v, (int, float)) else _pairs(v),
+                         "a number or a mapping from level to number", 0.5),
+        observed_level_weights=by_level("observed_level_weights"),
+        future_level_weights=by_level("future_level_weights"),
+        future_outcome_shift=by_level("future_outcome_shift"),
+        shared_unit_noise=get(cfg, "shared_unit_noise", bool, "a boolean", False),
+        seed=get(cfg, "seed", int, "an integer", 0),
+    )
+    icfg = get(cfg, "instrument", dict, "a mapping", None)
+    inst = None
+    if icfg is not None:
+        inst = dict(
+            z_probability=get(icfg, "instrument.z_probability", float, "a number", 0.5),
+            take_probability=get(
+                icfg, "instrument.take_probability",
+                lambda v: tuple(sorted((int(z), float(p)) for z, p in dict(v).items())),
+                "a mapping from z to P(t=1 | z)", ((0, 0.2), (1, 0.8)),
+            ),
+            dominance_break=get(icfg, "instrument.dominance_break", float, "a number", 0.0),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad scenario spec: {exc}") from None
+    try:
+        return ScenarioSpec(instrument=inst and InstrumentSpec(**inst), **values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad scenario spec: {exc}", key=at) from None
 
 
 # ----------------------------------------------------------------------------
@@ -447,8 +532,7 @@ def _oracle_verdicts(method, params, data, future, truth, per_t) -> dict:
 
 
 def _load_inputs(cfg: dict) -> tuple[ObservedDataset, FuturePopulation | None]:
-    observed_path = _require(cfg, "observed")
-    data = load_observed_csv(observed_path)
+    data = load_observed_csv(_require(cfg, "observed"))
     future = None
     if cfg.get("future"):
         future = load_future_csv(cfg["future"])
@@ -567,11 +651,11 @@ def cmd_sweep(cfg: dict) -> int:
         raise ConfigError(f"seed must be nonnegative, got {master_seed}", key="seed")
     scenario_cfg = _require(cfg, "scenario")
     methods = cfg.get("methods", ["rct", "matching"])
-    base_spec = spec_from_config(scenario_cfg)
+    base_spec = spec_from_config(scenario_cfg, "scenario")
     per_method: dict[str, dict] = {}
     dominance_failures = 0
     has_instrument = base_spec.instrument is not None
-    run_cfg = {"mode": "oracle", "methods": list(methods)}
+    run_cfg = {"mode": "oracle", "methods": methods}
     loaded: dict = {}  # partition and predictor files, parsed once per sweep
     for i in range(replications):
         spec = dataclasses.replace(base_spec, seed=scenario_seed(master_seed, i))
@@ -649,6 +733,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _apply_overrides(cfg, args)
         if cfg.get("mode", "data") not in ("data", "oracle"):
             raise ConfigError(f"mode must be data or oracle, got {cfg['mode']!r}", key="mode")
+        for key in ("observed", "future", "out"):
+            if cfg.get(key) is not None and not isinstance(cfg[key], str):
+                raise ConfigError(f"{key} must be a file path, got {cfg[key]!r}", key=key)
         return _VERBS[args.verb](cfg)
     except SchemaError as exc:
         if isinstance(exc, ConfigError) and exc.key and exc.path is None:

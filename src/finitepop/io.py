@@ -4,7 +4,8 @@ Observed header: ``id,t,y[,z],xc_<name>...,xn_<name>...`` where ``xc_`` columns
 are categorical and ``xn_`` columns are numeric.  Future header: ``id`` plus
 covariate columns, with optional oracle columns ``y_t<k>`` per treatment and
 ``s_z<k>`` per instrument value.  UTF-8, ``.`` decimal separator.  Numbers
-must be finite.  A schema error names the file and the line at fault.
+must be finite.  Blank lines are skipped; every other record has as many
+cells as the header.  A schema error names the file and the line at fault.
 """
 
 from __future__ import annotations
@@ -40,56 +41,101 @@ def _names_file(load):
     return wrapper
 
 
-def _covariate_columns(header: list[str]) -> list[str]:
-    return [c for c in header if c.startswith("xc_") or c.startswith("xn_")]
+def _records(reader, header: list[str]):
+    """The data records after the header, each with its line number; blank records are skipped.
+
+    A line number counts the header and the nonblank records before it.  A
+    record whose cell count differs from the header's is a schema error.
+    """
+    line = 1
+    for record in reader:
+        if not record:
+            continue
+        line += 1
+        if len(record) != len(header):
+            raise SchemaError(
+                f"line {line}: {len(record)} cells where the header has {len(header)}"
+            )
+        yield line, record
 
 
-def _parse_covariate(record: dict[str, str], cov_cols: list[str], line: int) -> Covariate:
-    fields: dict[str, str | float] = {}
-    for col in cov_cols:
-        raw = record[col]
-        name = col[3:]
-        fields[name] = raw if col.startswith("xc_") else _parse_float(record, col, line)
-    return Covariate.of(**fields)
+def _covariate_reader(header: list[str], pos: dict[str, int]):
+    """A function of (record, line) giving the record's ``Covariate``.
+
+    Records repeat few distinct covariate values, so each distinct tuple of
+    raw cells is parsed once and its ``Covariate`` shared.
+    """
+    cols = [c for c in header if c.startswith(("xc_", "xn_"))]
+    at = [pos[c] for c in cols]
+    seen: dict[tuple[str, ...], Covariate] = {}
+
+    def covariate(record: list[str], line: int) -> Covariate:
+        raw = tuple([record[i] for i in at])
+        x = seen.get(raw)
+        if x is None:
+            fields: dict[str, str | float] = {}
+            for c, value in zip(cols, raw):
+                fields[c[3:]] = value if c.startswith("xc_") else _parse_float(value, c, line)
+            x = seen[raw] = Covariate.of(**fields)
+        return x
+
+    return covariate
 
 
-def _parse_int(record: dict[str, str], col: str, line: int) -> int:
+def _oracle_columns(header: list[str], pos: dict[str, int], prefix: str):
+    """(column, position, key) of each distinct ``prefix<key>`` column, in header order."""
+    cols = []
+    for c in dict.fromkeys(c for c in header if c.startswith(prefix)):
+        try:
+            cols.append((c, pos[c], int(c[3:])))
+        except ValueError:
+            raise SchemaError(f"line 1: column {c}: {c[3:]!r} is not an integer") from None
+    return cols
+
+
+def _parse_int(raw: str, col: str, line: int) -> int:
     try:
-        return int(record[col])
-    except (ValueError, TypeError):
-        raise SchemaError(f"line {line}: column {col}: not an integer: {record.get(col)!r}") from None
+        return int(raw)
+    except ValueError:
+        raise SchemaError(f"line {line}: column {col}: not an integer: {raw!r}") from None
 
 
-def _parse_float(record: dict[str, str], col: str, line: int) -> float:
+def _parse_float(raw: str, col: str, line: int) -> float:
     try:
-        value = float(record[col])
-    except (ValueError, TypeError):
-        raise SchemaError(f"line {line}: column {col}: not a number: {record.get(col)!r}") from None
+        value = float(raw)
+    except ValueError:
+        raise SchemaError(f"line {line}: column {col}: not a number: {raw!r}") from None
     if not math.isfinite(value):
-        raise SchemaError(f"line {line}: column {col}: not a finite number: {record[col]!r}")
+        raise SchemaError(f"line {line}: column {col}: not a finite number: {raw!r}")
     return value
+
+
+def _header(reader) -> tuple[list[str], dict[str, int]]:
+    """The header and each name's position (the last, where a name repeats)."""
+    header = next(reader, [])
+    return header, {name: i for i, name in enumerate(header)}
 
 
 @_names_file
 def load_observed_csv(path: str | Path, treatments: frozenset[int] | None = None) -> ObservedDataset:
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header, pos = _header(reader)
         for required in ("id", "t", "y"):
-            if required not in header:
+            if required not in pos:
                 raise SchemaError(f"line 1: observed CSV header must contain {required!r}, got {header}")
-        cov_cols = _covariate_columns(header)
-        has_z = "z" in header
+        covariate = _covariate_reader(header, pos)
+        i_id, i_t, i_y, i_z = pos["id"], pos["t"], pos["y"], pos.get("z")
         rows = []
-        for line, record in enumerate(reader, start=2):
+        for line, record in _records(reader, header):
             rows.append(
                 Row(
-                    unit=_parse_int(record, "id", line),
-                    x=_parse_covariate(record, cov_cols, line),
-                    t=_parse_int(record, "t", line),
-                    y=_parse_float(record, "y", line),
-                    z=_parse_int(record, "z", line) if has_z else None,
+                    unit=_parse_int(record[i_id], "id", line),
+                    x=covariate(record, line),
+                    t=_parse_int(record[i_t], "t", line),
+                    y=_parse_float(record[i_y], "y", line),
+                    z=None if i_z is None else _parse_int(record[i_z], "z", line),
                 )
             )
     if not rows:
@@ -123,30 +169,34 @@ def save_observed_csv(data: ObservedDataset, path: str | Path) -> None:
 def load_future_csv(path: str | Path) -> FuturePopulation:
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        if "id" not in header:
+        reader = csv.reader(fh)
+        header, pos = _header(reader)
+        if "id" not in pos:
             raise SchemaError(f"line 1: future CSV header must contain 'id', got {header}")
-        cov_cols = _covariate_columns(header)
-        y_cols = {c: int(c[3:]) for c in header if c.startswith("y_t")}
-        s_cols = {c: int(c[3:]) for c in header if c.startswith("s_z")}
+        covariate = _covariate_reader(header, pos)
+        y_cols = _oracle_columns(header, pos, "y_t")
+        s_cols = _oracle_columns(header, pos, "s_z")
+        i_id = pos["id"]
         units = []
         outcomes: dict[tuple[int, int], float] = {}
         compliance: dict[tuple[int, int], int] = {}
-        for line, record in enumerate(reader, start=2):
-            unit = _parse_int(record, "id", line)
-            units.append(Unit(unit, _parse_covariate(record, cov_cols, line)))
-            for col, t in y_cols.items():
-                outcomes[(unit, t)] = _parse_float(record, col, line)
-            for col, z in s_cols.items():
-                compliance[(unit, z)] = _parse_int(record, col, line)
+        for line, record in _records(reader, header):
+            unit = _parse_int(record[i_id], "id", line)
+            units.append(Unit(unit, covariate(record, line)))
+            for name, i, t in y_cols:
+                outcomes[(unit, t)] = _parse_float(record[i], name, line)
+            for name, i, z in s_cols:
+                compliance[(unit, z)] = _parse_int(record[i], name, line)
     if not units:
         raise SchemaError("future CSV has no data rows")
-    return FuturePopulation(
-        tuple(units),
-        oracle=OutcomeOracle(outcomes) if outcomes else None,
-        instrument_oracle=ComplianceOracle(compliance) if compliance else None,
-    )
+    try:
+        return FuturePopulation(
+            tuple(units),
+            oracle=OutcomeOracle(outcomes) if outcomes else None,
+            instrument_oracle=ComplianceOracle(compliance) if compliance else None,
+        )
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
 
 
 def save_future_csv(

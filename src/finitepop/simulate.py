@@ -3,6 +3,9 @@
 Generation is deterministic given the spec's seed.  Independent RNG streams
 are used per component (covariates, assignment, noise, instrument, future
 side) so that turning one violation knob does not reshuffle the others.
+
+numpy is imported inside the functions that draw, so the CLI, which imports
+this module for every verb, loads it only for the verbs that draw.
 """
 
 from __future__ import annotations
@@ -12,8 +15,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     ComplianceOracle,
@@ -26,6 +28,9 @@ from .core import (
 )
 from .estimate import PanelDataset, named_estimator
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # Component stream ids; changing one knob must not reshuffle the other streams.
 _STREAM_OBS_COV = 0
 _STREAM_ASSIGN = 1
@@ -36,11 +41,13 @@ _STREAM_INSTRUMENT = 5
 
 
 def component_rng(seed: int, stream: int) -> np.random.Generator:
+    import numpy as np
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
 
 
 def scenario_seed(master_seed: int, index: int) -> int:
     """Per-scenario seed for sweeps: derived from (master seed, scenario index)."""
+    import numpy as np
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -177,6 +184,7 @@ def _require_levels(pairs, levels: tuple[str, ...], name: str) -> list:
 
 
 def _weights(levels: tuple[str, ...], pairs) -> np.ndarray:
+    import numpy as np
     if pairs is None:
         w = np.ones(len(levels))
     else:
@@ -191,6 +199,7 @@ def _draw_levels(levels, weights, n, rng, min_per_level: int) -> np.ndarray:
     Returns codes into ``sorted(set(levels))``.  The shuffle permutes an
     integer array exactly as it would permute the list of level strings.
     """
+    import numpy as np
     forced = np.repeat(np.arange(len(levels)), min_per_level)
     if len(forced) > n:
         raise ValueError(f"population of size {n} cannot hold {min_per_level} of each level")
@@ -203,6 +212,7 @@ def _draw_levels(levels, weights, n, rng, min_per_level: int) -> np.ndarray:
 
 def _cells(codes: np.ndarray) -> list[np.ndarray]:
     """Positions of the units of each level code, cells in order of first appearance."""
+    import numpy as np
     _, first, counts = np.unique(codes, return_index=True, return_counts=True)
     groups = np.split(np.argsort(codes, kind="stable"), np.cumsum(counts)[:-1])
     return [groups[k] for k in np.argsort(first)]
@@ -213,6 +223,7 @@ def _clip(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
     Not ``np.clip``, which keeps ``-0.0`` at ``lo = 0.0`` where ``max`` gives ``lo``.
     """
+    import numpy as np
     w = np.where(v > lo, v, lo)
     return np.where(w < hi, w, hi)
 
@@ -245,6 +256,7 @@ def generate(spec: ScenarioSpec) -> Scenario:
     ``+ 100`` the future pairs; observed noise one normal per unit; future
     noise one normal per unit when shared, else a (t=0, t=1) pair per unit.
     """
+    import numpy as np
     n, m = spec.n_observed, spec.n_future
     k0, k1 = spec.outcome_range
     levels = tuple(sorted(set(spec.levels)))  # every level holds >= 2 observed units
@@ -325,6 +337,7 @@ def generate(spec: ScenarioSpec) -> Scenario:
 
 def _even_cell_codes(levels, weights, n: int, rng: np.random.Generator) -> np.ndarray:
     """Level codes with every cell count even (for exactly-balanced assignment)."""
+    import numpy as np
     if n % 2:
         raise ValueError("population size must be even for balanced cells")
     draws = _draw_levels(levels, _weights(levels, weights), n, rng, min_per_level=2)
@@ -360,6 +373,7 @@ def generate_compliance_stable_scenario(
     per observed unit; the future noise stream one normal per future clone,
     in (unit, clone) order.
     """
+    import numpy as np
     if t not in (0, 1):
         raise ValueError("t must be 0 or 1")
     z_arm = 1 if t == 1 else 0
@@ -404,6 +418,7 @@ def random_partition_concentration(
 
     Odd population sizes split floor(n/2) against ceil(n/2).
     """
+    import numpy as np
     oracle = pop.require_oracle()
     n = len(pop)
     if n < 2:

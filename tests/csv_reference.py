@@ -1,0 +1,132 @@
+"""``csv.DictReader`` reference implementations of the CSV readers.
+
+Each reader here turns every data record into a dict and builds one
+``Covariate`` per row.  That is slow but easy to check by eye.
+``test_csv_differential.py`` asserts that the readers in ``finitepop.io``
+load what these load, and fail with the same message where these raise a
+``SchemaError``.  These readers never check a record's cell count: a short
+record fills its missing cells with ``None`` and a long one drops its extra
+cells.
+"""
+
+from __future__ import annotations
+
+import csv
+import functools
+import math
+from pathlib import Path
+
+from finitepop.core import (
+    ComplianceOracle,
+    Covariate,
+    FuturePopulation,
+    ObservedDataset,
+    OutcomeOracle,
+    Row,
+    SchemaError,
+    Unit,
+)
+
+
+def _names_file(load):
+    @functools.wraps(load)
+    def wrapper(path, *args, **kwargs):
+        try:
+            return load(path, *args, **kwargs)
+        except SchemaError as exc:
+            exc.path = str(path)
+            raise
+
+    return wrapper
+
+
+def _covariate_columns(header: list[str]) -> list[str]:
+    return [c for c in header if c.startswith("xc_") or c.startswith("xn_")]
+
+
+def _parse_covariate(record: dict[str, str], cov_cols: list[str], line: int) -> Covariate:
+    fields: dict[str, str | float] = {}
+    for col in cov_cols:
+        raw = record[col]
+        name = col[3:]
+        fields[name] = raw if col.startswith("xc_") else _parse_float(record, col, line)
+    return Covariate.of(**fields)
+
+
+def _parse_int(record: dict[str, str], col: str, line: int) -> int:
+    try:
+        return int(record[col])
+    except (ValueError, TypeError):
+        raise SchemaError(f"line {line}: column {col}: not an integer: {record.get(col)!r}") from None
+
+
+def _parse_float(record: dict[str, str], col: str, line: int) -> float:
+    try:
+        value = float(record[col])
+    except (ValueError, TypeError):
+        raise SchemaError(f"line {line}: column {col}: not a number: {record.get(col)!r}") from None
+    if not math.isfinite(value):
+        raise SchemaError(f"line {line}: column {col}: not a finite number: {record[col]!r}")
+    return value
+
+
+@_names_file
+def load_observed_csv(path: str | Path, treatments: frozenset[int] | None = None) -> ObservedDataset:
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for required in ("id", "t", "y"):
+            if required not in header:
+                raise SchemaError(f"line 1: observed CSV header must contain {required!r}, got {header}")
+        cov_cols = _covariate_columns(header)
+        has_z = "z" in header
+        rows = []
+        for line, record in enumerate(reader, start=2):
+            rows.append(
+                Row(
+                    unit=_parse_int(record, "id", line),
+                    x=_parse_covariate(record, cov_cols, line),
+                    t=_parse_int(record, "t", line),
+                    y=_parse_float(record, "y", line),
+                    z=_parse_int(record, "z", line) if has_z else None,
+                )
+            )
+    if not rows:
+        raise SchemaError("observed CSV has no data rows")
+    if treatments is None:
+        treatments = frozenset({0, 1} | {r.t for r in rows})
+    try:
+        return ObservedDataset(tuple(rows), treatments)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
+
+
+@_names_file
+def load_future_csv(path: str | Path) -> FuturePopulation:
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        if "id" not in header:
+            raise SchemaError(f"line 1: future CSV header must contain 'id', got {header}")
+        cov_cols = _covariate_columns(header)
+        y_cols = {c: int(c[3:]) for c in header if c.startswith("y_t")}
+        s_cols = {c: int(c[3:]) for c in header if c.startswith("s_z")}
+        units = []
+        outcomes: dict[tuple[int, int], float] = {}
+        compliance: dict[tuple[int, int], int] = {}
+        for line, record in enumerate(reader, start=2):
+            unit = _parse_int(record, "id", line)
+            units.append(Unit(unit, _parse_covariate(record, cov_cols, line)))
+            for col, t in y_cols.items():
+                outcomes[(unit, t)] = _parse_float(record, col, line)
+            for col, z in s_cols.items():
+                compliance[(unit, z)] = _parse_int(record, col, line)
+    if not units:
+        raise SchemaError("future CSV has no data rows")
+    return FuturePopulation(
+        tuple(units),
+        oracle=OutcomeOracle(outcomes) if outcomes else None,
+        instrument_oracle=ComplianceOracle(compliance) if compliance else None,
+    )

@@ -509,3 +509,118 @@ def test_config_errors_name_the_line_of_their_key(
     )
     assert main([verb, "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith(f"{cfg}: {message}")
+
+
+@pytest.mark.parametrize("last_row, cells", [
+    pytest.param("3,1,2.5", 3, id="short"),
+    pytest.param("3,1,2.5,a,9", 5, id="long"),
+])
+def test_malformed_csv_row_exits_2_naming_file_and_line(tmp_path, capsys, last_row, cells):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"id,t,y,xc_level\n1,1,2.5,a\n\n2,0,1.5,a\n{last_row}\n")
+    out = tmp_path / "report.json"
+    cfg = write_config(
+        tmp_path, "run.yaml", f"schema: 1\nobserved: {bad}\nmethods: [rct]\nout: {out}\n"
+    )
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{bad}: line 4: {cells} cells where the header has 4")
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("verb, body, message", [
+    pytest.param("sweep", "schema: 1\nseed: 1\nreplications: 2\nmethods: 7\n" + SMALL_SCENARIO,
+                 "line 4: config needs a nonempty 'methods' list", id="sweep-methods-7"),
+    pytest.param("run", "schema: 1\nobserved: [1, 2]\nmethods: [rct]\n",
+                 "line 2: observed must be a file path, got [1, 2]", id="observed-list"),
+    pytest.param("run", "schema: 1\nobserved: {obs}\nfuture: 3\nmethods: [rct]\n",
+                 "line 3: future must be a file path, got 3", id="future-number"),
+])
+def test_mistyped_config_values_exit_2_at_their_line(
+    tmp_path, p8_files, capsys, verb, body, message
+):
+    cfg = write_config(tmp_path, "c.yaml", body.format(obs=p8_files[0]))
+    out = tmp_path / "out.json"
+    assert main([verb, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{cfg}: {message}") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb, body, message", [
+    pytest.param("simulate", TWO_LEVELS + "instrument: 5\n",
+                 "line 6: bad scenario spec: instrument must be a mapping", id="instrument-5"),
+    pytest.param("simulate", TWO_LEVELS + "future_outcome_shift: 5\n",
+                 "line 6: bad scenario spec: future_outcome_shift must be a mapping",
+                 id="shift-5"),
+    pytest.param("simulate", TWO_LEVELS.replace("n_observed: 20\n", ""),
+                 "line 1: bad scenario spec: missing required key 'n_observed'",
+                 id="missing-n-observed"),
+    pytest.param("simulate", TWO_LEVELS.replace("{a: [2.0, 6.0]", "{a: 2"),
+                 "line 5: bad scenario spec: base_outcomes must be a mapping from level to "
+                 "[y(t=0), y(t=1)]", id="base-outcome-not-a-pair"),
+    pytest.param("sweep", "schema: 1\nseed: 1\nreplications: 2\n"
+                 + SMALL_SCENARIO.replace("  n_observed: 10\n", ""),
+                 "line 4: bad scenario spec: missing required key 'n_observed'",
+                 id="sweep-missing-n-observed"),
+    pytest.param("sweep", "schema: 1\nseed: 1\nreplications: 2\n" + SMALL_SCENARIO
+                 + "  instrument:\n    dominance_break: 0\n    z_probability: x\n",
+                 "line 12: bad scenario spec: instrument.z_probability must be a number",
+                 id="sweep-nested-key"),
+    pytest.param("sweep", "schema: 1\nseed: 1\nreplications: 2\nscenario: 5\n",
+                 "line 4: bad scenario spec: scenario must be a mapping", id="sweep-scenario-5"),
+])
+def test_scenario_errors_name_their_key_at_its_line(tmp_path, capsys, verb, body, message):
+    cfg = write_config(tmp_path, "c.yaml", body)
+    out = tmp_path / "out"
+    assert main([verb, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{cfg}: {message}") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_failed_report_write_leaves_the_old_report_and_no_temporary_file(
+    tmp_path, p8_files, capsys, monkeypatch
+):
+    obs, _ = p8_files
+    out = tmp_path / "report.json"
+    out.write_text("old report\n")
+    cfg = write_config(
+        tmp_path, "run.yaml", f"schema: 1\nobserved: {obs}\nmethods: [rct]\nout: {out}\n"
+    )
+    before = sorted(tmp_path.iterdir())
+
+    def no_space(src, dst):
+        raise OSError(28, "No space left on device", str(dst))
+
+    monkeypatch.setattr("finitepop.cli.os.replace", no_space)
+    assert main(["run", "--config", cfg]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert out.read_text() == "old report\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_unwritable_report_target_exits_2_and_leaves_no_file(tmp_path, p8_files, capsys):
+    obs, _ = p8_files
+    out = tmp_path / "report.json"
+    out.mkdir()  # a directory where the report should go cannot be replaced by it
+    cfg = write_config(
+        tmp_path, "run.yaml", f"schema: 1\nobserved: {obs}\nmethods: [rct]\nout: {out}\n"
+    )
+    before = sorted(tmp_path.iterdir())
+    assert main(["run", "--config", cfg]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before and not any(out.iterdir())
+
+
+def test_report_write_replaces_the_old_report(tmp_path, p8_files):
+    obs, _ = p8_files
+    out = tmp_path / "report.json"
+    out.write_text("old report\n")
+    cfg = write_config(
+        tmp_path, "run.yaml", f"schema: 1\nobserved: {obs}\nmethods: [rct]\nout: {out}\n"
+    )
+    assert main(["run", "--config", cfg]) == 0
+    assert json.loads(out.read_text())["ok"] is True
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["observed.csv", "future.csv", "run.yaml", "report.json"])

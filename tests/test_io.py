@@ -128,3 +128,41 @@ def test_save_observed_csv_reads_has_instrument_once_per_call(tmp_path):
     save_observed_csv(counting, tmp_path / "b.csv")
     assert len(reads) == 2 and len(d.rows) > 1
     assert load_observed_csv(tmp_path / "a.csv").rows == d.rows
+
+
+@pytest.mark.parametrize("load, text, message", [
+    pytest.param(load_observed_csv, "id,t,y,xc_level\n1,1,2.5,a\n2,0,1.5,a\n3,1,2.5\n",
+                 "line 4: 3 cells where the header has 4", id="observed-short"),
+    pytest.param(load_observed_csv, "id,t,y,xc_level\n1,1,2.5,a\n2,0,1.5,a,b\n",
+                 "line 3: 5 cells where the header has 4", id="observed-long"),
+    pytest.param(load_future_csv, "id,xc_level,y_t0,y_t1\n11,a,1.0\n",
+                 "line 2: 3 cells where the header has 4", id="future-short"),
+    pytest.param(load_future_csv, "id,xc_level,y_t0,y_t1\n11,a,1.0,2.0,3.0\n",
+                 "line 2: 5 cells where the header has 4", id="future-long"),
+    pytest.param(load_future_csv, "id,xc_level\n11,a\n11,b\n", "unit ids must be unique",
+                 id="future-duplicate-id"),
+    pytest.param(load_future_csv, "id,xc_level,y_tx\n11,a,1.0\n",
+                 "line 1: column y_tx: 'x' is not an integer", id="future-oracle-column"),
+])
+def test_malformed_records_are_schema_errors_naming_the_file(tmp_path, load, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(SchemaError) as info:
+        load(path)
+    assert str(info.value) == message and info.value.path == str(path)
+
+
+def test_blank_lines_are_skipped(tmp_path):
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    plain.write_text("id,t,y,xc_level\n1,1,2.5,a\n2,0,1.5,a\n")
+    blank.write_text("id,t,y,xc_level\n\n1,1,2.5,a\n\n\n2,0,1.5,a\n\n")
+    assert load_observed_csv(blank) == load_observed_csv(plain)
+
+
+def test_one_covariate_per_distinct_raw_value(tmp_path):
+    path = tmp_path / "obs.csv"
+    path.write_text("id,t,y,xn_v\n1,1,2.5,1\n2,0,1.5,1\n3,1,2.0,1.0\n4,0,1.0,-0.0\n5,1,1.0,0.0\n")
+    xs = [r.x for r in load_observed_csv(path).rows]
+    assert xs[0] is xs[1] and xs[1] is not xs[2] and xs[1] == xs[2]
+    assert [x.get("v") for x in xs] == [1.0, 1.0, 1.0, -0.0, 0.0]
+    assert repr(xs[3]) == "Covariate(v=-0.0)"
