@@ -6,14 +6,12 @@ error guarantee against known ground truth.
 """
 
 from .core import (
-    ComplianceOracle,
     Covariate,
     CovariatePartition,
     FinitePopError,
     FuturePopulation,
     ObservedDataset,
     OracleError,
-    OutcomeOracle,
     PartitionCell,
     PredictorError,
     Row,

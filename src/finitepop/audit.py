@@ -68,7 +68,7 @@ def audit_sp(p, data: ObservedDataset, future: FuturePopulation) -> AuditResult:
 
 def audit_cfd(p, future: FuturePopulation, treatments=(0, 1)) -> AuditResult:
     """Calibration-on-future-data gap |true APO - mean prediction over future| per treatment."""
-    if future.oracle is None:
+    if future.outcomes is None:
         raise OracleError("CFD unobservable without ground truth")
     per = {}
     for t in treatments:
@@ -122,22 +122,25 @@ def audit_ml_groupwise(
     Without a partition every covariate value is its own cell.
     """
     future.require_oracle()
+    xs = sorted(set(data.xs()) | set(future.xs()))
     if partition is None:
-        partition = CovariatePartition.singletons(set(data.xs()) | set(future.xs()))
+        cells = [(f"x{i}", (x,)) for i, x in enumerate(xs)]
+    else:
+        cells = [(cell.name, cell.members(xs)) for cell in partition.cells]
     details: dict[tuple[str, int], float] = {}
     per: dict[int, float] = {}
     for t in sorted(data.treatments):
         truth, observed = future.ys(t), data.ys(t)
         worst = 0.0
-        for cell in partition.cells:
-            fut = {x: truth[x] for x in cell.members(future.xs())}
-            obs = {x: observed[x] for x in cell.members(observed)}
+        for name, members in cells:
+            fut = {x: truth[x] for x in members if x in truth}
+            obs = {x: observed[x] for x in members if x in observed}
             if not fut or not obs:
                 raise SupportError(
-                    f"cell {cell.name}: empty on {'future' if not fut else 'observed'} side"
+                    f"cell {name}: empty on {'future' if not fut else 'observed'} side"
                 )
             gap = _mean_residual(p, t, fut) - _mean_residual(p, t, obs)
-            details[(cell.name, t)] = gap
+            details[(name, t)] = gap
             worst = max(worst, abs(gap))
         per[t] = worst
     return AuditResult("groupwise_residual_transfer", per, details)
@@ -191,12 +194,12 @@ def audit_dominance(future: FuturePopulation) -> AuditResult:
     y(i,1) minus the sum of y(i,0) over the group.  Dominance holds iff both are
     >= 0; empty groups count as holding.
     """
-    oracle = future.require_oracle()
-    future.require_instrument_oracle()
+    future.require_oracle()
+    future.require_compliance()
     per: dict[tuple[int, int], float] = {}
     for (t, z) in ((0, 1), (1, 0)):
         ids = future.compliance_group(t, z)
-        per[(t, z)] = math.fsum(oracle.y(i, 1) - oracle.y(i, 0) for i in ids)
+        per[(t, z)] = math.fsum(future.y(i, 1) - future.y(i, 0) for i in ids)
     holds = all(v >= 0 for v in per.values())
     return AuditResult("dominance", per, details={"holds": holds})
 
@@ -207,7 +210,7 @@ def dominance_holds(result: AuditResult) -> bool:
 
 def audit_compliance_stability(data: ObservedDataset, future: FuturePopulation) -> AuditResult:
     """Gap between future and observed compliance-group shares, per (t, z)."""
-    future.require_instrument_oracle()
+    future.require_compliance()
     if not data.has_instrument:
         raise SchemaError("observed data has no instrument column z")
     per: dict[tuple[int, int], float] = {}

@@ -47,7 +47,7 @@ from .core import (
     SchemaError,
 )
 from .estimate import METHODS, Tabular, ate_estimate
-from .io import load_future_csv, load_observed_csv, save_future_csv, save_observed_csv
+from .io import load_future_csv, load_observed_csv, not_utf8, save_future_csv, save_observed_csv
 from .simulate import InstrumentSpec, ScenarioSpec, generate, scenario_seed
 
 EXIT_OK = 0
@@ -168,20 +168,38 @@ def _key_line(text: str, key: str) -> int:
 _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
+class _PureLoader(yaml.SafeLoader):
+    """The pure loader, where a scalar that its explicit tag rejects (``!!float abc``) is
+    a ``ConstructorError`` at the scalar, not a ``ValueError``, ``KeyError`` or
+    ``AttributeError`` from inside PyYAML."""
+
+    def construct_object(self, node, deep=False):
+        try:
+            return super().construct_object(node, deep)
+        except (ValueError, LookupError, AttributeError, TypeError):
+            tag = node.tag.replace("tag:yaml.org,2002:", "!!")
+            raise yaml.constructor.ConstructorError(
+                None, None, f"{node.value!r} is not a valid {tag}", node.start_mark
+            ) from None
+
+
 def _parse_yaml(text: str):
     if "\ufeff" not in text[1:]:
         try:
             return yaml.load(text, Loader=_LOADER)
         except Exception:  # the pure loader raises again, or decides otherwise
             pass
-    return yaml.safe_load(text)
+    return yaml.load(text, Loader=_PureLoader)
 
 
 def load_config(path: str) -> tuple[dict, str]:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
-    text = p.read_text(encoding="utf-8")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(not_utf8(exc), exc.object.count(b"\n", 0, exc.start) + 1) from None
     try:
         cfg = _parse_yaml(text)
     except yaml.YAMLError as exc:
@@ -380,7 +398,7 @@ def _method_params(mcfg: dict, loaded: dict, at: str | None = None) -> dict:
                     exc.path = path
                     raise
             params[key] = loaded[(key, path)]
-    for key in ("k0", "k1", "eps", "delta", "gamma"):
+    for key in ("k0", "k1", "eps", "delta"):
         if key in mcfg:
             try:
                 params[key] = float(mcfg[key])
@@ -446,7 +464,7 @@ def run_methods(cfg: dict, data: ObservedDataset, future: FuturePopulation | Non
         raise ConfigError("config needs a nonempty 'methods' list", key="methods")
     if mode != "oracle":
         truth = None
-    elif future is None or future.oracle is None:
+    elif future is None or future.outcomes is None:
         raise PreconditionError("oracle mode requires a future population with outcomes")
     elif truth is None:
         truth = {t: future.apo(t) for t in sorted(data.treatments | {0, 1})}
@@ -578,8 +596,7 @@ _AUDITS = {  # name -> (audit, why it needs oracle mode, or None)
 def cmd_audit(cfg: dict) -> int:
     data, future = _load_inputs(cfg)
     mode = cfg.get("mode", "data")
-    at = "audits" if cfg.get("audits") else "methods"
-    audits = cfg.get(at)
+    audits = cfg.get("audits")
     if not isinstance(audits, list) or not audits:
         raise ConfigError("config needs a nonempty 'audits' list", key="audits")
     if future is None:
@@ -596,7 +613,7 @@ def cmd_audit(cfg: dict) -> int:
     p = _lookup(METHODS, "auditing predictor", kind, "predictor", params).predictor(data, params)
     results = {}
     for name in audits:
-        run, oracle_only = _lookup(_AUDITS, "audit", name, at)
+        run, oracle_only = _lookup(_AUDITS, "audit", name, "audits")
         if mode != "oracle" and oracle_only:
             raise PreconditionError(f"audit {name}: {oracle_only}")
         try:
@@ -609,10 +626,9 @@ def cmd_audit(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict) -> int:
-    spec_cfg = {k: v for k, v in cfg.items() if k not in ("mode", "out", "replications")}
-    if "seed" in cfg:
-        spec_cfg["seed"] = cfg["seed"]
-    spec = spec_from_config(spec_cfg)
+    spec = spec_from_config(
+        {k: v for k, v in cfg.items() if k not in ("mode", "out", "replications")}
+    )
     scenario = generate(spec)
     out_dir = Path(cfg.get("out") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)

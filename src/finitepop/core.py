@@ -246,42 +246,6 @@ def average(f: Callable[[Covariate], float], n_x: Mapping[Covariate, int]) -> fl
 
 
 @dataclass(frozen=True)
-class OutcomeOracle:
-    """Ground-truth outcome function y(i, t) for a future population.
-
-    Immutable; total on units x treatments in simulation mode.  Outcomes
-    depend only on the unit's own treatment.
-    """
-
-    table: Mapping[tuple[int, int], float]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
-
-    def y(self, unit: int, t: int) -> float:
-        try:
-            return self.table[(unit, t)]
-        except KeyError:
-            raise OracleError(f"outcome oracle undefined at unit={unit}, t={t}") from None
-
-
-@dataclass(frozen=True)
-class ComplianceOracle:
-    """Ground-truth compliance s(i, z): the treatment taken under instrument z."""
-
-    table: Mapping[tuple[int, int], int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
-
-    def s(self, unit: int, z: int) -> int:
-        try:
-            return self.table[(unit, z)]
-        except KeyError:
-            raise OracleError(f"compliance oracle undefined at unit={unit}, z={z}") from None
-
-
-@dataclass(frozen=True)
 class Unit:
     unit: int
     x: Covariate
@@ -289,11 +253,16 @@ class Unit:
 
 @dataclass(frozen=True)
 class FuturePopulation(_Grouped):
-    """The deployment population: unit ids with covariates, plus optional oracles."""
+    """The deployment population: unit ids with covariates, plus optional oracle columns.
+
+    ``outcomes[t]`` holds the ground truth y(i, t) and ``compliance[z]`` the
+    treatment s(i, z) taken under instrument z, each one value per unit in
+    unit order.  Outcomes depend only on the unit's own treatment.
+    """
 
     units: tuple[Unit, ...]
-    oracle: OutcomeOracle | None = None
-    instrument_oracle: ComplianceOracle | None = None
+    outcomes: Mapping[int, Sequence[float]] | None = None
+    compliance: Mapping[int, Sequence[int]] | None = None
 
     def __post_init__(self) -> None:
         if not self.units:
@@ -301,10 +270,25 @@ class FuturePopulation(_Grouped):
         ids = [u.unit for u in self.units]
         if len(set(ids)) != len(ids):
             raise ValueError("unit ids must be unique")
+        for name in ("outcomes", "compliance"):
+            columns = getattr(self, name)
+            if columns is None:
+                continue
+            for key, column in columns.items():
+                if len(column) != len(self.units):
+                    raise ValueError(
+                        f"{name} column {key} has {len(column)} values for {len(self.units)} units"
+                    )
+            columns = {key: tuple(columns[key]) for key in sorted(columns)}
+            object.__setattr__(self, name, MappingProxyType(columns))
 
     @property
     def _members(self) -> tuple[Unit, ...]:
         return self.units
+
+    @cached_property
+    def _position(self) -> dict[int, int]:
+        return {u.unit: i for i, u in enumerate(self.units)}
 
     def xs(self) -> tuple[Covariate, ...]:
         return tuple(self._at)
@@ -312,25 +296,52 @@ class FuturePopulation(_Grouped):
     def ys(self, t: int) -> Mapping[Covariate, tuple[float, ...]]:
         """Oracle outcomes under t per covariate value, in unit order; read once per t."""
         if t not in self._ys:
-            y = self.require_oracle().y
-            self._ys[t] = {x: tuple(y(self.units[i].unit, t) for i in pos)
-                           for x, pos in self._at.items()}
+            column = self.outcome_column(t)
+            self._ys[t] = {x: tuple(map(column.__getitem__, pos)) for x, pos in self._at.items()}
         return self._ys[t]
+
+    def outcome_column(self, t: int) -> tuple[float, ...]:
+        """y(i, t) of every unit, in unit order."""
+        column = self.require_oracle().outcomes.get(t)  # type: ignore[union-attr]
+        if column is None:
+            raise OracleError(f"outcome oracle undefined at t={t}")
+        return column
+
+    def compliance_column(self, z: int) -> tuple[int, ...]:
+        """s(i, z) of every unit, in unit order."""
+        column = self.require_compliance().compliance.get(z)  # type: ignore[union-attr]
+        if column is None:
+            raise OracleError(f"compliance oracle undefined at z={z}")
+        return column
+
+    def _of_unit(self, column: tuple, unit: int):
+        i = self._position.get(unit)
+        if i is None:
+            raise OracleError(f"oracle undefined at unit={unit}: not in the future population")
+        return column[i]
+
+    def y(self, unit: int, t: int) -> float:
+        """The ground-truth outcome of ``unit`` under treatment t."""
+        return self._of_unit(self.outcome_column(t), unit)
+
+    def s(self, unit: int, z: int) -> int:
+        """The treatment ``unit`` takes when assigned instrument z."""
+        return self._of_unit(self.compliance_column(z), unit)
 
     def units_where(
         self, x: Covariate | None = None, cell: "PartitionCell | None" = None
     ) -> tuple[Unit, ...]:
         return tuple(map(self.units.__getitem__, self._where(x, cell)))
 
-    def require_oracle(self) -> OutcomeOracle:
-        if self.oracle is None:
+    def require_oracle(self) -> FuturePopulation:
+        if self.outcomes is None:
             raise OracleError("operation requires the outcome oracle (oracle mode only)")
-        return self.oracle
+        return self
 
-    def require_instrument_oracle(self) -> ComplianceOracle:
-        if self.instrument_oracle is None:
+    def require_compliance(self) -> FuturePopulation:
+        if self.compliance is None:
             raise OracleError("operation requires the compliance oracle (oracle mode only)")
-        return self.instrument_oracle
+        return self
 
     def apo(self, t: int) -> float:
         """True average potential outcome under treatment t, from the oracle."""
@@ -341,14 +352,7 @@ class FuturePopulation(_Grouped):
 
     def compliance_group(self, t: int, z: int) -> frozenset[int]:
         """I_tz: future units that take treatment t when assigned instrument z."""
-        so = self.require_instrument_oracle()
-        return frozenset(u.unit for u in self.units if so.s(u.unit, z) == t)
-
-    def mean_outcome_under_z(self, z: int) -> float:
-        """Mean of y(i, s(i, z)) over the population: the outcome of assigning z."""
-        oracle = self.require_oracle()
-        so = self.require_instrument_oracle()
-        return math.fsum(oracle.y(u.unit, so.s(u.unit, z)) for u in self.units) / len(self.units)
+        return frozenset(u.unit for u, s in zip(self.units, self.compliance_column(z)) if s == t)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,12 @@
 
 Observed header: ``id,t,y[,z],xc_<name>...,xn_<name>...`` where ``xc_`` columns
 are categorical and ``xn_`` columns are numeric.  Future header: ``id`` plus
-covariate columns, with optional oracle columns ``y_t<k>`` per treatment and
-``s_z<k>`` per instrument value.  UTF-8, ``.`` decimal separator.  Numbers
-must be finite.  Blank lines are skipped; every other record has as many
-cells as the header.  A schema error names the file and the line at fault.
+covariate columns, with optional oracle columns: one ``y_t<k>`` per treatment k
+in the outcome oracle and one ``s_z<k>`` per instrument value k in the
+compliance oracle, written in key order.  UTF-8 (other bytes are a schema
+error), ``.`` decimal separator.  Numbers must be finite.  Blank lines are
+skipped; every other record has as many cells as the header.  A schema error
+names the file and the line at fault.
 """
 
 from __future__ import annotations
@@ -15,20 +17,16 @@ import functools
 import math
 from pathlib import Path
 
-from .core import (
-    ComplianceOracle,
-    Covariate,
-    FuturePopulation,
-    ObservedDataset,
-    OutcomeOracle,
-    Row,
-    SchemaError,
-    Unit,
-)
+from .core import Covariate, FuturePopulation, ObservedDataset, Row, SchemaError, Unit
+
+
+def not_utf8(exc: UnicodeDecodeError) -> str:
+    """The message for input bytes that do not decode as UTF-8."""
+    return f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
 
 
 def _names_file(load):
-    """Schema errors raised while loading a file carry its path."""
+    """Schema errors and undecodable bytes met while loading a file carry its path."""
 
     @functools.wraps(load)
     def wrapper(path, *args, **kwargs):
@@ -37,6 +35,10 @@ def _names_file(load):
         except SchemaError as exc:
             exc.path = str(path)
             raise
+        except UnicodeDecodeError as exc:
+            error = SchemaError(not_utf8(exc))
+            error.path = str(path)
+            raise error from None
 
     return wrapper
 
@@ -83,11 +85,12 @@ def _covariate_reader(header: list[str], pos: dict[str, int]):
 
 
 def _oracle_columns(header: list[str], pos: dict[str, int], prefix: str):
-    """(column, position, key) of each distinct ``prefix<key>`` column, in header order."""
+    """(column, position, key, values) of each distinct ``prefix<key>`` column, in header
+    order; ``values`` is the empty list the column's values go to."""
     cols = []
     for c in dict.fromkeys(c for c in header if c.startswith(prefix)):
         try:
-            cols.append((c, pos[c], int(c[3:])))
+            cols.append((c, pos[c], int(c[3:]), []))
         except ValueError:
             raise SchemaError(f"line 1: column {c}: {c[3:]!r} is not an integer") from None
     return cols
@@ -117,7 +120,7 @@ def _header(reader) -> tuple[list[str], dict[str, int]]:
 
 
 @_names_file
-def load_observed_csv(path: str | Path, treatments: frozenset[int] | None = None) -> ObservedDataset:
+def load_observed_csv(path: str | Path) -> ObservedDataset:
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -140,10 +143,8 @@ def load_observed_csv(path: str | Path, treatments: frozenset[int] | None = None
             )
     if not rows:
         raise SchemaError("observed CSV has no data rows")
-    if treatments is None:
-        treatments = frozenset({0, 1} | {r.t for r in rows})
     try:
-        return ObservedDataset(tuple(rows), treatments)
+        return ObservedDataset(tuple(rows), frozenset({0, 1} | {r.t for r in rows}))
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
 
@@ -178,49 +179,37 @@ def load_future_csv(path: str | Path) -> FuturePopulation:
         s_cols = _oracle_columns(header, pos, "s_z")
         i_id = pos["id"]
         units = []
-        outcomes: dict[tuple[int, int], float] = {}
-        compliance: dict[tuple[int, int], int] = {}
         for line, record in _records(reader, header):
             unit = _parse_int(record[i_id], "id", line)
             units.append(Unit(unit, covariate(record, line)))
-            for name, i, t in y_cols:
-                outcomes[(unit, t)] = _parse_float(record[i], name, line)
-            for name, i, z in s_cols:
-                compliance[(unit, z)] = _parse_int(record[i], name, line)
+            for name, i, _, values in y_cols:
+                values.append(_parse_float(record[i], name, line))
+            for name, i, _, values in s_cols:
+                values.append(_parse_int(record[i], name, line))
     if not units:
         raise SchemaError("future CSV has no data rows")
-    try:
+    try:  # where two columns name one key, such as y_t1 and y_t01, the last one holds
         return FuturePopulation(
             tuple(units),
-            oracle=OutcomeOracle(outcomes) if outcomes else None,
-            instrument_oracle=ComplianceOracle(compliance) if compliance else None,
+            outcomes={t: values for _, _, t, values in y_cols} or None,
+            compliance={z: values for _, _, z, values in s_cols} or None,
         )
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
 
 
-def save_future_csv(
-    future: FuturePopulation,
-    path: str | Path,
-    treatments: tuple[int, ...] = (0, 1),
-    instrument_values: tuple[int, ...] = (0, 1),
-) -> None:
+def save_future_csv(future: FuturePopulation, path: str | Path) -> None:
+    """One ``y_t<k>`` column per treatment and one ``s_z<k>`` per instrument value in the
+    oracle, each in key order."""
     path = Path(path)
+    outcomes, compliance = future.outcomes or {}, future.compliance or {}
     x0 = future.units[0].x
-    cov_cols = [("xc_" if isinstance(v, str) else "xn_") + n for n, v in x0.items]
-    header = ["id"] + cov_cols
-    if future.oracle is not None:
-        header += [f"y_t{t}" for t in treatments]
-    if future.instrument_oracle is not None:
-        header += [f"s_z{z}" for z in instrument_values]
+    header = ["id"] + [("xc_" if isinstance(v, str) else "xn_") + n for n, v in x0.items]
+    header += [f"y_t{t}" for t in outcomes] + [f"s_z{z}" for z in compliance]
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for u in future.units:
+        for u, *oracle in zip(future.units, *outcomes.values(), *compliance.values()):
             record: list = [u.unit]
             record += [v if isinstance(v, str) else repr(v) for _, v in u.x.items]
-            if future.oracle is not None:
-                record += [repr(future.oracle.y(u.unit, t)) for t in treatments]
-            if future.instrument_oracle is not None:
-                record += [future.instrument_oracle.s(u.unit, z) for z in instrument_values]
-            writer.writerow(record)
+            writer.writerow(record + oracle)

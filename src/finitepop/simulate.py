@@ -10,22 +10,13 @@ this module for every verb, loads it only for the verbs that draw.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from .core import (
-    ComplianceOracle,
-    Covariate,
-    FuturePopulation,
-    ObservedDataset,
-    OutcomeOracle,
-    Row,
-    Unit,
-)
+from .core import Covariate, FuturePopulation, ObservedDataset, Row, Unit
 from .estimate import PanelDataset, named_estimator
 
 if TYPE_CHECKING:
@@ -161,14 +152,17 @@ class Scenario:
                 [r.unit, list(r.x.items), r.t, r.y, r.z] for r in self.observed.rows
             ],
             "future": [[u.unit, list(u.x.items)] for u in self.future.units],
-            "oracle": sorted(
-                [list(k) + [v] for k, v in self.future.oracle.table.items()]
-            ) if self.future.oracle else None,
-            "compliance": sorted(
-                [list(k) + [v] for k, v in self.future.instrument_oracle.table.items()]
-            ) if self.future.instrument_oracle else None,
+            "oracle": self._triples(self.future.outcomes),
+            "compliance": self._triples(self.future.compliance),
             "ground_truth": self.ground_truth,
         }
+
+    def _triples(self, columns) -> list | None:
+        """Sorted ``[unit, key, value]`` triples of oracle columns; None without them."""
+        if columns is None:
+            return None
+        ids = [u.unit for u in self.future.units]
+        return sorted([i, k, v] for k, column in columns.items() for i, v in zip(ids, column))
 
     def serialized(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
@@ -226,11 +220,6 @@ def _clip(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
     import numpy as np
     w = np.where(v > lo, v, lo)
     return np.where(w < hi, w, hi)
-
-
-def _oracle_table(ids: range, keys: tuple[int, int], values: np.ndarray) -> dict:
-    """``{(unit, key): value}`` from one row of values per unit, one column per key."""
-    return dict(zip(itertools.product(ids, keys), values.ravel().tolist()))
 
 
 def _ground_truth(y: np.ndarray) -> dict:
@@ -319,18 +308,17 @@ def generate(spec: ScenarioSpec) -> Scenario:
         noise = spec.noise_sd * rng_fut_noise.standard_normal((m, 2))
     y = _clip((base[fut_codes] + shift[fut_codes, None]) + noise, k0, k1)
 
-    ids = range(n, n + m)
     compliance = None
     if inst is not None:
         s = component_rng(spec.seed, _STREAM_INSTRUMENT + 100).random((m, 2)) < take
-        compliance = ComplianceOracle(_oracle_table(ids, (0, 1), s.astype(int)))
+        compliance = {z: s[:, z].astype(int).tolist() for z in (0, 1)}
         if inst.dominance_break > 0:  # units that would not take treatment under z=1
             y[:, 1] = np.where(s[:, 1], y[:, 1], y[:, 0] - inst.dominance_break)
 
     future = FuturePopulation(
-        tuple(map(Unit, ids, [covariates[c] for c in fut_codes.tolist()])),
-        oracle=OutcomeOracle(_oracle_table(ids, (0, 1), y)),
-        instrument_oracle=compliance,
+        tuple(map(Unit, range(n, n + m), [covariates[c] for c in fut_codes.tolist()])),
+        outcomes={t: y[:, t].tolist() for t in (0, 1)},
+        compliance=compliance,
     )
     return Scenario(observed, future, spec, _ground_truth(y))
 
@@ -397,12 +385,11 @@ def generate_compliance_stable_scenario(
 
     m = n_observed * clone_factor
     y = draw_pairs(_STREAM_FUT_NOISE, m)
-    ids = range(n_observed, n_observed + m)
     choices = np.repeat(np.column_stack([takes, off_arm]), clone_factor, axis=0)
     future = FuturePopulation(
-        tuple(Unit(unit, x) for unit in ids),
-        OutcomeOracle(_oracle_table(ids, (0, 1), y)),
-        ComplianceOracle(_oracle_table(ids, (z_arm, 1 - z_arm), choices)),
+        tuple(Unit(unit, x) for unit in range(n_observed, n_observed + m)),
+        {t: y[:, t].tolist() for t in (0, 1)},
+        {z_arm: choices[:, 0].tolist(), 1 - z_arm: choices[:, 1].tolist()},
     )
     return Scenario(observed, future, ScenarioSpec(
         n_observed=n_observed, n_future=m, levels=("all",),
@@ -419,13 +406,12 @@ def random_partition_concentration(
     Odd population sizes split floor(n/2) against ceil(n/2).
     """
     import numpy as np
-    oracle = pop.require_oracle()
+    ys = np.asarray(pop.outcome_column(t))
     n = len(pop)
     if n < 2:
         raise ValueError("need at least two units to split")
     if trials < 1:
         raise ValueError("trials must be positive")
-    ys = np.asarray([oracle.y(u.unit, t) for u in pop.units])
     half = n // 2
     rng = np.random.default_rng(seed)
     violations = 0

@@ -16,12 +16,12 @@ import functools
 import math
 from pathlib import Path
 
+from fixtures import columns
+
 from finitepop.core import (
-    ComplianceOracle,
     Covariate,
     FuturePopulation,
     ObservedDataset,
-    OutcomeOracle,
     Row,
     SchemaError,
     Unit,
@@ -127,6 +127,6 @@ def load_future_csv(path: str | Path) -> FuturePopulation:
         raise SchemaError("future CSV has no data rows")
     return FuturePopulation(
         tuple(units),
-        oracle=OutcomeOracle(outcomes) if outcomes else None,
-        instrument_oracle=ComplianceOracle(compliance) if compliance else None,
+        outcomes=columns(units, outcomes),
+        compliance=columns(units, compliance),
     )

@@ -7,14 +7,7 @@ outcomes are 7 (treated) and 4 (control); true effect is 3.
 
 from __future__ import annotations
 
-from finitepop.core import (
-    Covariate,
-    FuturePopulation,
-    ObservedDataset,
-    OutcomeOracle,
-    Row,
-    Unit,
-)
+from finitepop.core import Covariate, FuturePopulation, ObservedDataset, Row, Unit
 
 XA = Covariate.of(level="a")
 XB = Covariate.of(level="b")
@@ -34,12 +27,17 @@ def p8_observed(with_instrument: bool = False) -> ObservedDataset:
 
 def p8_future() -> FuturePopulation:
     units = (Unit(11, XA), Unit(12, XA), Unit(13, XB), Unit(14, XB))
-    oracle = OutcomeOracle(
-        {
-            (11, 1): 10.0, (11, 0): 6.0,
-            (12, 1): 10.0, (12, 0): 6.0,
-            (13, 1): 4.0, (13, 0): 2.0,
-            (14, 1): 4.0, (14, 0): 2.0,
-        }
-    )
-    return FuturePopulation(units, oracle)
+    oracle = {
+        (11, 1): 10.0, (11, 0): 6.0,
+        (12, 1): 10.0, (12, 0): 6.0,
+        (13, 1): 4.0, (13, 0): 2.0,
+        (14, 1): 4.0, (14, 0): 2.0,
+    }
+    return FuturePopulation(units, columns(units, oracle))
+
+
+def columns(units, table):
+    """A ``{(unit, key): value}`` table as oracle columns: per key, one value per unit in
+    unit order.  An empty table gives None."""
+    keys = sorted({key for _, key in table})
+    return {key: [table[(u.unit, key)] for u in units] for key in keys} or None

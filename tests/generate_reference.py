@@ -11,13 +11,12 @@ byte.
 from __future__ import annotations
 
 import numpy as np
+from fixtures import columns
 
 from finitepop.core import (
-    ComplianceOracle,
     Covariate,
     FuturePopulation,
     ObservedDataset,
-    OutcomeOracle,
     Row,
     Unit,
 )
@@ -144,8 +143,8 @@ def generate(spec: ScenarioSpec) -> Scenario:
 
     future = FuturePopulation(
         tuple(units),
-        oracle=OutcomeOracle(outcomes),
-        instrument_oracle=ComplianceOracle(compliance) if compliance else None,
+        outcomes=columns(units, outcomes),
+        compliance=columns(units, compliance),
     )
     apo = {t: future.apo(t) for t in (0, 1)}
     return Scenario(observed, future, spec, {"apo": apo, "ate": apo[1] - apo[0]})
@@ -235,7 +234,7 @@ def generate_compliance_stable_scenario(
             compliance[(unit, 1 - z_arm)] = off_arm[i]
             unit += 1
     future = FuturePopulation(
-        tuple(units), OutcomeOracle(outcomes), ComplianceOracle(compliance)
+        tuple(units), columns(units, outcomes), columns(units, compliance)
     )
     truth = {"apo": {s: future.apo(s) for s in (0, 1)}, "ate": future.ate()}
     return Scenario(observed, future, ScenarioSpec(

@@ -229,7 +229,7 @@ def audit_sp(p, data, future):
 
 
 def audit_cfd(p, future, treatments=(0, 1)):
-    if future.oracle is None:
+    if future.outcomes is None:
         raise OracleError("CFD unobservable without ground truth")
     return {
         t: abs(apo(future, t) - math.fsum(p(u.x, t) for u in future.units) / len(future.units))
@@ -297,7 +297,7 @@ def audit_dr_condition(data, future, t, f=None):
 
 
 def audit_compliance_stability(data, future):
-    future.require_instrument_oracle()
+    future.require_compliance()
     if not data.has_instrument:
         raise SchemaError("observed data has no instrument column z")
     per = {}

@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+from fixtures import columns
 
 from finitepop.audit import (
     audit_dominance,
@@ -31,7 +32,6 @@ from finitepop.core import (
     CovariatePartition,
     FuturePopulation,
     ObservedDataset,
-    OutcomeOracle,
     Row,
     Unit,
     mean_y,
@@ -201,7 +201,7 @@ def test_dr_correct_predictions_arbitrary_weights_1000_scenarios():
             units = scenario.future.units_where(x=x)
             for t in (0, 1):
                 table[(x, t)] = math.fsum(
-                    scenario.future.oracle.y(u.unit, t) for u in units
+                    scenario.future.y(u.unit, t) for u in units
                 ) / len(units)
         p = Tabular(table)
         weights = {
@@ -354,10 +354,11 @@ def test_iv_lower_bound_sound_and_dominance_violations_detected():
     for i in range(1000):
         spec = dominance_scenario_spec(rng, 606, i)
         scenario = generate(spec)
+        f = scenario.future
         assert dominance_holds(audit_dominance(scenario.future)), i
         delta = max(
             abs(
-                scenario.future.mean_outcome_under_z(z)
+                math.fsum(f.y(u.unit, f.s(u.unit, z)) for u in f.units) / len(f.units)
                 - mean_y(scenario.observed.rows_where(z=z))
             )
             for z in (0, 1)
@@ -394,9 +395,9 @@ def test_interval_covers_truth_under_stable_compliance_1000_scenarios():
         stable = [
             u
             for u in scenario.future.units
-            if scenario.future.instrument_oracle.s(u.unit, z_arm) == t
+            if scenario.future.s(u.unit, z_arm) == t
         ]
-        mu = math.fsum(scenario.future.oracle.y(u.unit, t) for u in stable) / len(stable)
+        mu = math.fsum(scenario.future.y(u.unit, t) for u in stable) / len(stable)
         delta = abs(mean_y(scenario.observed.rows_where(t=t, z=z_arm)) - mu)
         interval = robins_manski_bounds(
             scenario.observed, t, OutcomeBounds(0.0, 10.0), delta
@@ -508,7 +509,7 @@ def uniform_population(n, seed):
     ys = rng.uniform(0, 10, n)
     units = tuple(Unit(i, XA) for i in range(n))
     table = {(i, t): float(ys[i]) for i in range(n) for t in (0, 1)}
-    return FuturePopulation(units, OutcomeOracle(table))
+    return FuturePopulation(units, columns(units, table))
 
 
 def test_random_split_disagreement_rate():
@@ -517,7 +518,7 @@ def test_random_split_disagreement_rate():
     for i, y in enumerate((0.0, 0.0, 10.0, 10.0)):
         table[(i, 1)] = y
         table[(i, 0)] = 0.0
-    four_point = FuturePopulation(units, OutcomeOracle(table))
+    four_point = FuturePopulation(units, columns(units, table))
     got = random_partition_concentration(four_point, 1, 5.0, 10_000, seed=1)
     assert abs(got - 1 / 3) <= 0.05
 

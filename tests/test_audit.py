@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from fixtures import XA, XB, p8_future, p8_observed
+from fixtures import XA, XB, columns, p8_future, p8_observed
 
 from finitepop.audit import (
     audit_cfd,
@@ -14,11 +14,13 @@ from finitepop.audit import (
     dominance_holds,
 )
 from finitepop.core import (
-    ComplianceOracle,
+    Covariate,
     CovariatePartition,
     FuturePopulation,
+    ObservedDataset,
     OracleError,
-    OutcomeOracle,
+    PartitionCell,
+    Row,
     SupportError,
     Unit,
 )
@@ -34,7 +36,7 @@ def shifted_p8_future(shift_a=0.0, shift_b=0.0):
         s = shift_a if u.x == XA else shift_b
         table[(u.unit, 1)] = base1 + s
         table[(u.unit, 0)] = base0
-    return FuturePopulation(units, OutcomeOracle(table))
+    return FuturePopulation(units, columns(units, table))
 
 
 def test_sp_zero_when_compositions_match():
@@ -144,6 +146,39 @@ def test_ml_groupwise_future_only_bias_shows():
     assert res.per_treatment[1] == pytest.approx(1.0)
 
 
+def test_ml_groupwise_without_partition_groups_each_value_by_itself(monkeypatch):
+    """Equal to the explicit singleton partition, with no cell membership test.
+
+    ``PartitionCell.members`` and ``CovariatePartition.cell_of`` are the only
+    callers of ``PartitionCell.contains``.
+    """
+    xs = [Covariate.of(v=float(i)) for i in range(12)]
+    d = ObservedDataset(tuple(
+        Row(2 * i + t, x, t, float(i * i % 7 + t)) for i, x in enumerate(xs) for t in (0, 1)
+    ))
+    units = tuple(Unit(100 + i, xs[i % 12]) for i in range(30))
+    f = FuturePopulation(units, {t: [float(i % 5 + t) for i in range(30)] for t in (0, 1)})
+    lopsided = FuturePopulation(units + (Unit(200, Covariate.of(v=-1.0)),),
+                                {t: [1.0] * 31 for t in (0, 1)})
+    p = External(lambda x, t: x.get("v") / 3 + t)
+    want = audit_ml_groupwise(p, d, f, CovariatePartition.singletons(xs))
+    with pytest.raises(SupportError) as explicit:
+        audit_ml_groupwise(p, d, lopsided, CovariatePartition.singletons([*xs, *lopsided.xs()]))
+
+    def no_membership_test(*args):
+        raise AssertionError("PartitionCell.contains called")
+
+    monkeypatch.setattr(PartitionCell, "members", no_membership_test)
+    monkeypatch.setattr(CovariatePartition, "cell_of", no_membership_test)
+    got = audit_ml_groupwise(p, d, f)
+    assert got.per_treatment == want.per_treatment
+    assert list(got.details.items()) == list(want.details.items())
+    assert list(got.details)[:3] == [("x0", 0), ("x1", 0), ("x2", 0)]
+    with pytest.raises(SupportError) as implicit:
+        audit_ml_groupwise(p, d, lopsided)
+    assert str(implicit.value) == str(explicit.value) == "cell x0: empty on observed side"
+
+
 def test_dr_condition_zero_on_p8():
     assert audit_dr_condition(p8_observed(), p8_future(), 1) == 0.0
 
@@ -169,7 +204,7 @@ def _iv_future(effects, compliance):
     for u, (s0, s1) in zip(units, compliance):
         comp[(u.unit, 0)] = s0
         comp[(u.unit, 1)] = s1
-    return FuturePopulation(units, OutcomeOracle(table), ComplianceOracle(comp))
+    return FuturePopulation(units, columns(units, table), columns(units, comp))
 
 
 def test_dominance_pointwise_implies_group():

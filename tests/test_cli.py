@@ -2,8 +2,10 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 from fixtures import p8_future, p8_observed
 
+from finitepop import cli
 from finitepop.cli import main, render_report
 from finitepop.io import save_future_csv, save_observed_csv
 
@@ -624,3 +626,55 @@ def test_report_write_replaces_the_old_report(tmp_path, p8_files):
     assert json.loads(out.read_text())["ok"] is True
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["observed.csv", "future.csv", "run.yaml", "report.json"])
+
+
+@pytest.mark.parametrize("target", ["observed", "future", "config", "partition"])
+def test_undecodable_input_exits_2_naming_the_file(tmp_path, p8_files, capsys, target):
+    obs, fut = p8_files
+    files = {"observed": obs, "future": fut, "partition": tmp_path / "part.yaml"}
+    files["partition"].write_text("schema: 1\ncells: {c: [{level: a}, {level: b}]}\n")
+    bad = files.get(target, tmp_path / "c.yaml")
+    body = (
+        f"schema: 1\nmode: oracle\nobserved: {obs}\nfuture: {fut}\n"
+        f"methods: [{{name: coarsened, partition: {files['partition']}}}]\n"
+        f"out: {tmp_path / 'r.json'}\n"
+    )
+    cfg = write_config(tmp_path, "c.yaml", body)
+    lines = bad.read_bytes().split(b"\n")
+    lines[1] += b" # caf\xe9"  # a comment or a categorical cell: \xe9 is Latin-1
+    bad.write_bytes(b"\n".join(lines))
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{bad}: ") and "not UTF-8 text: byte 0xe9" in err
+    assert "Traceback" not in err and not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("loader", ["libyaml", "pure"])
+@pytest.mark.parametrize("scalar, tag", [
+    ("!!float abc", "!!float"), ("!!int x", "!!int"), ("!!timestamp x", "!!timestamp"),
+    ("!!bool x", "!!bool"),
+])
+def test_bad_explicit_yaml_tag_exits_2_at_its_line(
+    tmp_path, p8_files, capsys, monkeypatch, loader, scalar, tag
+):
+    if loader == "pure":
+        monkeypatch.setattr(cli, "_LOADER", yaml.SafeLoader)
+    obs, _ = p8_files
+    cfg = write_config(
+        tmp_path, "c.yaml", f"schema: 1\nobserved: {obs}\n\nmethods:\n  - rct\n  - {scalar}\n"
+    )
+    assert main(["run", "--config", cfg]) == 2
+    value = scalar.split()[1]
+    assert capsys.readouterr().err.startswith(
+        f"{cfg}: line 6: config parse error: {value!r} is not a valid {tag}\n"
+    )
+
+
+def test_audit_reads_its_list_from_audits_only(tmp_path, p8_files, capsys):
+    obs, fut = p8_files
+    cfg = write_config(
+        tmp_path, "c.yaml", f"schema: 1\nmode: oracle\nobserved: {obs}\nfuture: {fut}\n"
+        f"out: {tmp_path / 'r.json'}\nmethods: [sp]\n",
+    )
+    assert main(["audit", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"{cfg}: line 1: config needs a nonempty 'audits' list\n"

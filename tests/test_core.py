@@ -6,9 +6,12 @@ from fixtures import XA, XB, p8_future, p8_observed
 from finitepop.core import (
     Covariate,
     CovariatePartition,
+    FuturePopulation,
     ObservedDataset,
+    OracleError,
     Row,
     SupportError,
+    Unit,
     approx_eq,
     common_support_check,
     empirical_propensity,
@@ -143,7 +146,33 @@ def test_partition_groups_partition_the_data():
 
 def test_oracle_reads_are_stable():
     f = p8_future()
-    assert f.oracle.y(11, 1) == f.oracle.y(11, 1) == 10.0
+    assert f.y(11, 1) == f.y(11, 1) == 10.0
+
+
+def test_oracle_columns_answer_y_and_s():
+    units = (Unit(11, XA), Unit(12, XB))
+    f = FuturePopulation(units, {1: [10.0, 4.0]}, {0: [1, 0]})
+    assert f.require_oracle() is f and f.require_compliance() is f
+    assert (f.y(12, 1), f.s(11, 0)) == (4.0, 1)
+    assert f.outcomes == {1: (10.0, 4.0)}
+    for read in (lambda: f.y(12, 0), lambda: f.y(13, 1), lambda: f.s(11, 1),
+                 lambda: f.s(13, 0), lambda: f.ys(0), lambda: f.compliance_group(1, 1)):
+        with pytest.raises(OracleError, match="undefined at"):
+            read()
+    bare = FuturePopulation(units)
+    with pytest.raises(OracleError, match="requires the outcome oracle"):
+        bare.y(11, 1)
+    with pytest.raises(OracleError, match="requires the compliance oracle"):
+        bare.s(11, 0)
+
+
+@pytest.mark.parametrize("name, columns, message", [
+    ("outcomes", {0: [1.0]}, "outcomes column 0 has 1 values for 2 units"),
+    ("compliance", {1: [0, 1, 1]}, "compliance column 1 has 3 values for 2 units"),
+])
+def test_oracle_column_length_must_match_the_units(name, columns, message):
+    with pytest.raises(ValueError, match=message):
+        FuturePopulation((Unit(11, XA), Unit(12, XB)), **{name: columns})
 
 
 def test_future_population_apo_ate():

@@ -132,7 +132,7 @@ def test_observed_reader_matches_reference(csv_path, text):
 def test_future_reader_matches_reference(csv_path, text):
     assert_matches_reference(
         load_future_csv, ref.load_future_csv, text, csv_path,
-        lambda f: repr((f.units, f.oracle, f.instrument_oracle)),
+        lambda f: repr((f.units, f.outcomes, f.compliance)),
     )
 
 

@@ -1,7 +1,7 @@
 import pytest
-from fixtures import p8_future, p8_observed
+from fixtures import XA, XB, p8_future, p8_observed
 
-from finitepop.core import SchemaError
+from finitepop.core import FuturePopulation, SchemaError, Unit
 from finitepop.io import (
     load_future_csv,
     load_observed_csv,
@@ -34,6 +34,29 @@ def test_future_roundtrip(tmp_path):
     assert back.apo(1) == 7.0
     assert back.ate() == 3.0
     assert [u.x for u in back.units] == [u.x for u in f.units]
+
+
+def test_future_roundtrip_keeps_every_oracle_column(tmp_path):
+    units = (Unit(11, XA), Unit(12, XB))
+    f = FuturePopulation(
+        units,
+        outcomes={2: [5.0, -0.0], 0: [1.0, 2.0], 1: [3.0, 4.5]},
+        compliance={1: [2, 0], 0: [0, 1]},
+    )
+    path = tmp_path / "fut.csv"
+    save_future_csv(f, path)
+    assert path.read_text().splitlines()[0] == "id,xc_level,y_t0,y_t1,y_t2,s_z0,s_z1"
+    back = load_future_csv(path)
+    assert back == f and repr(back.outcomes) == repr(f.outcomes)
+
+
+def test_a_repeated_oracle_key_keeps_its_last_column(tmp_path):
+    path = tmp_path / "fut.csv"
+    path.write_text("id,xc_level,y_t1,y_t01\n11,a,1.0,2.0\n")
+    assert load_future_csv(path).outcomes == {1: (2.0,)}
+    path.write_text("id,xc_level,y_t1,y_t01\n11,a,x,2.0\n")
+    with pytest.raises(SchemaError, match="line 2: column y_t1: not a number"):
+        load_future_csv(path)
 
 
 def test_missing_header_column(tmp_path):
@@ -75,7 +98,7 @@ def test_future_without_oracle_columns(tmp_path):
     path = tmp_path / "fut.csv"
     path.write_text("id,xc_level\n11,a\n12,b\n")
     back = load_future_csv(path)
-    assert back.oracle is None
+    assert back.outcomes is None
     assert len(back) == 2
 
 

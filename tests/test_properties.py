@@ -3,6 +3,7 @@
 import math
 
 from hypothesis import given, settings
+from fixtures import columns
 from hypothesis import strategies as st
 
 from finitepop.audit import audit_cfd, avg_signed_difference
@@ -12,7 +13,6 @@ from finitepop.core import (
     CovariatePartition,
     FuturePopulation,
     ObservedDataset,
-    OutcomeOracle,
     Row,
     Unit,
     approx_eq,
@@ -61,7 +61,7 @@ def datasets_with_futures(draw):
         units.append(Unit(uid, draw(st.sampled_from(xs))))
         table[(uid, 0)] = draw(outcomes)
         table[(uid, 1)] = draw(outcomes)
-    return data, FuturePopulation(tuple(units), OutcomeOracle(table))
+    return data, FuturePopulation(tuple(units), columns(units, table))
 
 
 def close(a, b, rtol=1e-12):
@@ -133,7 +133,7 @@ def test_signed_difference_bounded_by_max_group_gap(pair):
     worst = 0.0
     for x in future.xs():
         units = future.units_where(x=x)
-        mu = math.fsum(future.oracle.y(u.unit, 1) for u in units) / len(units)
+        mu = math.fsum(future.y(u.unit, 1) for u in units) / len(units)
         rows = data.rows_where(t=1, x=x)
         mu_hat = math.fsum(r.y for r in rows) / len(rows)
         worst = max(worst, abs(mu - mu_hat))

@@ -7,18 +7,17 @@ bit, not to a tolerance; and where one raises, so must the other.
 """
 
 import rowscan_reference as ref
+from fixtures import columns
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitepop import audit, bounds, estimate
 from finitepop.bounds import OutcomeBounds
 from finitepop.core import (
-    ComplianceOracle,
     Covariate,
     CovariatePartition,
     FuturePopulation,
     ObservedDataset,
-    OutcomeOracle,
     PartitionCell,
     Row,
     Unit,
@@ -52,11 +51,9 @@ def scenarios(draw):
     data = ObservedDataset(rows, frozenset(treatments))
     m = draw(st.integers(min_value=1, max_value=20))
     units = tuple(Unit(100 + j, draw(st.sampled_from(POOL))) for j in range(m))
-    oracle = OutcomeOracle({(u.unit, t): draw(values) for u in units for t in treatments})
-    compliance = ComplianceOracle(
-        {(u.unit, z): draw(st.sampled_from((0, 1))) for u in units for z in (0, 1)}
-    )
-    future = FuturePopulation(units, oracle, compliance)
+    oracle = {(u.unit, t): draw(values) for u in units for t in treatments}
+    compliance = {(u.unit, z): draw(st.sampled_from((0, 1))) for u in units for z in (0, 1)}
+    future = FuturePopulation(units, columns(units, oracle), columns(units, compliance))
     cell_of_group = draw(st.lists(st.sampled_from("PQ-"), min_size=3, max_size=3))
     partition = CovariatePartition(tuple(
         PartitionCell(name, lambda x, gs=frozenset(

@@ -2,7 +2,7 @@ import dataclasses
 import math
 
 import pytest
-from fixtures import XA
+from fixtures import XA, columns
 
 from finitepop.audit import (
     audit_compliance_stability,
@@ -10,7 +10,7 @@ from finitepop.audit import (
     avg_signed_difference,
     dominance_holds,
 )
-from finitepop.core import ComplianceOracle, FuturePopulation, OutcomeOracle, Unit
+from finitepop.core import FuturePopulation, Unit
 from finitepop.simulate import (
     InstrumentSpec,
     PanelSpec,
@@ -95,7 +95,7 @@ def test_outcomes_clamped_to_range():
         assert k0 <= r.y <= k1
     for u in sc.future.units:
         for t in (0, 1):
-            assert k0 <= sc.future.oracle.y(u.unit, t) <= k1
+            assert k0 <= sc.future.y(u.unit, t) <= k1
 
 
 def test_outcome_shift_knob_is_monotone_in_signed_difference():
@@ -178,13 +178,13 @@ def _four_point_population():
     for i, y in enumerate((0.0, 0.0, 10.0, 10.0)):
         table[(i, 1)] = y
         table[(i, 0)] = 0.0
-    return FuturePopulation(units, OutcomeOracle(table))
+    return FuturePopulation(units, columns(units, table))
 
 
 def test_concentration_constant_outcomes_zero():
     units = tuple(Unit(i, XA) for i in range(6))
     table = {(i, t): 2.0 for i in range(6) for t in (0, 1)}
-    pop = FuturePopulation(units, OutcomeOracle(table))
+    pop = FuturePopulation(units, columns(units, table))
     assert random_partition_concentration(pop, 1, 0.5, 200, seed=0) == 0.0
 
 
