@@ -96,8 +96,9 @@ def avg_signed_difference(
     if partition is None:
         groups = [(repr(x), (x,), (x,)) for x in future.xs()]
     else:
-        groups = [(c.name, members, c.members(data.xs()))
-                  for c in partition.cells if (members := c.members(future.xs()))]
+        obs = partition.groups(data.xs())
+        groups = [(name, members, obs[name])
+                  for name, members in partition.groups(future.xs()).items() if members]
     terms = []
     for label, fut_xs, obs_xs in groups:
         obs_ys = pooled(observed, obs_xs)
@@ -123,10 +124,7 @@ def audit_ml_groupwise(
     """
     future.require_oracle()
     xs = sorted(set(data.xs()) | set(future.xs()))
-    if partition is None:
-        cells = [(f"x{i}", (x,)) for i, x in enumerate(xs)]
-    else:
-        cells = [(cell.name, cell.members(xs)) for cell in partition.cells]
+    cells = (partition or CovariatePartition.singletons(xs)).groups(xs).items()
     details: dict[tuple[str, int], float] = {}
     per: dict[int, float] = {}
     for t in sorted(data.treatments):

@@ -144,19 +144,17 @@ def _write_report(report: dict, out_path: str | None) -> None:
 
 
 def _key_line(text: str, key: str) -> int:
-    """The line of a top-level key, or of a dotted key such as ``scenario.instrument``;
-    where a part is not found, the line of the last part found (1 if none)."""
-    lines = text.splitlines()
-    found = start = 0
+    """The line of a key, each part of a dotted key (``scenario.seed``) looked up in its parent
+    mapping, where the last of repeated keys holds; where a part is not found, the line of the
+    last part found (1 if none)."""
+    node, found = _parse_yaml(text, yaml.compose), 1
     for part in key.split("."):
-        for i in range(start, len(lines)):
-            stripped = lines[i].lstrip().lstrip('"').lstrip("'")
-            if stripped.startswith(part) and ":" in stripped:
-                found = start = i + 1
-                break
-        else:
+        pairs = node.value if isinstance(node, yaml.MappingNode) else ()
+        hits = [(k, v) for k, v in pairs if k.value == part]
+        if not hits:
             break
-    return found or 1
+        found, node = hits[-1][0].start_mark.line + 1, hits[-1][1]
+    return found
 
 
 # libyaml parses a config several times faster than the pure-Python loader
@@ -183,13 +181,13 @@ class _PureLoader(yaml.SafeLoader):
             ) from None
 
 
-def _parse_yaml(text: str):
+def _parse_yaml(text: str, read=yaml.load):
     if "\ufeff" not in text[1:]:
         try:
-            return yaml.load(text, Loader=_LOADER)
+            return read(text, Loader=_LOADER)
         except Exception:  # the pure loader raises again, or decides otherwise
             pass
-    return yaml.load(text, Loader=_PureLoader)
+    return read(text, Loader=_PureLoader)
 
 
 def load_config(path: str) -> tuple[dict, str]:
@@ -208,6 +206,8 @@ def load_config(path: str) -> tuple[dict, str]:
         if mark is not None:
             line = mark.line + 1
         raise ConfigError(f"config parse error: {exc}", line) from None
+    except RecursionError:
+        raise ConfigError("config parse error: nested too deeply") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a key-value mapping")
     if "schema" not in cfg:
@@ -249,7 +249,7 @@ def _require(cfg: dict, key: str):
 
 
 def load_partition_file(path: str) -> CovariatePartition:
-    cfg, _ = load_config(path)
+    cfg, text = load_config(path)
     cells = cfg.get("cells")
     if not isinstance(cells, dict) or not cells:
         raise ConfigError("partition file needs a nonempty 'cells' mapping")
@@ -259,7 +259,10 @@ def load_partition_file(path: str) -> CovariatePartition:
             members[str(name)] = [Covariate.of(**f) for f in xs]
         except (TypeError, ValueError):
             raise ConfigError(f"partition cell {name!r} must list covariate records") from None
-    return CovariatePartition.from_members(members)
+    try:
+        return CovariatePartition.from_members(members)
+    except ValueError as exc:  # a value listed in two cells
+        raise ConfigError(str(exc), _key_line(text, "cells")) from None
 
 
 def load_predictor_table(path: str) -> Tabular:
@@ -410,6 +413,18 @@ def _method_params(mcfg: dict, loaded: dict, at: str | None = None) -> dict:
     return params
 
 
+def _check_covers(partition: CovariatePartition, path: str, *pops) -> None:
+    """Every covariate value of ``pops`` (populations or None) must lie in a cell of the
+    partition read from ``path``."""
+    for x in (x for pop in pops if pop is not None for x in pop.xs()):
+        try:
+            partition.cell_of(x)
+        except ValueError as exc:
+            error = SchemaError(f"{exc}; cells must cover every observed and future value")
+            error.path = path
+            raise error from None
+
+
 def _lookup(table: dict, kind: str, name, at: str, params: dict | None = None):
     """``table[name]``; an unknown name or a missing needed parameter is an error at ``at``."""
     if not isinstance(name, str) or name not in table:
@@ -471,6 +486,7 @@ def run_methods(cfg: dict, data: ObservedDataset, future: FuturePopulation | Non
     report: dict = {"methods": {}}
     all_pass = True
     loaded = {} if loaded is None else loaded
+    covered: set[str] = set()  # partition files checked against data and future
     for mcfg in methods_cfg:
         if isinstance(mcfg, str):
             mcfg = {"name": mcfg}
@@ -478,6 +494,9 @@ def run_methods(cfg: dict, data: ObservedDataset, future: FuturePopulation | Non
             raise ConfigError(f"method entry {mcfg!r} needs a 'name'", key="methods")
         name = mcfg["name"]
         params = _method_params(mcfg, loaded, "methods")
+        if "partition" in params and mcfg["partition"] not in covered:
+            _check_covers(params["partition"], mcfg["partition"], data, future)
+            covered.add(mcfg["partition"])
         method = _lookup(_RUNNABLE, "method", name, "methods", params)
         try:
             if isinstance(method, _Bound):
@@ -610,6 +629,8 @@ def cmd_audit(cfg: dict) -> int:
     else:
         files.pop("predictor", None)
     params = _method_params({"name": "audit", **files}, {})
+    if "partition" in params:
+        _check_covers(params["partition"], files["partition"], data, future)
     p = _lookup(METHODS, "auditing predictor", kind, "predictor", params).predictor(data, params)
     results = {}
     for name in audits:

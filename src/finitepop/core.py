@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from types import MappingProxyType
@@ -128,7 +128,7 @@ class _Grouped:
         """Positions of the members with value x, or in cell, or of all; in member order."""
         if x is not None and cell is not None:
             raise ValueError("give at most one of x and cell")
-        xs = (x,) if x is not None else self._at if cell is None else cell.members(self._at)
+        xs = (x,) if x is not None else self._at if cell is None else cell.values
         return sorted(chain.from_iterable(self._at.get(u, ()) for u in xs))
 
 
@@ -358,16 +358,15 @@ class FuturePopulation(_Grouped):
 @dataclass(frozen=True)
 class PartitionCell:
     name: str
-    contains: Callable[[Covariate], bool] = field(compare=False)
+    values: frozenset[Covariate]
 
-    def members(self, xs: Iterable[Covariate]) -> tuple[Covariate, ...]:
-        """The covariate values among xs that fall in this cell; one test per value."""
-        return tuple(x for x in xs if self.contains(x))
+    def contains(self, x: Covariate) -> bool:
+        return x in self.values
 
 
 @dataclass(frozen=True)
 class CovariatePartition:
-    """Named cells that must be pairwise disjoint and exhaustive on the data at hand."""
+    """Named cells of covariate values; one value -> cell index answers every cell question."""
 
     cells: tuple[PartitionCell, ...]
 
@@ -377,31 +376,37 @@ class CovariatePartition:
             raise ValueError("partition cell names must be unique")
         if not self.cells:
             raise ValueError("partition must have at least one cell")
+        index: dict[Covariate, PartitionCell] = {}
+        for cell in self.cells:
+            shared = sorted((x for x in cell.values if x in index), key=repr)
+            if shared:  # named in repr order: set order changes from one process to the next
+                raise ValueError(f"covariate {shared[0]!r} is listed in cells "
+                                 f"{index[shared[0]].name!r} and {cell.name!r}")
+            index.update(dict.fromkeys(cell.values, cell))
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def from_members(cls, members: Mapping[str, Iterable[Covariate]]) -> "CovariatePartition":
-        cells = []
-        for name, xs in members.items():
-            xset = frozenset(xs)
-            cells.append(PartitionCell(name, lambda x, _s=xset: x in _s))
-        return cls(tuple(cells))
+        return cls(tuple(PartitionCell(name, frozenset(xs)) for name, xs in members.items()))
 
     @classmethod
     def singletons(cls, xs: Iterable[Covariate]) -> "CovariatePartition":
         return cls.from_members({f"x{i}": [x] for i, x in enumerate(sorted(set(xs)))})
 
-    @classmethod
-    def single_cell(cls) -> "CovariatePartition":
-        return cls((PartitionCell("all", lambda x: True),))
-
     def cell_of(self, x: Covariate) -> PartitionCell:
-        hits = [c for c in self.cells if c.contains(x)]
-        if len(hits) != 1:
-            raise ValueError(
-                f"covariate {x!r} matched {len(hits)} partition cells; cells must be "
-                "disjoint and exhaustive"
-            )
-        return hits[0]
+        cell = self._index.get(x)
+        if cell is None:
+            raise ValueError(f"covariate {x!r} lies in no partition cell")
+        return cell
+
+    def groups(self, xs: Iterable[Covariate]) -> dict[str, list[Covariate]]:
+        """Each cell's members among xs, in the order of xs, by cell name.  Every cell
+        appears; values that lie in no cell are left out."""
+        out: dict[str, list[Covariate]] = {c.name: [] for c in self.cells}
+        for x in xs:
+            if x in self._index:
+                out[self._index[x].name].append(x)
+        return out
 
 
 @dataclass(frozen=True)
@@ -432,12 +437,8 @@ def empirical_propensity(
     ys = data.ys(t)
     if partition is None:
         return {x: len(ys.get(x, ())) / n for x, n in data.n_x.items()}
-    out_c: dict[str, float] = {}
-    for cell in partition.cells:
-        members = cell.members(data.xs())
-        if members:
-            out_c[cell.name] = len(pooled(ys, members)) / sum(data.n_x[x] for x in members)
-    return out_c
+    return {name: len(pooled(ys, members)) / sum(map(data.n_x.__getitem__, members))
+            for name, members in partition.groups(data.xs()).items() if members}
 
 
 def common_support_check(
@@ -450,7 +451,7 @@ def common_support_check(
     if partition is None:
         groups = [(repr(x), (x,)) for x in data.xs()]
     else:
-        groups = [(c.name, members) for c in partition.cells if (members := c.members(data.xs()))]
+        groups = [item for item in partition.groups(data.xs()).items() if item[1]]
     violations = tuple(
         (label, t) for label, xs in groups for t in sorted(data.treatments)
         if not pooled(data.ys(t), xs)

@@ -104,11 +104,11 @@ class CoarsenedMatching(Predictor):
 
     @classmethod
     def fit(cls, data: ObservedDataset, partition: CovariatePartition) -> "CoarsenedMatching":
-        members = {c.name: c.members(data.xs()) for c in partition.cells}
         return cls(partition, {
             (name, t): _fitted_mean(
                 data, t, xs, "empty cell at U={name}, t={t} (common support)", name=name)
-            for name, xs in members.items() if xs for t in sorted(data.treatments)
+            for name, xs in partition.groups(data.xs()).items() if xs
+            for t in sorted(data.treatments)
         })
 
     def __call__(self, x: Covariate, t: int) -> float:
@@ -497,15 +497,11 @@ def policy_value_estimate(
         raise ValueError("policy_value_estimate requires a deterministic policy")
     run = estimator if callable(estimator) else named_estimator(estimator)
 
-    if isinstance(future, FuturePopulation):
-        profile: dict[Covariate, float] = {}
-        for u in future.units:
-            profile[u.x] = profile.get(u.x, 0.0) + 1.0 / len(future)
-    else:
-        total = math.fsum(future.values())
-        if total <= 0:
-            raise ValueError("future profile weights must have positive total")
-        profile = {x: wt / total for x, wt in future.items()}
+    # A level set weighs its unit count, or its profile weight, over the total, divided once.
+    profile = future.n_x if isinstance(future, FuturePopulation) else future
+    total = math.fsum(profile.values())
+    if total <= 0:
+        raise ValueError("future profile weights must have positive total")
 
     level_sets: dict[int, list[Covariate]] = {}
     for x in set(list(profile) + list(data.xs())):
@@ -514,18 +510,16 @@ def policy_value_estimate(
     terms = []
     for t, xs in sorted(level_sets.items()):
         data.check_treatment(t)
-        weight = math.fsum(profile.get(x, 0.0) for x in xs)
+        weight = math.fsum(profile.get(x, 0.0) for x in xs) / total
+        if weight == 0:
+            continue
         members = set(xs)
         sub_rows = tuple(r for r in data.rows if r.x in members)
         if not sub_rows:
-            if weight == 0:
-                continue
             raise SupportError(
                 f"policy level set for t={t} is empty in the observed data but has "
                 f"future weight {weight}"
             )
-        if weight == 0:
-            continue
         sub = ObservedDataset(sub_rows, data.treatments)
         try:
             report = run(sub, t)

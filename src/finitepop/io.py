@@ -149,14 +149,23 @@ def load_observed_csv(path: str | Path) -> ObservedDataset:
         raise SchemaError(str(exc)) from None
 
 
+def _covariate_columns(members) -> list[str]:
+    """The ``xc_``/``xn_`` columns of the first member's covariate; a member whose covariate
+    has other names or kinds is a ValueError naming it."""
+    columns: list[str] = []
+    for i, x in enumerate(dict.fromkeys(m.x for m in members)):
+        cols = [("xc_" if isinstance(v, str) else "xn_") + n for n, v in x.items]
+        if i and cols != columns:
+            unit = next(m.unit for m in members if m.x == x)
+            raise ValueError(f"unit {unit}: covariate {x!r} does not fit the columns {columns}")
+        columns = cols
+    return columns
+
+
 def save_observed_csv(data: ObservedDataset, path: str | Path) -> None:
     path = Path(path)
-    cov_names = data.rows[0].x.names() if data.rows else ()
-    cov_cols = [
-        ("xc_" if isinstance(data.rows[0].x.get(n), str) else "xn_") + n for n in cov_names
-    ]
     has_z = data.has_instrument
-    header = ["id", "t", "y"] + (["z"] if has_z else []) + cov_cols
+    header = ["id", "t", "y"] + (["z"] if has_z else []) + _covariate_columns(data.rows)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -203,8 +212,7 @@ def save_future_csv(future: FuturePopulation, path: str | Path) -> None:
     oracle, each in key order."""
     path = Path(path)
     outcomes, compliance = future.outcomes or {}, future.compliance or {}
-    x0 = future.units[0].x
-    header = ["id"] + [("xc_" if isinstance(v, str) else "xn_") + n for n, v in x0.items]
+    header = ["id"] + _covariate_columns(future.units)
     header += [f"y_t{t}" for t in outcomes] + [f"s_z{z}" for z in compliance]
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

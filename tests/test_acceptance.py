@@ -303,7 +303,7 @@ def test_singleton_partition_equals_exact_matching():
 def test_single_cell_partition_equals_rct():
     for _, scenario in small_datasets(200, 503):
         data = scenario.observed
-        partition = CovariatePartition.single_cell()
+        partition = CovariatePartition.from_members({"all": data.xs()})
         for t in (0, 1):
             assert close(
                 coarsened_matching_estimate(data, partition, t).estimate,

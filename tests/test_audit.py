@@ -23,8 +23,10 @@ from finitepop.core import (
     Row,
     SupportError,
     Unit,
+    common_support_check,
+    empirical_propensity,
 )
-from finitepop.estimate import ExactMatching, External
+from finitepop.estimate import METHODS, ExactMatching, External, coarsened_matching_estimate
 
 
 def shifted_p8_future(shift_a=0.0, shift_b=0.0):
@@ -147,11 +149,7 @@ def test_ml_groupwise_future_only_bias_shows():
 
 
 def test_ml_groupwise_without_partition_groups_each_value_by_itself(monkeypatch):
-    """Equal to the explicit singleton partition, with no cell membership test.
-
-    ``PartitionCell.members`` and ``CovariatePartition.cell_of`` are the only
-    callers of ``PartitionCell.contains``.
-    """
+    """Equal to the explicit singleton partition, with no cell membership test."""
     xs = [Covariate.of(v=float(i)) for i in range(12)]
     d = ObservedDataset(tuple(
         Row(2 * i + t, x, t, float(i * i % 7 + t)) for i, x in enumerate(xs) for t in (0, 1)
@@ -168,7 +166,7 @@ def test_ml_groupwise_without_partition_groups_each_value_by_itself(monkeypatch)
     def no_membership_test(*args):
         raise AssertionError("PartitionCell.contains called")
 
-    monkeypatch.setattr(PartitionCell, "members", no_membership_test)
+    monkeypatch.setattr(PartitionCell, "contains", no_membership_test)
     monkeypatch.setattr(CovariatePartition, "cell_of", no_membership_test)
     got = audit_ml_groupwise(p, d, f)
     assert got.per_treatment == want.per_treatment
@@ -249,3 +247,30 @@ def test_audit_result_json_shape():
     js = res.to_json()
     assert set(js) == {"assumption", "per_treatment", "cells"}
     assert js["assumption"] == "stable_predictions"
+
+
+def test_no_estimator_or_audit_tests_cell_membership(monkeypatch):
+    """Every cell question is answered by the partition's value -> cell index."""
+    d, f = p8_observed(), p8_future()
+    coarsened = METHODS["coarsened"]
+
+    def answers(part):
+        params = {"partition": part}
+        return [
+            empirical_propensity(d, 1, part), common_support_check(d, part),
+            [coarsened_matching_estimate(d, part, t).estimate for t in (0, 1)],
+            [avg_signed_difference(d, f, t, part) for t in (0, 1)],
+            audit_ml_groupwise(ExactMatching.fit(d), d, f, part).details,
+            coarsened.budget(coarsened.predictor(d, params), d, f, (0, 1), params),
+            d.rows_where(cell=part.cells[0]), f.units_where(cell=part.cells[0]),
+        ]
+
+    partitions = [CovariatePartition.singletons(d.xs()),
+                  CovariatePartition.from_members({"all": [XA, XB]})]
+    want = [answers(part) for part in partitions]
+
+    def no_membership_test(*args):
+        raise AssertionError("PartitionCell.contains called")
+
+    monkeypatch.setattr(PartitionCell, "contains", no_membership_test)
+    assert [answers(part) for part in partitions] == want

@@ -7,6 +7,7 @@ from fixtures import p8_future, p8_observed
 
 from finitepop import cli
 from finitepop.cli import main, render_report
+from finitepop.core import Covariate, FuturePopulation, Unit
 from finitepop.io import save_future_csv, save_observed_csv
 
 
@@ -678,3 +679,83 @@ def test_audit_reads_its_list_from_audits_only(tmp_path, p8_files, capsys):
     )
     assert main(["audit", "--config", cfg]) == 2
     assert capsys.readouterr().err == f"{cfg}: line 1: config needs a nonempty 'audits' list\n"
+
+
+P8_PREDICTOR = "schema: 1\nentries:\n" + "".join(
+    f"  - {{x: {{level: {lv}}}, t: {t}, p: {p}}}\n"
+    for lv, t, p in (("a", 0, 6.0), ("a", 1, 10.0), ("b", 0, 2.0), ("b", 1, 4.0))
+)
+PARTITION_USES = [
+    pytest.param("run", "methods: [{{name: coarsened, partition: {part}}}]\n", id="coarsened"),
+    pytest.param("run", "methods: [{{name: plugin, predictor: {pred}, partition: {part}}}]\n",
+                 id="plugin"),
+    pytest.param("audit", "predictor: {pred}\npartition: {part}\naudits: [ml_groupwise]\n",
+                 id="ml_groupwise"),
+]
+
+
+@pytest.mark.parametrize("cells, message", [
+    pytest.param("  c1: [{level: a}]\n",
+                 "covariate Covariate(level='b') lies in no partition cell", id="misses-b"),
+    pytest.param("  c1: [{level: a}, {level: b}]\n  c2: [{level: b}]\n",
+                 "line 2: covariate Covariate(level='b') is listed in cells 'c1' and 'c2'",
+                 id="repeats-b"),
+])
+@pytest.mark.parametrize("verb, body", PARTITION_USES)
+def test_a_partition_that_misses_or_repeats_a_value_exits_2(
+    tmp_path, p8_files, capsys, verb, body, cells, message
+):
+    obs, fut = p8_files
+    part = write_config(tmp_path, "part.yaml", "schema: 1\ncells:\n" + cells)
+    pred = write_config(tmp_path, "pred.yaml", P8_PREDICTOR)
+    cfg = write_config(
+        tmp_path, "c.yaml",
+        f"schema: 1\nmode: oracle\nobserved: {obs}\nfuture: {fut}\nout: {tmp_path / 'r.json'}\n"
+        + body.format(part=part, pred=pred),
+    )
+    assert main([verb, "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"{part}: {message}")
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("verb, body", PARTITION_USES)
+def test_a_partition_must_cover_the_future_values_too(tmp_path, p8_files, capsys, verb, body):
+    obs, _ = p8_files
+    xc = Covariate.of(level="c")
+    units = (*p8_future().units, Unit(15, xc))
+    fut = tmp_path / "future_c.csv"
+    save_future_csv(FuturePopulation(units, {t: [1.0] * len(units) for t in (0, 1)}), fut)
+    part = write_config(tmp_path, "part.yaml", "schema: 1\ncells:\n  ab: [{level: a}, {level: b}]\n")
+    pred = write_config(tmp_path, "pred.yaml", P8_PREDICTOR + "".join(
+        f"  - {{x: {{level: c}}, t: {t}, p: 1.0}}\n" for t in (0, 1)))
+    cfg = write_config(
+        tmp_path, "c.yaml", f"schema: 1\nmode: oracle\nobserved: {obs}\nfuture: {fut}\n"
+        + body.format(part=part, pred=pred),
+    )
+    assert main([verb, "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"{part}: covariate {xc!r} lies in no partition cell; cells must cover every observed "
+        "and future value\n"
+    )
+
+
+SWEEP_WITH_TWO_SEEDS = (
+    "schema: 1\nreplications: 2\nscenario:\n  n_observed: 24\n  n_future: 30\n"
+    "  levels: [a, b]\n  seed: 5\n  base_outcomes: {a: [2.0, 6.0], b: [3.0, 5.0]}\nseed: -1\n"
+)
+
+
+def test_a_key_is_looked_up_inside_its_parent_mapping(tmp_path, capsys):
+    cfg = write_config(tmp_path, "sweep.yaml", SWEEP_WITH_TWO_SEEDS)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.json")]) == 2
+    assert capsys.readouterr().err == f"{cfg}: line 9: seed must be nonnegative, got -1\n"
+    assert cli._key_line(SWEEP_WITH_TWO_SEEDS, "scenario.seed") == 7
+    assert cli._key_line(SWEEP_WITH_TWO_SEEDS, "scenario.instrument") == 3
+    assert cli._key_line(SWEEP_WITH_TWO_SEEDS, "levels") == 1
+    assert cli._key_line("schema: 1\nseed: 5\nseed: -1\n", "seed") == 3  # the value that holds
+
+
+def test_a_config_nested_too_deeply_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.yaml", "schema: 1\ny: " + "[" * 3000 + "]" * 3000 + "\nz: [")
+    assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"{cfg}: line 1: config parse error: nested too deeply\n"

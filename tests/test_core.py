@@ -132,8 +132,37 @@ def test_partition_cells_must_be_exhaustive():
 def test_partition_singletons_and_single_cell():
     part = CovariatePartition.singletons([XA, XB, XA])
     assert len(part.cells) == 2
-    whole = CovariatePartition.single_cell()
+    whole = CovariatePartition.from_members({"all": [XA, XB]})
     assert whole.cell_of(XA).name == whole.cell_of(XB).name == "all"
+
+
+def test_partition_rejects_a_value_listed_in_two_cells():
+    with pytest.raises(ValueError, match=r"Covariate\(level='b'\) is listed in cells 'p' and 'q'"):
+        CovariatePartition.from_members({"p": [XA, XB], "q": [XB]})
+    # of several shared values the first in repr order is named, whatever the set order
+    with pytest.raises(ValueError, match=r"Covariate\(level='a'\) is listed in cells 'p' and 'q'"):
+        CovariatePartition.from_members({"p": [XA, XB], "q": [XB, XA]})
+    many = [Covariate.of(level=f"v{i:02d}") for i in range(40)]
+    with pytest.raises(ValueError, match=r"Covariate\(level='v00'\) is listed in cells 'p' and 'q'"):
+        CovariatePartition.from_members({"p": many, "q": many[::-1]})
+
+
+def test_partitions_with_different_members_are_unequal():
+    one = CovariatePartition.from_members({"p": [XA], "q": [XB]})
+    assert one == CovariatePartition.from_members({"p": [XA], "q": [XB]})
+    assert one != CovariatePartition.from_members({"p": [XB], "q": [XA]})
+    assert hash(one) == hash(CovariatePartition.from_members({"p": [XA], "q": [XB]}))
+
+
+def test_partition_groups_keep_order_and_leave_out_uncovered_values():
+    xc = Covariate.of(level="c")
+    part = CovariatePartition.from_members({"p": [XA, XB], "q": [], "r": [xc]})
+    assert part.groups([XB, xc, Covariate.of(level="d"), XA]) == {
+        "p": [XB, XA], "q": [], "r": [xc]
+    }
+    assert part.cell_of(XB).name == "p"
+    with pytest.raises(ValueError, match="lies in no partition cell"):
+        part.cell_of(Covariate.of(level="d"))
 
 
 def test_partition_groups_partition_the_data():

@@ -6,10 +6,12 @@ from fixtures import XA, XB, p8_future, p8_observed
 from finitepop.core import (
     Covariate,
     CovariatePartition,
+    FuturePopulation,
     ObservedDataset,
     PredictorError,
     Row,
     SupportError,
+    Unit,
 )
 from finitepop.estimate import (
     CoarsenedMatching,
@@ -104,7 +106,7 @@ def test_coarsened_singletons_equals_exact():
 
 def test_coarsened_single_cell_equals_rct():
     d = p8_observed()
-    part = CovariatePartition.single_cell()
+    part = CovariatePartition.from_members({"all": d.xs()})
     assert coarsened_matching_estimate(d, part, 1).estimate == pytest.approx(
         rct_estimate(d, 1).estimate, rel=1e-12
     )
@@ -236,6 +238,16 @@ def test_policy_value_constant_policy_matches_single_arm():
     pol = Policy(assign=lambda x: 1)
     got = policy_value_estimate(pol, "matching", d, f)
     assert got.estimate == pytest.approx(exact_matching_estimate(d, 1).estimate, rel=1e-12)
+
+
+@pytest.mark.parametrize("levels, m", [((XA,), 10), ((XA, XB), 49)])
+def test_always_treat_policy_value_equals_rct_to_the_bit(levels, m):
+    """Each level set weighs its count of future units over their total, divided once."""
+    d = ObservedDataset((Row(1, XA, 1, 4.8), Row(2, XA, 0, 1.0), Row(3, XB, 1, 4.8),
+                         Row(4, XB, 0, 2.0)))
+    f = FuturePopulation(tuple(Unit(100 + i, levels[i % len(levels)]) for i in range(m)))
+    got = policy_value_estimate(Policy(assign=lambda x: 1), "rct", d, f).estimate
+    assert got == rct_estimate(d, 1).estimate == 4.8
 
 
 def test_policy_value_profile_weights():

@@ -1,7 +1,9 @@
+import re
+
 import pytest
 from fixtures import XA, XB, p8_future, p8_observed
 
-from finitepop.core import FuturePopulation, SchemaError, Unit
+from finitepop.core import Covariate, FuturePopulation, ObservedDataset, Row, SchemaError, Unit
 from finitepop.io import (
     load_future_csv,
     load_observed_csv,
@@ -189,3 +191,16 @@ def test_one_covariate_per_distinct_raw_value(tmp_path):
     assert xs[0] is xs[1] and xs[1] is not xs[2] and xs[1] == xs[2]
     assert [x.get("v") for x in xs] == [1.0, 1.0, 1.0, -0.0, 0.0]
     assert repr(xs[3]) == "Covariate(v=-0.0)"
+
+
+@pytest.mark.parametrize("second", [Covariate.of(age=3.0), Covariate.of(level=3.0),
+                                    Covariate.of(level="b", age=3.0)])
+def test_writers_reject_mixed_covariate_columns_before_opening_the_file(tmp_path, second):
+    xs = (Covariate.of(level="a"), Covariate.of(level="b"), second, second)
+    observed = ObservedDataset(tuple(Row(i, x, i % 2, 1.0) for i, x in enumerate(xs, 1)))
+    future = FuturePopulation(tuple(Unit(i, x) for i, x in enumerate(xs, 1)))
+    for save, population in ((save_observed_csv, observed), (save_future_csv, future)):
+        path = tmp_path / "mixed.csv"
+        with pytest.raises(ValueError, match=rf"^unit 3: covariate {re.escape(repr(second))} "):
+            save(population, path)
+        assert not path.exists()

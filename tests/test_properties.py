@@ -89,7 +89,7 @@ def test_singleton_partition_equals_exact_matching(data, t):
 @given(supported_datasets(), st.sampled_from([0, 1]))
 @settings(max_examples=200, deadline=None)
 def test_single_cell_partition_equals_rct(data, t):
-    part = CovariatePartition.single_cell()
+    part = CovariatePartition.from_members({"all": data.xs()})
     assert close(
         coarsened_matching_estimate(data, part, t).estimate,
         rct_estimate(data, t).estimate,

@@ -18,7 +18,6 @@ from finitepop.core import (
     CovariatePartition,
     FuturePopulation,
     ObservedDataset,
-    PartitionCell,
     Row,
     Unit,
     common_support_check,
@@ -55,11 +54,10 @@ def scenarios(draw):
     compliance = {(u.unit, z): draw(st.sampled_from((0, 1))) for u in units for z in (0, 1)}
     future = FuturePopulation(units, columns(units, oracle), columns(units, compliance))
     cell_of_group = draw(st.lists(st.sampled_from("PQ-"), min_size=3, max_size=3))
-    partition = CovariatePartition(tuple(
-        PartitionCell(name, lambda x, gs=frozenset(
-            g for g, c in zip(GROUPS, cell_of_group) if c == name): x.get("g") in gs)
+    partition = CovariatePartition.from_members({
+        name: [x for x in POOL if cell_of_group[GROUPS.index(x.get("g"))] == name]
         for name in "PQ"
-    ))
+    })
     table = Tabular({(x, t): draw(values) for x in POOL for t in treatments})
     return data, future, partition, table
 
