@@ -1,10 +1,10 @@
 """Batch front end: estimators, auditors, bounds and sweeps over config files.
 
 Verbs: ``run``, ``audit``, ``simulate``, ``sweep``.  Configuration is a YAML
-or JSON key-value tree carrying ``schema: 1``; selected keys can be overridden
-by ``FINITEPOP_``-prefixed environment variables and those in turn by command
-line flags.  Reports are JSON with floats rendered to 17 significant digits,
-so a rerun with identical inputs produces a byte-identical file.
+or JSON key-value tree of the keys its verb reads, with ``schema: 1``; settings
+can be overridden by ``FINITEPOP_``-prefixed environment variables and those in
+turn by command line flags.  Reports are JSON with floats rendered to 17
+significant digits, so a rerun with identical inputs produces a byte-identical file.
 
 Exit codes: 0 success (in oracle mode additionally every verdict passed),
 1 at least one oracle verdict failed, 2 configuration or input schema
@@ -220,26 +220,33 @@ def load_config(path: str) -> tuple[dict, str]:
     return cfg, text
 
 
-def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
-    """Flags beat environment, environment beats the config file."""
+# Settings: a verb that reads one takes it as a flag, with these arguments, and a FINITEPOP_<KEY>.
+_SETTINGS = {"mode": {"choices": ["data", "oracle"]}, "seed": {"type": int}, "out": {},
+             "replications": {"type": int}}
+
+
+def _apply_overrides(cfg: dict, args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
+    """The settings among ``keys``: flags beat environment, environment beats the config file."""
     merged = dict(cfg)
-    env_keys = {
-        "FINITEPOP_MODE": ("mode", str),
-        "FINITEPOP_SEED": ("seed", int),
-        "FINITEPOP_OUT": ("out", str),
-        "FINITEPOP_REPLICATIONS": ("replications", int),
-    }
-    for env, (key, cast) in env_keys.items():
+    for key in (key for key in _SETTINGS if key in keys):
+        env, cast = f"FINITEPOP_{key.upper()}", _SETTINGS[key].get("type", str)
         if env in os.environ:
             try:
                 merged[key] = cast(os.environ[env])
             except ValueError:
                 raise ConfigError(f"environment variable {env} is not a valid {cast.__name__}")
-    for key in ("mode", "seed", "out", "replications"):
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
     return merged
+
+
+def _check_keys(tree: dict, known, what: str, at: str | None = None) -> None:
+    """The first key of ``tree`` in file order that is not in ``known`` is an error at its line."""
+    for key in tree:
+        if key not in known:
+            raise ConfigError(
+                f"unknown key {key!r} for {what}", key=f"{at}.{key}" if at else str(key)
+            )
 
 
 def _require(cfg: dict, key: str):
@@ -266,16 +273,17 @@ def load_partition_file(path: str) -> CovariatePartition:
 
 
 def load_predictor_table(path: str) -> Tabular:
-    cfg, _ = load_config(path)
+    cfg, text = load_config(path)
     entries = cfg.get("entries")
     if not isinstance(entries, list) or not entries:
         raise ConfigError("predictor file needs a nonempty 'entries' list")
     table = {}
     for e in entries:
         try:
-            table[(Covariate.of(**e["x"]), int(e["t"]))] = float(e["p"])
+            table[(Covariate.of(**e["x"]), _integer(e["t"]))] = _number(e["p"])
         except (KeyError, TypeError, ValueError):
-            raise ConfigError(f"bad predictor entry {e!r}: need x, t, p")
+            line = _key_line(text, "entries")
+            raise ConfigError(f"bad predictor entry {e!r}: need x, t, p", line)
     return Tabular(table)
 
 
@@ -283,100 +291,89 @@ def load_predictor_table(path: str) -> Tabular:
 # scenario specs from config trees
 
 
-_SCENARIO_KEYS = {
-    "schema", "n_observed", "n_future", "levels", "base_outcomes", "noise_sd",
-    "outcome_range", "assignment", "propensities", "observed_level_weights",
-    "future_level_weights", "future_outcome_shift", "shared_unit_noise",
-    "instrument", "seed",
-}
-_REQUIRED = object()
+def _typed(*kinds: type):
+    """The conversion to ``kinds[0]`` of a value of exactly one of ``kinds``, else a TypeError."""
+    def convert(v):
+        if type(v) not in kinds:
+            raise TypeError(v)
+        return kinds[0](v)
+    return convert
 
 
-def _pairs(v) -> tuple:
-    """A mapping, or a list of pairs, as (str key, value) pairs sorted by key; a list value
-    becomes a tuple."""
-    items = dict(v).items()
-    return tuple(sorted((str(k), tuple(x) if isinstance(x, list) else x) for k, x in items))
+_integer, _number, _boolean = _typed(int), _typed(float, int), _typed(bool)
 
 
-def _outcome_pairs(v) -> tuple:
-    pairs = _pairs(v)
-    if not all(isinstance(y, tuple) and len(y) == 2 for _, y in pairs):
-        raise ValueError(v)
-    return pairs
+def _pairs(v, value=_number, key=str) -> tuple:
+    """A mapping, or a list of pairs, as (key, value) pairs sorted by key."""
+    return tuple(sorted((key(k), value(x)) for k, x in dict(v).items()))
 
 
 def _range(v) -> tuple:
-    low_high = tuple(v)
-    if len(low_high) != 2:
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
         raise ValueError(v)
-    return low_high
+    return tuple(map(_number, v))
+
+
+# Each field of ScenarioSpec and InstrumentSpec: its conversion and what its
+# value must be.  Names, required keys and defaults come from the fields.
+_CONVERSIONS = {
+    "n_observed": (_integer, "an integer"),
+    "n_future": (_integer, "an integer"),
+    "levels": (lambda v: tuple(str(lv) for lv in v), "a list"),
+    "base_outcomes": (lambda v: _pairs(v, _range), "a mapping from level to [y(t=0), y(t=1)]"),
+    "noise_sd": (_number, "a number"),
+    "outcome_range": (_range, "a [low, high] pair"),
+    "assignment": (str, "a string"),
+    "propensities": (lambda v: _pairs(v) if isinstance(v, (dict, list)) else _number(v),
+                     "a number or a mapping from level to number"),
+    "observed_level_weights": (_pairs, "a mapping from level to number"),
+    "future_level_weights": (_pairs, "a mapping from level to number"),
+    "future_outcome_shift": (_pairs, "a mapping from level to number"),
+    "shared_unit_noise": (_boolean, "a boolean"),
+    "instrument": (dict, "a mapping"),
+    "seed": (_integer, "an integer"),
+    "z_probability": (_number, "a number"),
+    "take_probability": (lambda v: _pairs(v, key=_integer), "a mapping from z to P(t=1 | z)"),
+    "dominance_break": (_number, "a number"),
+}
 
 
 def spec_from_config(cfg, at: str | None = None) -> ScenarioSpec:
-    """The scenario of a config tree; ``at`` is the config key holding it (None: top level).
-
-    A missing or mistyped value is a ``ConfigError`` that names its key, at the key's line.
-    """
+    """The scenario at config key ``at`` (None: the top level, whose keys ``main`` checks); a
+    missing, mistyped or unknown key is a ``ConfigError`` that names it, at its line."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"bad scenario spec: {at} must be a mapping, got {cfg!r}", key=at)
-    extra = set(cfg) - _SCENARIO_KEYS
-    if extra:
-        raise ConfigError(f"unknown scenario keys: {sorted(extra)}", key=at)
-
-    def get(tree: dict, name: str, convert, what: str, default=_REQUIRED):
-        key = name.rpartition(".")[2]
-        if tree.get(key) is None and default is not _REQUIRED:
-            return default
-        if key not in tree:
-            raise ConfigError(
-                f"bad scenario spec: missing required key {name!r}", key=at or "schema"
-            )
-        try:
-            return convert(tree[key])
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"bad scenario spec: {name} must be {what}, got {tree[key]!r}",
-                key=f"{at}.{name}" if at else name,
-            ) from None
-
-    def by_level(name: str):
-        return get(cfg, name, _pairs, "a mapping from level to number", None)
-
-    values = dict(
-        n_observed=get(cfg, "n_observed", int, "an integer"),
-        n_future=get(cfg, "n_future", int, "an integer"),
-        levels=get(cfg, "levels", lambda v: tuple(str(lv) for lv in v), "a list"),
-        base_outcomes=get(cfg, "base_outcomes", _outcome_pairs,
-                          "a mapping from level to [y(t=0), y(t=1)]"),
-        noise_sd=get(cfg, "noise_sd", float, "a number", 0.0),
-        outcome_range=get(cfg, "outcome_range", _range, "a [low, high] pair", (0.0, 10.0)),
-        assignment=get(cfg, "assignment", str, "a string", "rct"),
-        propensities=get(cfg, "propensities",
-                         lambda v: v if isinstance(v, (int, float)) else _pairs(v),
-                         "a number or a mapping from level to number", 0.5),
-        observed_level_weights=by_level("observed_level_weights"),
-        future_level_weights=by_level("future_level_weights"),
-        future_outcome_shift=by_level("future_outcome_shift"),
-        shared_unit_noise=get(cfg, "shared_unit_noise", bool, "a boolean", False),
-        seed=get(cfg, "seed", int, "an integer", 0),
-    )
-    icfg = get(cfg, "instrument", dict, "a mapping", None)
-    inst = None
-    if icfg is not None:
-        inst = dict(
-            z_probability=get(icfg, "instrument.z_probability", float, "a number", 0.5),
-            take_probability=get(
-                icfg, "instrument.take_probability",
-                lambda v: tuple(sorted((int(z), float(p)) for z, p in dict(v).items())),
-                "a mapping from z to P(t=1 | z)", ((0, 0.2), (1, 0.8)),
-            ),
-            dominance_break=get(icfg, "instrument.dominance_break", float, "a number", 0.0),
-        )
     try:
-        return ScenarioSpec(instrument=inst and InstrumentSpec(**inst), **values)
+        return _build(ScenarioSpec, cfg, at)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad scenario spec: {exc}", key=at) from None
+
+
+def _build(spec, tree: dict, at: str | None, prefix: str = ""):
+    """A ``spec`` from ``tree``, the mapping at ``prefix`` in the scenario at ``at``."""
+    fields = dataclasses.fields(spec)
+    path = ".".join(part for part in (at, prefix[:-1]) if part)
+    if path:
+        _check_keys(tree, [f.name for f in fields], path.rpartition(".")[2], path)
+    values = {}
+    for f in fields:
+        name = prefix + f.name
+        if tree.get(f.name) is None and f.default is not dataclasses.MISSING:
+            values[f.name] = f.default
+            continue
+        if f.name not in tree:
+            raise ConfigError(f"bad scenario spec: missing required key {name!r}", key=at or "schema")
+        convert, what = _CONVERSIONS[f.name]
+        try:
+            values[f.name] = convert(tree[f.name])
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"bad scenario spec: {name} must be {what}, got {tree[f.name]!r}",
+                key=f"{at}.{name}" if at else name,
+            ) from None
+    if values.get("instrument") is not None:
+        values["instrument"] = _build(InstrumentSpec, values["instrument"], at, "instrument.")
+    return spec(**values)
 
 
 # ----------------------------------------------------------------------------
@@ -404,7 +401,7 @@ def _method_params(mcfg: dict, loaded: dict, at: str | None = None) -> dict:
     for key in ("k0", "k1", "eps", "delta"):
         if key in mcfg:
             try:
-                params[key] = float(mcfg[key])
+                params[key] = _number(mcfg[key])
             except (TypeError, ValueError):
                 raise ConfigError(
                     f"method {mcfg['name']}: parameter {key} must be a number, got {mcfg[key]!r}",
@@ -472,16 +469,12 @@ _RUNNABLE = {**METHODS, **_BOUNDS}
 
 def run_methods(cfg: dict, data: ObservedDataset, future: FuturePopulation | None,
                 truth: dict | None = None, loaded: dict | None = None) -> dict:
-    """``truth``: true APO per treatment in oracle mode, if known; ``loaded``: parsed files."""
-    mode = cfg.get("mode", "data")
+    """Verdicts are judged whenever ``future`` carries outcomes.  ``truth``: true APO per
+    treatment, if known; ``loaded``: parsed files."""
     methods_cfg = cfg.get("methods", [])
     if not isinstance(methods_cfg, list) or not methods_cfg:
         raise ConfigError("config needs a nonempty 'methods' list", key="methods")
-    if mode != "oracle":
-        truth = None
-    elif future is None or future.outcomes is None:
-        raise PreconditionError("oracle mode requires a future population with outcomes")
-    elif truth is None:
+    if truth is None and future is not None and future.outcomes is not None:
         truth = {t: future.apo(t) for t in sorted(data.treatments | {0, 1})}
     report: dict = {"methods": {}}
     all_pass = True
@@ -568,53 +561,49 @@ def _oracle_verdicts(method, params, data, future, truth, per_t) -> dict:
 # verbs
 
 
-def _load_inputs(cfg: dict) -> tuple[ObservedDataset, FuturePopulation | None]:
+def _load_inputs(
+    cfg: dict, outcomes: bool = False
+) -> tuple[ObservedDataset, FuturePopulation | None]:
+    """The observed data and the future population (or None), which keeps no oracle column in
+    data mode.  ``outcomes``: oracle mode needs y(t) for t in 0, 1 and every treatment."""
     data = load_observed_csv(_require(cfg, "observed"))
-    future = None
-    if cfg.get("future"):
-        future = load_future_csv(cfg["future"])
+    future = load_future_csv(cfg["future"]) if cfg.get("future") else None
+    if cfg.get("mode", "data") == "data":
+        return data, None if future is None else FuturePopulation(future.units)
+    if outcomes and future is None:
+        raise ConfigError("oracle mode requires a future population with outcomes", key="mode")
+    missing = [f"y_t{t}" for t in sorted(data.treatments | {0, 1})
+               if outcomes and t not in (future.outcomes or {})]
+    if missing:
+        error = SchemaError(f"line 1: header lacks {', '.join(missing)}, which oracle mode needs")
+        error.path = cfg["future"]
+        raise error
     return data, future
 
 
 def cmd_run(cfg: dict) -> int:
-    data, future = _load_inputs(cfg)
+    data, future = _load_inputs(cfg, outcomes=True)
     report = run_methods(cfg, data, future)
     report["metadata"] = _metadata(cfg)
     _write_report(report, cfg.get("out"))
     return EXIT_OK if report["ok"] else EXIT_VERDICT_FAIL
 
 
-_AUDITS = {  # name -> (audit, why it needs oracle mode, or None)
-    "sp": (lambda p, d, f, _: audit_sp(p, d, f), None),
-    "cfd": (lambda p, d, f, _: audit_cfd(p, f), "CFD unobservable without ground truth"),
-    "signed_difference": (
-        lambda p, d, f, _: AuditResult("avg_signed_difference", {
-            t: avg_signed_difference(d, f, t) for t in sorted(d.treatments)}),
-        "average signed difference needs the future outcome oracle",
-    ),
-    "ml_groupwise": (
-        lambda p, d, f, ps: audit_ml_groupwise(p, d, f, ps.get("partition")),
-        "groupwise residual transfer needs the future outcome oracle",
-    ),
-    "dr_condition": (
-        lambda p, d, f, _: AuditResult("dr_condition", {
-            t: audit_dr_condition(d, f, t) for t in sorted(d.treatments)}),
-        "the doubly robust condition needs the future outcome oracle",
-    ),
-    "dominance": (
-        lambda p, d, f, _: audit_dominance(f),
-        "dominance is defined on the future compliance and outcome oracles",
-    ),
-    "compliance_stability": (
-        lambda p, d, f, _: audit_compliance_stability(d, f),
-        "compliance stability needs the future compliance oracle",
-    ),
+_AUDITS = {  # name -> audit of (predictor, data, future, method parameters)
+    "sp": lambda p, d, f, _: audit_sp(p, d, f),
+    "cfd": lambda p, d, f, _: audit_cfd(p, f),
+    "signed_difference": lambda p, d, f, _: AuditResult("avg_signed_difference", {
+        t: avg_signed_difference(d, f, t) for t in sorted(d.treatments)}),
+    "ml_groupwise": lambda p, d, f, ps: audit_ml_groupwise(p, d, f, ps.get("partition")),
+    "dr_condition": lambda p, d, f, _: AuditResult("dr_condition", {
+        t: audit_dr_condition(d, f, t) for t in sorted(d.treatments)}),
+    "dominance": lambda p, d, f, _: audit_dominance(f),
+    "compliance_stability": lambda p, d, f, _: audit_compliance_stability(d, f),
 }
 
 
 def cmd_audit(cfg: dict) -> int:
     data, future = _load_inputs(cfg)
-    mode = cfg.get("mode", "data")
     audits = cfg.get("audits")
     if not isinstance(audits, list) or not audits:
         raise ConfigError("config needs a nonempty 'audits' list", key="audits")
@@ -634,9 +623,7 @@ def cmd_audit(cfg: dict) -> int:
     p = _lookup(METHODS, "auditing predictor", kind, "predictor", params).predictor(data, params)
     results = {}
     for name in audits:
-        run, oracle_only = _lookup(_AUDITS, "audit", name, "audits")
-        if mode != "oracle" and oracle_only:
-            raise PreconditionError(f"audit {name}: {oracle_only}")
+        run = _lookup(_AUDITS, "audit", name, "audits")
         try:
             results[name] = run(p, data, future, params).to_json()
         except FinitePopError as exc:
@@ -647,9 +634,7 @@ def cmd_audit(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict) -> int:
-    spec = spec_from_config(
-        {k: v for k, v in cfg.items() if k not in ("mode", "out", "replications")}
-    )
+    spec = spec_from_config(cfg)
     scenario = generate(spec)
     out_dir = Path(cfg.get("out") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -675,11 +660,10 @@ def _quantile(sorted_vals: list[float], q: float) -> float:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    try:
-        replications = int(cfg.get("replications", 0))
-        master_seed = int(cfg.get("seed", 0))
-    except (TypeError, ValueError):
-        raise ConfigError("replications and seed must be integers") from None
+    for key in ("replications", "seed"):
+        if type(cfg.get(key, 0)) is not int:
+            raise ConfigError("replications and seed must be integers", key=key)
+    replications, master_seed = cfg.get("replications", 0), cfg.get("seed", 0)
     if replications < 1:
         raise ConfigError(
             f"replications must be at least 1, got {replications}", key="replications"
@@ -687,12 +671,11 @@ def cmd_sweep(cfg: dict) -> int:
     if master_seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {master_seed}", key="seed")
     scenario_cfg = _require(cfg, "scenario")
-    methods = cfg.get("methods", ["rct", "matching"])
     base_spec = spec_from_config(scenario_cfg, "scenario")
     per_method: dict[str, dict] = {}
     dominance_failures = 0
     has_instrument = base_spec.instrument is not None
-    run_cfg = {"mode": "oracle", "methods": methods}
+    run_cfg = {"methods": cfg.get("methods", ["rct", "matching"])}
     loaded: dict = {}  # partition and predictor files, parsed once per sweep
     for i in range(replications):
         spec = dataclasses.replace(base_spec, seed=scenario_seed(master_seed, i))
@@ -749,31 +732,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="Estimate, bound and audit treatment effects on finite populations.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in ("run", "audit", "simulate", "sweep"):
+    for verb, (_, keys) in _VERBS.items():
         sp = sub.add_parser(verb)
         sp.add_argument("--config", required=True, help="YAML or JSON config, schema 1")
-        sp.add_argument("--mode", choices=["data", "oracle"], default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--replications", type=int, default=None)
+        for key in (key for key in _SETTINGS if key in keys):
+            sp.add_argument(f"--{key}", default=None, **_SETTINGS[key])
     return parser
 
 
-_VERBS = {"run": cmd_run, "audit": cmd_audit, "simulate": cmd_simulate, "sweep": cmd_sweep}
+# Each verb's command and the top-level keys it reads; any other key is an error.
+_VERBS = {
+    "run": (cmd_run, ("schema", "mode", "observed", "future", "out", "methods")),
+    "audit": (cmd_audit, ("schema", "mode", "observed", "future", "out", "audits", "predictor",
+                          "partition")),
+    "simulate": (cmd_simulate, ("schema", "out",
+                                *(f.name for f in dataclasses.fields(ScenarioSpec)))),
+    "sweep": (cmd_sweep, ("schema", "seed", "replications", "out", "methods", "scenario")),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command, keys = _VERBS[args.verb]
     text = ""
     try:
         cfg, text = load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        _check_keys(cfg, keys, args.verb)
+        cfg = _apply_overrides(cfg, args, keys)
         if cfg.get("mode", "data") not in ("data", "oracle"):
             raise ConfigError(f"mode must be data or oracle, got {cfg['mode']!r}", key="mode")
         for key in ("observed", "future", "out"):
             if cfg.get(key) is not None and not isinstance(cfg[key], str):
                 raise ConfigError(f"{key} must be a file path, got {cfg[key]!r}", key=key)
-        return _VERBS[args.verb](cfg)
+        return command(cfg)
     except SchemaError as exc:
         if isinstance(exc, ConfigError) and exc.key and exc.path is None:
             exc.line = _key_line(text, exc.key)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, total_ordering
 from itertools import chain, repeat
 from types import MappingProxyType
 
@@ -53,13 +53,15 @@ def approx_eq(r: float, s: float, eps: float) -> bool:
     return abs(r - s) < eps
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
+@dataclass(frozen=True)
 class Covariate:
     """A record of named covariate fields with exact, hashable equality.
 
     Categorical fields are strings, numeric fields are floats compared
     bitwise.  Fuzzy grouping of numeric values must go through an explicit
-    CovariatePartition.
+    CovariatePartition.  Covariates are totally ordered: field by field, by
+    name, then numbers before strings, then by value.
     """
 
     items: tuple[tuple[str, str | float], ...]
@@ -72,6 +74,13 @@ class Covariate:
                 raise ValueError(f"covariate field {name!r} must be str or real, got {value!r}")
             norm.append((name, value if isinstance(value, str) else float(value)))
         return cls(tuple(norm))
+
+    @cached_property
+    def _order(self) -> tuple[tuple[str, bool, str | float], ...]:
+        return tuple((k, isinstance(v, str), v) for k, v in self.items)
+
+    def __lt__(self, other: Covariate) -> bool:
+        return self._order < other._order
 
     def get(self, name: str) -> str | float:
         for k, v in self.items:

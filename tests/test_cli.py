@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ from finitepop import cli
 from finitepop.cli import main, render_report
 from finitepop.core import Covariate, FuturePopulation, Unit
 from finitepop.io import save_future_csv, save_observed_csv
+from finitepop.simulate import InstrumentSpec, ScenarioSpec
 
 
 @pytest.fixture
@@ -678,7 +681,7 @@ def test_audit_reads_its_list_from_audits_only(tmp_path, p8_files, capsys):
         f"out: {tmp_path / 'r.json'}\nmethods: [sp]\n",
     )
     assert main(["audit", "--config", cfg]) == 2
-    assert capsys.readouterr().err == f"{cfg}: line 1: config needs a nonempty 'audits' list\n"
+    assert capsys.readouterr().err == f"{cfg}: line 6: unknown key 'methods' for audit\n"
 
 
 P8_PREDICTOR = "schema: 1\nentries:\n" + "".join(
@@ -759,3 +762,255 @@ def test_a_config_nested_too_deeply_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.yaml", "schema: 1\ny: " + "[" * 3000 + "]" * 3000 + "\nz: [")
     assert main(["run", "--config", cfg]) == 2
     assert capsys.readouterr().err == f"{cfg}: line 1: config parse error: nested too deeply\n"
+
+
+def _outputs(path) -> bytes:
+    """The bytes of a report file, or of every file in a simulate directory."""
+    if path.is_dir():
+        return b"".join(p.read_bytes() for p in sorted(path.iterdir()))
+    return path.read_bytes()
+
+
+def _verb_config(tmp_path, p8_files, verb, out) -> str:
+    obs, fut = p8_files
+    body = {
+        "run": f"schema: 1\nmode: oracle\nobserved: {obs}\nfuture: {fut}\nmethods: [rct]\n",
+        "audit": f"schema: 1\nmode: oracle\nobserved: {obs}\nfuture: {fut}\naudits: [sp]\n",
+        "simulate": TWO_LEVELS,
+        "sweep": "schema: 1\nseed: 1\nreplications: 2\nmethods: [rct]\n" + SMALL_SCENARIO,
+    }[verb]
+    return write_config(tmp_path, "c.yaml", body + f"out: {out}\n")
+
+
+SETTINGS = {
+    "run": ("mode", "out"),
+    "audit": ("mode", "out"),
+    "simulate": ("seed", "out"),
+    "sweep": ("seed", "replications", "out"),
+}
+KEPT = [(verb, key) for verb, keys in SETTINGS.items() for key in keys]
+DROPPED = [(verb, key) for verb in SETTINGS for key in ("mode", "seed", "replications")
+           if key not in SETTINGS[verb]]
+
+
+@pytest.mark.parametrize("verb", SETTINGS)
+def test_help_lists_exactly_the_verb_settings(capsys, verb):
+    with pytest.raises(SystemExit) as exit_:
+        main([verb, "--help"])
+    assert exit_.value.code == 0
+    flags = re.findall(r"^  (--\w+)", capsys.readouterr().out, re.MULTILINE)
+    assert sorted(flags) == sorted(["--config"] + [f"--{key}" for key in SETTINGS[verb]])
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("verb, key", KEPT)
+def test_each_kept_setting_changes_the_output(tmp_path, p8_files, monkeypatch, via, verb, key):
+    base = tmp_path / "base"
+    cfg = _verb_config(tmp_path, p8_files, verb, base)
+    assert main([verb, "--config", cfg]) == 0
+    before = _outputs(base)
+    other = tmp_path / "other"
+    value = {"mode": "data", "seed": "7", "replications": "3", "out": str(other)}[key]
+    argv = [verb, "--config", cfg]
+    if via == "flag":
+        argv += [f"--{key}", value]
+    else:
+        monkeypatch.setenv(f"FINITEPOP_{key.upper()}", value)
+    assert main(argv) == 0
+    if key == "out":
+        assert _outputs(other) == before
+    else:
+        assert _outputs(base) != before
+
+
+@pytest.mark.parametrize("verb, key", DROPPED)
+def test_a_setting_the_verb_does_not_read_is_no_flag_and_its_variable_is_ignored(
+    tmp_path, p8_files, monkeypatch, capsys, verb, key
+):
+    out = tmp_path / "out"
+    cfg = _verb_config(tmp_path, p8_files, verb, out)
+    with pytest.raises(SystemExit) as exit_:
+        main([verb, "--config", cfg, f"--{key}", "data" if key == "mode" else "3"])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
+    monkeypatch.setenv(f"FINITEPOP_{key.upper()}", "abc")
+    assert main([verb, "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("verb, body, message", [
+    pytest.param("run", "schema: 1\nmethods: [rct]\notu: r.json\nmode: data\nalpha: 1\n",
+                 "line 3: unknown key 'otu' for run", id="run"),
+    pytest.param("audit", "schema: 1\nmode: data\nmethods: [sp]\naudits: [sp]\nbeta: 1\n",
+                 "line 3: unknown key 'methods' for audit", id="audit"),
+    pytest.param("simulate", TWO_LEVELS + "mode: oracle\nreplications: 2\n",
+                 "line 6: unknown key 'mode' for simulate", id="simulate"),
+    pytest.param("sweep", "schema: 1\nseed: 1\nzeta: 2\nmode: oracle\n" + SMALL_SCENARIO,
+                 "line 3: unknown key 'zeta' for sweep", id="sweep"),
+    pytest.param("sweep", "schema: 1\nseed: 1\nreplications: 2\n" + SMALL_SCENARIO
+                 + "  nosie_sd: 1\n  alpha: 2\n",
+                 "line 10: unknown key 'nosie_sd' for scenario", id="sweep-scenario"),
+    pytest.param("simulate", TWO_LEVELS + "instrument: {z_probabilty: 0.9, a: 1}\n",
+                 "line 6: unknown key 'z_probabilty' for instrument", id="instrument"),
+    pytest.param("sweep", "schema: 1\nseed: 1\nreplications: 2\n" + SMALL_SCENARIO
+                 + "  instrument:\n    z_probability: 0.5\n    dominance_brake: 1\n",
+                 "line 12: unknown key 'dominance_brake' for instrument", id="sweep-instrument"),
+])
+def test_an_unknown_key_exits_2_naming_the_first_at_its_line(tmp_path, capsys, verb, body, message):
+    cfg = write_config(tmp_path, "c.yaml", body)
+    out = tmp_path / "out"
+    assert main([verb, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"{cfg}: {message}\n"
+    assert not out.exists()
+
+
+def test_the_conversions_cover_exactly_the_spec_fields():
+    fields = dataclasses.fields(ScenarioSpec) + dataclasses.fields(InstrumentSpec)
+    assert sorted(cli._CONVERSIONS) == sorted(f.name for f in fields)
+
+
+@pytest.mark.parametrize("verb, body, message", [
+    pytest.param("sweep", "schema: 1\nseed: 1\nreplications: 2.7\n" + SMALL_SCENARIO,
+                 "line 3: replications and seed must be integers", id="replications-float"),
+    pytest.param("sweep", "schema: 1\nseed: 1.9\nreplications: 2\n" + SMALL_SCENARIO,
+                 "line 2: replications and seed must be integers", id="seed-float"),
+    pytest.param("simulate", TWO_LEVELS.replace("n_observed: 20", "n_observed: 20.9"),
+                 "line 2: bad scenario spec: n_observed must be an integer, got 20.9",
+                 id="n-observed-float"),
+    pytest.param("simulate", TWO_LEVELS + 'shared_unit_noise: "no"\n',
+                 "line 6: bad scenario spec: shared_unit_noise must be a boolean, got 'no'",
+                 id="shared-noise-no"),
+    pytest.param("simulate", TWO_LEVELS + 'shared_unit_noise: "false"\n',
+                 "line 6: bad scenario spec: shared_unit_noise must be a boolean, got 'false'",
+                 id="shared-noise-false"),
+    pytest.param("simulate", TWO_LEVELS + "propensities: true\n",
+                 "line 6: bad scenario spec: propensities must be a number or a mapping from "
+                 "level to number, got True", id="propensities-true"),
+])
+def test_a_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, verb, body, message):
+    cfg = write_config(tmp_path, "c.yaml", body)
+    out = tmp_path / "out"
+    assert main([verb, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"{cfg}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("params, message", [
+    pytest.param("k0: false, k1: 10", "parameter k0 must be a number, got False", id="k0-false"),
+    pytest.param('k0: 0, k1: "10"', "parameter k1 must be a number, got '10'", id="k1-string"),
+])
+def test_a_method_parameter_of_the_wrong_type_exits_2(tmp_path, p8_files, capsys, params, message):
+    obs, _ = p8_files
+    cfg = write_config(
+        tmp_path, "c.yaml",
+        f"schema: 1\nobserved: {obs}\nmethods: [{{name: rm_bounds, {params}}}]\n",
+    )
+    assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"{cfg}: line 3: method rm_bounds: {message}\n"
+
+
+@pytest.mark.parametrize("entry", [
+    "{x: {level: a}, t: 1.0, p: 10.0}", "{x: {level: a}, t: true, p: 10.0}",
+    '{x: {level: a}, t: 1, p: "10.0"}', "{x: {level: a}, t: 1, p: false}",
+])
+def test_a_predictor_entry_of_the_wrong_type_exits_2(tmp_path, p8_files, capsys, entry):
+    obs, _ = p8_files
+    text = P8_PREDICTOR.replace("{x: {level: a}, t: 1, p: 10.0}", entry)
+    pred = write_config(tmp_path, "pred.yaml", text)
+    cfg = write_config(
+        tmp_path, "c.yaml",
+        f"schema: 1\nobserved: {obs}\nmethods: [{{name: plugin, predictor: {pred}}}]\n",
+    )
+    assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"{pred}: line 2: bad predictor entry ")
+
+
+def test_oracle_mode_without_a_future_exits_2_at_the_mode_line(tmp_path, p8_files, capsys):
+    obs, _ = p8_files
+    cfg = write_config(
+        tmp_path, "c.yaml", f"schema: 1\nobserved: {obs}\nmethods: [rct]\nmode: oracle\n"
+    )
+    assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"{cfg}: line 4: oracle mode requires a future population with outcomes\n"
+    )
+
+
+@pytest.mark.parametrize("keep, missing", [
+    pytest.param("0", "y_t1", id="no-y_t1"), pytest.param("", "y_t0, y_t1", id="no-outcomes"),
+])
+def test_oracle_mode_without_the_future_outcomes_exits_2_naming_the_csv(
+    tmp_path, p8_files, capsys, keep, missing
+):
+    obs, _ = p8_files
+    units = p8_future().units
+    fut = tmp_path / "future_part.csv"
+    outcomes = {int(t): [1.0] * len(units) for t in keep} or None
+    save_future_csv(FuturePopulation(units, outcomes), fut)
+    cfg = write_config(
+        tmp_path, "c.yaml",
+        f"schema: 1\nmode: oracle\nobserved: {obs}\nfuture: {fut}\nmethods: [rct]\n",
+    )
+    assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"{fut}: line 1: header lacks {missing}, which oracle mode needs\n"
+    )
+
+
+@pytest.fixture
+def p8_files_with_compliance(tmp_path, p8_files):
+    obs, _ = p8_files
+    future = p8_future()
+    fut = tmp_path / "future_s.csv"
+    compliance = {0: [0, 0, 1, 0], 1: [1, 1, 1, 0]}
+    save_future_csv(FuturePopulation(future.units, future.outcomes, compliance), fut)
+    return obs, fut
+
+
+def test_data_mode_reads_no_oracle_column(tmp_path, p8_files_with_compliance, monkeypatch):
+    obs, fut = p8_files_with_compliance
+    part = write_config(
+        tmp_path, "part.yaml", "schema: 1\ncells:\n  all: [{level: a}, {level: b}]\n"
+    )
+    pred = write_config(tmp_path, "pred.yaml", P8_PREDICTOR)
+    out = tmp_path / "r.json"
+    cfg = write_config(
+        tmp_path, "c.yaml",
+        f"schema: 1\nmode: data\nobserved: {obs}\nfuture: {fut}\nout: {out}\nmethods:\n"
+        f"  - rct\n  - matching\n  - {{name: coarsened, partition: {part}}}\n"
+        f"  - {{name: plugin, predictor: {pred}, partition: {part}}}\n"
+        f"  - {{name: dr, predictor: {pred}}}\n",
+    )
+    read = []
+    for name in ("outcome_column", "compliance_column"):
+        real = getattr(FuturePopulation, name)
+        monkeypatch.setattr(
+            FuturePopulation, name,
+            lambda self, key, real=real, name=name: read.append(name) or real(self, key),
+        )
+    assert main(["run", "--config", cfg]) == 0
+    assert read == []
+    report = json.loads(out.read_text())
+    assert sorted(report["methods"]) == sorted(cli.METHODS)
+    assert "ground_truth" not in report
+
+
+@pytest.mark.parametrize("audit, message", [
+    ("cfd", "CFD unobservable without ground truth"),
+    ("signed_difference", "operation requires the outcome oracle (oracle mode only)"),
+    ("ml_groupwise", "operation requires the outcome oracle (oracle mode only)"),
+    ("dr_condition", "operation requires the outcome oracle (oracle mode only)"),
+    ("dominance", "operation requires the outcome oracle (oracle mode only)"),
+    ("compliance_stability", "operation requires the compliance oracle (oracle mode only)"),
+])
+def test_an_oracle_audit_in_data_mode_exits_3_with_its_own_message(
+    tmp_path, p8_files_with_compliance, capsys, audit, message
+):
+    obs, fut = p8_files_with_compliance
+    cfg = write_config(
+        tmp_path, "c.yaml",
+        f"schema: 1\nmode: data\nobserved: {obs}\nfuture: {fut}\naudits: [sp, {audit}]\n",
+    )
+    assert main(["audit", "--config", cfg]) == 3
+    assert capsys.readouterr().err == f"precondition failed: audit {audit}: {message}\n"
+    oracle = Path(cfg).read_text().replace("mode: data", "mode: oracle")
+    assert main(["audit", "--config", write_config(tmp_path, "c.yaml", oracle)]) == 0

@@ -17,6 +17,7 @@ from finitepop.core import (
     empirical_propensity,
     mean_y,
 )
+from finitepop.estimate import exact_matching_estimate
 
 
 def test_approx_eq_is_strict():
@@ -216,3 +217,20 @@ def test_instrument_detection():
     d = p8_observed(with_instrument=True)
     assert d.has_instrument
     assert d.instrument_values() == (0, 1)
+
+
+def test_covariates_of_mixed_kinds_sort_numbers_before_strings():
+    xa, x3, x1 = Covariate.of(level="a"), Covariate.of(level=3.0), Covariate.of(level=1.0)
+    rows = [(xa, 0, 1.0), (xa, 1, 2.0), (x3, 0, 3.0), (x3, 1, 5.0), (x1, 0, 4.0), (x1, 1, 8.0)]
+    data = ObservedDataset(tuple(Row(i, x, t, y) for i, (x, t, y) in enumerate(rows)))
+    assert data.xs() == (x1, x3, xa)
+    assert list(data.n_x) == [x1, x3, xa]
+    units = tuple(Unit(10 + i, x) for i, x in enumerate((xa, x3, x1, xa)))
+    future = FuturePopulation(units, {0: [1.0] * 4, 1: [2.0] * 4})
+    assert future.xs() == (x1, x3, xa)
+    assert future.n_x == {x1: 1, x3: 1, xa: 2}
+    singletons = CovariatePartition.singletons([xa, x3, x1, xa])
+    assert [cell.values for cell in singletons.cells] == [{x1}, {x3}, {xa}]
+    assert exact_matching_estimate(data, 1).estimate == (2.0 + 5.0 + 8.0) / 3
+    assert sorted([Covariate.of(level="b"), xa]) == [xa, Covariate.of(level="b")]
+    assert x1 < x3 < xa and xa > x1 and x3 <= x3
