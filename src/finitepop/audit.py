@@ -196,8 +196,9 @@ def audit_dominance(future: FuturePopulation) -> AuditResult:
     future.require_compliance()
     per: dict[tuple[int, int], float] = {}
     for (t, z) in ((0, 1), (1, 0)):
-        ids = future.compliance_group(t, z)
-        per[(t, z)] = math.fsum(future.y(i, 1) - future.y(i, 0) for i in ids)
+        takes = future.compliance_column(z)  # an empty group reads no outcome column
+        pairs = zip(future.outcome_column(1), future.outcome_column(0), takes) if t in takes else ()
+        per[(t, z)] = math.fsum(y1 - y0 for y1, y0, s in pairs if s == t)
     holds = all(v >= 0 for v in per.values())
     return AuditResult("dominance", per, details={"holds": holds})
 
@@ -214,7 +215,7 @@ def audit_compliance_stability(data: ObservedDataset, future: FuturePopulation) 
     per: dict[tuple[int, int], float] = {}
     for z in data.instrument_values():
         for t in sorted(data.treatments):
-            i_share = len(future.compliance_group(t, z)) / len(future)
+            i_share = future.compliance_column(z).count(t) / len(future)
             j_share = len(data.ys_tz.get((t, z), ())) / len(data)
             per[(t, z)] = abs(i_share - j_share)
     return AuditResult("compliance_stability", per)

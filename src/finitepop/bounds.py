@@ -28,10 +28,10 @@ class OutcomeBounds:
             raise ValueError(f"k0={self.k0} must be <= k1={self.k1}")
 
     def validate(self, data: ObservedDataset) -> None:
-        for r in data.rows:
-            if not (self.k0 <= r.y <= self.k1):
+        for unit, y in zip(data.ids, data.y):
+            if not (self.k0 <= y <= self.k1):
                 raise ValueError(
-                    f"observed outcome {r.y} of unit {r.unit} outside [{self.k0}, {self.k1}]"
+                    f"observed outcome {y} of unit {unit} outside [{self.k0}, {self.k1}]"
                 )
 
 

@@ -158,11 +158,12 @@ def _key_line(text: str, key: str) -> int:
 
 
 # libyaml parses a config several times faster than the pure-Python loader
-# and builds the same tree, with two exceptions.  It skips a byte-order mark
-# inside the text, where the pure loader reads one as part of a key, so such
-# a text goes to the pure loader.  And it takes some text the pure loader
-# rejects, such as a tab after a colon.  Wherever libyaml fails, the pure
-# loader parses again, so an error carries its message and line.
+# and builds the same tree, with three exceptions.  It skips a byte-order mark
+# inside the text and reads a bare ``!`` tag before a key as '', where the pure
+# loader reads part of a key and None, so a text holding either goes to the
+# pure loader.  And it takes some text the pure loader rejects, such as a tab
+# after a colon.  Wherever libyaml fails, the pure loader parses again, so an
+# error carries its message and line.
 _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
@@ -182,7 +183,7 @@ class _PureLoader(yaml.SafeLoader):
 
 
 def _parse_yaml(text: str, read=yaml.load):
-    if "\ufeff" not in text[1:]:
+    if "\ufeff" not in text[1:] and "!" not in text:
         try:
             return read(text, Loader=_LOADER)
         except Exception:  # the pure loader raises again, or decides otherwise
@@ -292,11 +293,15 @@ def load_predictor_table(path: str) -> Tabular:
 
 
 def _typed(*kinds: type):
-    """The conversion to ``kinds[0]`` of a value of exactly one of ``kinds``, else a TypeError."""
+    """The conversion to ``kinds[0]`` of a value of exactly one of ``kinds``, else a TypeError;
+    an integer too large for a float is a ValueError."""
     def convert(v):
         if type(v) not in kinds:
             raise TypeError(v)
-        return kinds[0](v)
+        try:
+            return kinds[0](v)
+        except OverflowError:
+            raise ValueError(v) from None
     return convert
 
 
@@ -569,7 +574,7 @@ def _load_inputs(
     data = load_observed_csv(_require(cfg, "observed"))
     future = load_future_csv(cfg["future"]) if cfg.get("future") else None
     if cfg.get("mode", "data") == "data":
-        return data, None if future is None else FuturePopulation(future.units)
+        return data, future and FuturePopulation.from_columns(future.ids, future.values, future.codes)
     if outcomes and future is None:
         raise ConfigError("oracle mode requires a future population with outcomes", key="mode")
     missing = [f"y_t{t}" for t in sorted(data.treatments | {0, 1})

@@ -3,15 +3,16 @@
 Everything here is immutable after construction and safe to share across
 workers.  All operations are pure functions.
 
-The observed dataset and the future population are grouped the same way, by
-covariate value, once and on first use in O(n).  Both answer the same three
-queries: ``xs()``, the sorted distinct values; ``n_x``, the members per value;
-and ``ys(t)``, the outcomes under t per value (the realised outcomes of the
-rows with treatment t, or the oracle outcomes of every unit).  Instrument
-queries add the observed ``ys_tz``.  Every estimator, audit and bound is a
-reduction over these, costing O(|X| * |T|) once they are built.  Sums stay
-exactly rounded (math.fsum), so a value evaluated once per distinct x and
-repeated once per member gives the same bits as the member-by-member sum.
+Both populations are columns, with one integer code per member into a table of
+covariate values; ``rows`` and ``units`` are built only when read.  Both are
+grouped by covariate value on first use, from one stable sort of the codes, and
+answer the same three queries: ``xs()``, the sorted distinct values; ``n_x``,
+the members per value; and ``ys(t)``, the outcomes under t per value (the
+realised outcomes of the rows with treatment t, or the oracle outcomes of every
+unit).  Instrument queries add the observed ``ys_tz``.  Every estimator, audit
+and bound is a reduction over these, costing O(|X| * |T|) once they are built.
+Sums stay exactly rounded (math.fsum), so a value evaluated once per distinct x
+and repeated once per member gives the same bits as the member-by-member sum.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, total_ordering
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 from types import MappingProxyType
 
 
@@ -106,23 +107,56 @@ class Row:
 
 
 class _Grouped:
-    """Members grouped by covariate value: values sorted, positions in member order.
+    """Members as columns: ``ids``, and ``codes`` into ``values``, a table of covariate values.
 
-    Shared by ``ObservedDataset`` (members are rows) and ``FuturePopulation``
-    (members are units); built on first use, never at construction.
+    Shared by ``ObservedDataset`` (rows) and ``FuturePopulation`` (units).  The table
+    may hold equal values more than once (a reader keeps one per distinct raw cell text,
+    so ``-0.0`` and ``0.0`` stay apart); they share one group.  The groups are built on
+    first use, never at construction.
     """
 
-    _members: Sequence[Row] | Sequence[Unit]
+    ids: tuple[int, ...]
+    values: tuple[Covariate, ...]
+    codes: tuple[int, ...]
+
+    @classmethod
+    def from_columns(cls, *columns, **keywords):
+        """The population from its columns (see the class); both constructors validate alike."""
+        pop = cls.__new__(cls)
+        pop._set_columns(*columns, **keywords)
+        return pop
+
+    def _set_members(self, ids, values, codes) -> None:
+        self.ids, self.values, self.codes = tuple(ids), tuple(values), tuple(codes)
+        if len(self.codes) != len(self.ids):
+            raise ValueError(f"{len(self.codes)} covariate codes for {len(self.ids)} unit ids")
+        if len(set(self.ids)) != len(self.ids):
+            raise ValueError("unit ids must be unique")
+        if self.codes and not 0 <= min(self.codes) <= max(self.codes) < len(self.values):
+            raise ValueError(f"covariate codes must lie in [0, {len(self.values)})")
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self.ids)
+
+    def __eq__(self, other) -> bool:  # member by member, whatever the table's layout
+        return other.__class__ is self.__class__ and all(
+            getattr(self, name) == getattr(other, name) for name in self._COLUMNS)
+
+    @property
+    def _xs(self) -> tuple[Covariate, ...]:
+        """Each member's covariate value, in member order."""
+        return tuple(map(self.values.__getitem__, self.codes))
 
     @cached_property
     def _at(self) -> dict[Covariate, tuple[int, ...]]:
-        groups: dict[Covariate, list[int]] = {}
-        for i, m in enumerate(self._members):
-            groups.setdefault(m.x, []).append(i)
-        return {x: tuple(groups[x]) for x in sorted(groups)}
+        """Positions per covariate value, in member order, from one stable sort of group
+        codes; values sorted, each keyed by its first member's."""
+        group: dict[Covariate, int] = {}  # equal values share a group code
+        codes = [group.setdefault(x, len(group)) for x in self.values]
+        codes = list(map(codes.__getitem__, self.codes))
+        runs = groupby(sorted(range(len(codes)), key=codes.__getitem__), codes.__getitem__)
+        at = {self.values[self.codes[pos[0]]]: pos for pos in (tuple(run) for _, run in runs)}
+        return {x: at[x] for x in sorted(at)}
 
     @cached_property
     def n_x(self) -> Mapping[Covariate, int]:
@@ -148,29 +182,37 @@ def pooled(
     return tuple(chain.from_iterable(groups.get(x, ()) for x in xs))
 
 
-@dataclass(frozen=True)
 class ObservedDataset(_Grouped):
     """Observed triples (x_i, t_i, y_i), optionally carrying an instrument z_i.
 
-    The declared treatment set is explicit; rows must stay inside it.
+    The declared treatment set is explicit; rows must stay inside it.  Built from
+    rows, or by ``from_columns(ids, values, codes, t, y, z=None, treatments={0, 1})``;
+    row i is (ids[i], values[codes[i]], t[i], y[i], z[i]), and ``z`` may be None.
     """
 
-    rows: tuple[Row, ...]
-    treatments: frozenset[int] = frozenset({0, 1})
+    _COLUMNS = ("ids", "t", "y", "z", "treatments", "_xs")
 
-    def __post_init__(self) -> None:
-        if len(self.treatments) < 2:
+    def __init__(self, rows: Iterable[Row] = (), treatments: frozenset[int] = frozenset({0, 1})):
+        rows = tuple(rows)
+        self._set_columns([r.unit for r in rows], [r.x for r in rows], range(len(rows)),
+                          [r.t for r in rows], [r.y for r in rows], [r.z for r in rows], treatments)
+
+    def _set_columns(self, ids, values, codes, t, y, z=None, treatments=frozenset({0, 1})) -> None:
+        if len(treatments) < 2:
             raise ValueError("treatment set must have at least two levels")
-        ids = [r.unit for r in self.rows]
-        if len(set(ids)) != len(ids):
-            raise ValueError("unit ids must be unique")
-        for r in self.rows:
-            if r.t not in self.treatments:
-                raise ValueError(f"row {r.unit}: treatment {r.t} not in declared set")
+        self._set_members(ids, values, codes)
+        self.t, self.y, self.treatments = tuple(t), tuple(y), frozenset(treatments)
+        self.z = None if z is None or all(v is None for v in z) else tuple(z)
+        if not len(self.t) == len(self.y) == len(self.z or self.t) == len(self.ids):
+            raise ValueError("columns t, y and z must hold one value per row")
+        if not self.treatments.issuperset(self.t):
+            i = next(i for i, t in enumerate(self.t) if t not in self.treatments)
+            raise ValueError(f"row {self.ids[i]}: treatment {self.t[i]} not in declared set")
 
-    @property
-    def _members(self) -> tuple[Row, ...]:
-        return self.rows
+    @cached_property
+    def rows(self) -> tuple[Row, ...]:
+        """The rows, built on first read."""
+        return tuple(map(Row, self.ids, self._xs, self.t, self.y, self.z or repeat(None)))
 
     def ys(self, t: int) -> Mapping[Covariate, tuple[float, ...]]:
         """Outcomes of the rows with treatment t per covariate value, in row order.
@@ -178,8 +220,8 @@ class ObservedDataset(_Grouped):
         Only nonempty groups appear, so a treatment without rows gives {}.
         """
         if t not in self._ys:
-            groups = {x: tuple(r.y for r in map(self.rows.__getitem__, pos) if r.t == t)
-                      for x, pos in self._at.items()}
+            y, ts = self.y, self.t
+            groups = {x: tuple([y[i] for i in pos if ts[i] == t]) for x, pos in self._at.items()}
             self._ys[t] = {x: ys for x, ys in groups.items() if ys}
         return self._ys[t]
 
@@ -187,13 +229,13 @@ class ObservedDataset(_Grouped):
     def ys_tz(self) -> Mapping[tuple[int, int | None], tuple[float, ...]]:
         """Outcomes per (t, z), in row order; built only for instrument queries."""
         groups: dict[tuple[int, int | None], list[float]] = {}
-        for r in self.rows:
-            groups.setdefault((r.t, r.z), []).append(r.y)
+        for key, y in zip(zip(self.t, self.z or repeat(None)), self.y):
+            groups.setdefault(key, []).append(y)
         return {key: tuple(ys) for key, ys in groups.items()}
 
     @cached_property
     def has_instrument(self) -> bool:
-        return len(self.rows) > 0 and all(r.z is not None for r in self.rows)
+        return self.z is not None and None not in self.z
 
     def require_instrument(self) -> None:
         if not self.has_instrument:
@@ -260,44 +302,45 @@ class Unit:
     x: Covariate
 
 
-@dataclass(frozen=True)
 class FuturePopulation(_Grouped):
     """The deployment population: unit ids with covariates, plus optional oracle columns.
 
     ``outcomes[t]`` holds the ground truth y(i, t) and ``compliance[z]`` the
     treatment s(i, z) taken under instrument z, each one value per unit in
-    unit order.  Outcomes depend only on the unit's own treatment.
+    unit order.  Outcomes depend only on the unit's own treatment.  Built
+    from units, or with ``from_columns(ids, values, codes, outcomes=None,
+    compliance=None)``, where unit i is (ids[i], values[codes[i]]).
     """
 
-    units: tuple[Unit, ...]
-    outcomes: Mapping[int, Sequence[float]] | None = None
-    compliance: Mapping[int, Sequence[int]] | None = None
+    _COLUMNS = ("ids", "outcomes", "compliance", "_xs")
 
-    def __post_init__(self) -> None:
-        if not self.units:
+    def __init__(self, units: Iterable[Unit], outcomes: Mapping[int, Sequence[float]] | None = None,
+                 compliance: Mapping[int, Sequence[int]] | None = None):
+        units = tuple(units)
+        self._set_columns([u.unit for u in units], [u.x for u in units], range(len(units)),
+                          outcomes, compliance)
+
+    def _set_columns(self, ids, values, codes, outcomes=None, compliance=None) -> None:
+        self._set_members(ids, values, codes)
+        if not self.ids:
             raise ValueError("future population must be nonempty")
-        ids = [u.unit for u in self.units]
-        if len(set(ids)) != len(ids):
-            raise ValueError("unit ids must be unique")
-        for name in ("outcomes", "compliance"):
-            columns = getattr(self, name)
-            if columns is None:
-                continue
-            for key, column in columns.items():
-                if len(column) != len(self.units):
-                    raise ValueError(
-                        f"{name} column {key} has {len(column)} values for {len(self.units)} units"
-                    )
-            columns = {key: tuple(columns[key]) for key in sorted(columns)}
-            object.__setattr__(self, name, MappingProxyType(columns))
+        for name, columns in (("outcomes", outcomes), ("compliance", compliance)):
+            for key, column in (columns or {}).items():
+                if len(column) != len(self.ids):
+                    raise ValueError(f"{name} column {key} has {len(column)} values "
+                                     f"for {len(self.ids)} units")
+            if columns is not None:
+                columns = MappingProxyType({key: tuple(columns[key]) for key in sorted(columns)})
+            setattr(self, name, columns)
 
-    @property
-    def _members(self) -> tuple[Unit, ...]:
-        return self.units
+    @cached_property
+    def units(self) -> tuple[Unit, ...]:
+        """The units, built on first read."""
+        return tuple(map(Unit, self.ids, self._xs))
 
     @cached_property
     def _position(self) -> dict[int, int]:
-        return {u.unit: i for i, u in enumerate(self.units)}
+        return dict(zip(self.ids, range(len(self.ids))))
 
     def xs(self) -> tuple[Covariate, ...]:
         return tuple(self._at)
@@ -354,14 +397,10 @@ class FuturePopulation(_Grouped):
 
     def apo(self, t: int) -> float:
         """True average potential outcome under treatment t, from the oracle."""
-        return mean_of(pooled(self.ys(t), self.n_x))
+        return mean_of(self.outcome_column(t))
 
     def ate(self, t1: int = 1, t0: int = 0) -> float:
         return self.apo(t1) - self.apo(t0)
-
-    def compliance_group(self, t: int, z: int) -> frozenset[int]:
-        """I_tz: future units that take treatment t when assigned instrument z."""
-        return frozenset(u.unit for u, s in zip(self.units, self.compliance_column(z)) if s == t)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import functools
 import math
 from pathlib import Path
 
-from .core import Covariate, FuturePopulation, ObservedDataset, Row, SchemaError, Unit
+from .core import Covariate, FuturePopulation, ObservedDataset, SchemaError
 
 
 def not_utf8(exc: UnicodeDecodeError) -> str:
@@ -43,165 +43,144 @@ def _names_file(load):
     return wrapper
 
 
-def _records(reader, header: list[str]):
-    """The data records after the header, each with its line number; blank records are skipped.
+def _table(path: Path, what: str, required: tuple[str, ...], fields_of):
+    """The header; the columns that ``fields_of(header)`` names (one record's checks in
+    order, as (column, int or float)), converted whole, the numeric covariates aside; and
+    the covariate values and each record's code into them.
 
-    A line number counts the header and the nonblank records before it.  A
-    record whose cell count differs from the header's is a schema error.
+    A repeated name's last column holds.  Each distinct tuple of raw covariate
+    cells gets one code and is parsed once, so ``-0.0`` and ``0.0`` stay apart.
+    Where a conversion fails, the first fault in file order is reported (a line counts the
+    header and the nonblank records); a decode error, once the records before it pass.
     """
-    line = 1
-    for record in reader:
-        if not record:
-            continue
-        line += 1
-        if len(record) != len(header):
-            raise SchemaError(
-                f"line {line}: {len(record)} cells where the header has {len(header)}"
-            )
-        yield line, record
-
-
-def _covariate_reader(header: list[str], pos: dict[str, int]):
-    """A function of (record, line) giving the record's ``Covariate``.
-
-    Records repeat few distinct covariate values, so each distinct tuple of
-    raw cells is parsed once and its ``Covariate`` shared.
-    """
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        pos = {name: i for i, name in enumerate(header)}
+        for name in required:
+            if name not in pos:
+                raise SchemaError(f"line 1: {what} CSV header must contain {name!r}, got {header}")
+        fields, records, stopped = fields_of(header), [], None
+        try:
+            records.extend(filter(None, reader))
+        except UnicodeDecodeError as exc:
+            stopped = exc
     cols = [c for c in header if c.startswith(("xc_", "xn_"))]
-    at = [pos[c] for c in cols]
-    seen: dict[tuple[str, ...], Covariate] = {}
+    columns = numeric = None
+    if records and all(len(record) == len(header) for record in records):
+        table = list(zip(*records))
+        index: dict[tuple[str, ...], int] = {}
+        raw = list(zip(*(table[pos[c]] for c in cols))) or [()] * len(records)
+        codes = [index.setdefault(cells, len(index)) for cells in raw]
+        columns = _convert(table, [(c, pos[c], kind) for c, kind in fields if c[:3] != "xn_"])
+        numeric = _convert(list(zip(*index)), [(c, j, float) for j, c in enumerate(cols)
+                                                if c[:3] == "xn_"])
+    if columns is None or numeric is None:
+        for line, record in enumerate(records, 2):
+            if len(record) != len(header):
+                raise SchemaError(
+                    f"line {line}: {len(record)} cells where the header has {len(header)}")
+            for c, kind in fields:
+                _check_cell(record[pos[c]], c, line, kind)
+    if stopped is not None:
+        raise stopped
+    if not records:
+        raise SchemaError(f"{what} CSV has no data rows")
+    values = [Covariate.of(**{c[3:]: numeric[c][k] if c in numeric else cells[j]
+                              for j, c in enumerate(cols)}) for k, cells in enumerate(index)]
+    return header, columns, values, codes
 
-    def covariate(record: list[str], line: int) -> Covariate:
-        raw = tuple([record[i] for i in at])
-        x = seen.get(raw)
-        if x is None:
-            fields: dict[str, str | float] = {}
-            for c, value in zip(cols, raw):
-                fields[c[3:]] = value if c.startswith("xc_") else _parse_float(value, c, line)
-            x = seen[raw] = Covariate.of(**fields)
-        return x
 
-    return covariate
+def _convert(table: list[tuple[str, ...]], fields) -> dict[str, list] | None:
+    """The (name, position, kind) columns of ``table`` converted whole; None if a cell fails."""
+    columns = {}
+    for name, i, kind in fields:
+        try:
+            columns[name] = list(map(kind, table[i]))
+        except ValueError:
+            return None
+        if kind is float and not all(map(math.isfinite, columns[name])):
+            return None
+    return columns
 
 
-def _oracle_columns(header: list[str], pos: dict[str, int], prefix: str):
-    """(column, position, key, values) of each distinct ``prefix<key>`` column, in header
-    order; ``values`` is the empty list the column's values go to."""
+def _oracle_columns(header: list[str], prefix: str) -> list[tuple[str, int]]:
+    """(column, key) of each distinct ``prefix<key>`` column, in header order."""
     cols = []
     for c in dict.fromkeys(c for c in header if c.startswith(prefix)):
         try:
-            cols.append((c, pos[c], int(c[3:]), []))
+            cols.append((c, int(c[3:])))
         except ValueError:
             raise SchemaError(f"line 1: column {c}: {c[3:]!r} is not an integer") from None
     return cols
 
 
-def _parse_int(raw: str, col: str, line: int) -> int:
+def _check_cell(raw: str, col: str, line: int, kind: type) -> None:
+    """The schema error of a cell that ``kind`` does not convert; a float must be finite."""
     try:
-        return int(raw)
+        value = kind(raw)
     except ValueError:
-        raise SchemaError(f"line {line}: column {col}: not an integer: {raw!r}") from None
-
-
-def _parse_float(raw: str, col: str, line: int) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise SchemaError(f"line {line}: column {col}: not a number: {raw!r}") from None
-    if not math.isfinite(value):
+        what = "an integer" if kind is int else "a number"
+        raise SchemaError(f"line {line}: column {col}: not {what}: {raw!r}") from None
+    if kind is float and not math.isfinite(value):
         raise SchemaError(f"line {line}: column {col}: not a finite number: {raw!r}")
-    return value
-
-
-def _header(reader) -> tuple[list[str], dict[str, int]]:
-    """The header and each name's position (the last, where a name repeats)."""
-    header = next(reader, [])
-    return header, {name: i for i, name in enumerate(header)}
 
 
 @_names_file
 def load_observed_csv(path: str | Path) -> ObservedDataset:
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header, pos = _header(reader)
-        for required in ("id", "t", "y"):
-            if required not in pos:
-                raise SchemaError(f"line 1: observed CSV header must contain {required!r}, got {header}")
-        covariate = _covariate_reader(header, pos)
-        i_id, i_t, i_y, i_z = pos["id"], pos["t"], pos["y"], pos.get("z")
-        rows = []
-        for line, record in _records(reader, header):
-            rows.append(
-                Row(
-                    unit=_parse_int(record[i_id], "id", line),
-                    x=covariate(record, line),
-                    t=_parse_int(record[i_t], "t", line),
-                    y=_parse_float(record[i_y], "y", line),
-                    z=None if i_z is None else _parse_int(record[i_z], "z", line),
-                )
-            )
-    if not rows:
-        raise SchemaError("observed CSV has no data rows")
+    _, columns, values, codes = _table(Path(path), "observed", ("id", "t", "y"), lambda header: [
+        ("id", int), *((c, float) for c in header if c.startswith("xn_")), ("t", int),
+        ("y", float), *((c, int) for c in header if c == "z")])
     try:
-        return ObservedDataset(tuple(rows), frozenset({0, 1} | {r.t for r in rows}))
+        return ObservedDataset.from_columns(
+            columns["id"], values, codes, columns["t"], columns["y"], columns.get("z"),
+            frozenset({0, 1, *columns["t"]}),
+        )
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
 
 
-def _covariate_columns(members) -> list[str]:
+def _covariate_columns(pop) -> list[str]:
     """The ``xc_``/``xn_`` columns of the first member's covariate; a member whose covariate
-    has other names or kinds is a ValueError naming it."""
-    columns: list[str] = []
-    for i, x in enumerate(dict.fromkeys(m.x for m in members)):
-        cols = [("xc_" if isinstance(v, str) else "xn_") + n for n, v in x.items]
-        if i and cols != columns:
-            unit = next(m.unit for m in members if m.x == x)
+    has other names or kinds is a ValueError naming the first such member."""
+    kinds = [[("xc_" if isinstance(v, str) else "xn_") + n for n, v in x.items] for x in pop.values]
+    columns = kinds[pop.codes[0]] if pop.codes else []
+    bad = {code for code, cols in enumerate(kinds) if cols != columns}
+    for unit, code in zip(pop.ids, pop.codes) if bad else ():
+        if code in bad:
+            x = pop.values[code]
             raise ValueError(f"unit {unit}: covariate {x!r} does not fit the columns {columns}")
-        columns = cols
     return columns
+
+
+def _cells(pop) -> list[list[str]]:
+    """The cells of each covariate value in the table, formatted once."""
+    return [[v if isinstance(v, str) else repr(v) for _, v in x.items] for x in pop.values]
 
 
 def save_observed_csv(data: ObservedDataset, path: str | Path) -> None:
     path = Path(path)
     has_z = data.has_instrument
-    header = ["id", "t", "y"] + (["z"] if has_z else []) + _covariate_columns(data.rows)
+    header = ["id", "t", "y"] + (["z"] if has_z else []) + _covariate_columns(data)
+    heads = zip(data.ids, data.t, map(repr, data.y), *([data.z] if has_z else []))
+    cells = _cells(data)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for r in data.rows:
-            record = [r.unit, r.t, repr(r.y)] + ([r.z] if has_z else [])
-            record += [v if isinstance(v, str) else repr(v) for _, v in r.x.items]
-            writer.writerow(record)
+        writer.writerows([*head, *cells[code]] for head, code in zip(heads, data.codes))
 
 
 @_names_file
 def load_future_csv(path: str | Path) -> FuturePopulation:
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header, pos = _header(reader)
-        if "id" not in pos:
-            raise SchemaError(f"line 1: future CSV header must contain 'id', got {header}")
-        covariate = _covariate_reader(header, pos)
-        y_cols = _oracle_columns(header, pos, "y_t")
-        s_cols = _oracle_columns(header, pos, "s_z")
-        i_id = pos["id"]
-        units = []
-        for line, record in _records(reader, header):
-            unit = _parse_int(record[i_id], "id", line)
-            units.append(Unit(unit, covariate(record, line)))
-            for name, i, _, values in y_cols:
-                values.append(_parse_float(record[i], name, line))
-            for name, i, _, values in s_cols:
-                values.append(_parse_int(record[i], name, line))
-    if not units:
-        raise SchemaError("future CSV has no data rows")
+    header, columns, values, codes = _table(Path(path), "future", ("id",), lambda header: [
+        ("id", int), *((c, float) for c in header if c.startswith("xn_")),
+        *((c, float) for c, _ in _oracle_columns(header, "y_t")),
+        *((c, int) for c, _ in _oracle_columns(header, "s_z"))])
     try:  # where two columns name one key, such as y_t1 and y_t01, the last one holds
-        return FuturePopulation(
-            tuple(units),
-            outcomes={t: values for _, _, t, values in y_cols} or None,
-            compliance={z: values for _, _, z, values in s_cols} or None,
+        return FuturePopulation.from_columns(
+            columns["id"], values, codes,
+            outcomes={t: columns[c] for c, t in _oracle_columns(header, "y_t")} or None,
+            compliance={z: columns[c] for c, z in _oracle_columns(header, "s_z")} or None,
         )
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
@@ -212,12 +191,11 @@ def save_future_csv(future: FuturePopulation, path: str | Path) -> None:
     oracle, each in key order."""
     path = Path(path)
     outcomes, compliance = future.outcomes or {}, future.compliance or {}
-    header = ["id"] + _covariate_columns(future.units)
+    header = ["id"] + _covariate_columns(future)
     header += [f"y_t{t}" for t in outcomes] + [f"s_z{z}" for z in compliance]
+    cells = _cells(future)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for u, *oracle in zip(future.units, *outcomes.values(), *compliance.values()):
-            record: list = [u.unit]
-            record += [v if isinstance(v, str) else repr(v) for _, v in u.x.items]
-            writer.writerow(record + oracle)
+        writer.writerows([unit, *cells[code], *oracle] for unit, code, *oracle
+                         in zip(future.ids, future.codes, *outcomes.values(), *compliance.values()))

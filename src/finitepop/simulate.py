@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from .core import Covariate, FuturePopulation, ObservedDataset, Row, Unit
+from .core import Covariate, FuturePopulation, ObservedDataset
 from .estimate import PanelDataset, named_estimator
 
 if TYPE_CHECKING:
@@ -281,7 +281,7 @@ def generate(spec: ScenarioSpec) -> Scenario:
                     ts[idxs[0]] = 1
                 if 0 not in assigned:
                     ts[idxs[-1]] = 0
-        zs: list[int | None] = [None] * n
+        zs = None
     else:
         take = np.asarray([inst.take_prob(z) for z in (0, 1)])
         rng_z = component_rng(spec.seed, _STREAM_INSTRUMENT)
@@ -291,8 +291,9 @@ def generate(spec: ScenarioSpec) -> Scenario:
 
     noise = spec.noise_sd * component_rng(spec.seed, _STREAM_OBS_NOISE).standard_normal(n)
     ys = _clip(base[codes, ts] + noise, k0, k1)
-    xs = [covariates[c] for c in codes.tolist()]
-    observed = ObservedDataset(tuple(map(Row, range(n), xs, ts.tolist(), ys.tolist(), zs)))
+    observed = ObservedDataset.from_columns(
+        range(n), covariates, codes.tolist(), ts.tolist(), ys.tolist(), zs
+    )
 
     # --- future side: draw only levels that occur in the observed data
     fut_weights = _weights(levels, None if spec.future_level_weights is None else tuple(
@@ -315,8 +316,8 @@ def generate(spec: ScenarioSpec) -> Scenario:
         if inst.dominance_break > 0:  # units that would not take treatment under z=1
             y[:, 1] = np.where(s[:, 1], y[:, 1], y[:, 0] - inst.dominance_break)
 
-    future = FuturePopulation(
-        tuple(map(Unit, range(n, n + m), [covariates[c] for c in fut_codes.tolist()])),
+    future = FuturePopulation.from_columns(
+        range(n, n + m), covariates, fut_codes.tolist(),
         outcomes={t: y[:, t].tolist() for t in (0, 1)},
         compliance=compliance,
     )
@@ -378,16 +379,16 @@ def generate_compliance_stable_scenario(
 
     x = Covariate.of(level="all")
     y_obs = draw_pairs(_STREAM_OBS_NOISE, n_observed)[np.arange(n_observed), takes]
-    observed = ObservedDataset(tuple(
-        Row(unit=i, x=x, t=take, y=y, z=z_arm)
-        for i, (take, y) in enumerate(zip(takes.tolist(), y_obs.tolist()))
-    ))
+    observed = ObservedDataset.from_columns(
+        range(n_observed), [x], [0] * n_observed, takes.tolist(), y_obs.tolist(),
+        [z_arm] * n_observed,
+    )
 
     m = n_observed * clone_factor
     y = draw_pairs(_STREAM_FUT_NOISE, m)
     choices = np.repeat(np.column_stack([takes, off_arm]), clone_factor, axis=0)
-    future = FuturePopulation(
-        tuple(Unit(unit, x) for unit in range(n_observed, n_observed + m)),
+    future = FuturePopulation.from_columns(
+        range(n_observed, n_observed + m), [x], [0] * m,
         {t: y[:, t].tolist() for t in (0, 1)},
         {z_arm: choices[:, 0].tolist(), 1 - z_arm: choices[:, 1].tolist()},
     )

@@ -303,7 +303,8 @@ def audit_compliance_stability(data, future):
     per = {}
     for z in sorted({r.z for r in data.rows}):
         for t in sorted(data.treatments):
-            i_share = len(future.compliance_group(t, z)) / len(future.units)
+            takers = [u for u in future.units if future.s(u.unit, z) == t]
+            i_share = len(takers) / len(future.units)
             j_share = len(rows_where(data, t=t, z=z)) / len(data.rows)
             per[(t, z)] = abs(i_share - j_share)
     return per

@@ -868,6 +868,9 @@ def test_the_conversions_cover_exactly_the_spec_fields():
     assert sorted(cli._CONVERSIONS) == sorted(f.name for f in fields)
 
 
+HUGE = 10**400  # an integer that no float holds
+
+
 @pytest.mark.parametrize("verb, body, message", [
     pytest.param("sweep", "schema: 1\nseed: 1\nreplications: 2.7\n" + SMALL_SCENARIO,
                  "line 3: replications and seed must be integers", id="replications-float"),
@@ -885,6 +888,13 @@ def test_the_conversions_cover_exactly_the_spec_fields():
     pytest.param("simulate", TWO_LEVELS + "propensities: true\n",
                  "line 6: bad scenario spec: propensities must be a number or a mapping from "
                  "level to number, got True", id="propensities-true"),
+    pytest.param("simulate", TWO_LEVELS + f"noise_sd: {HUGE}\n",
+                 f"line 6: bad scenario spec: noise_sd must be a number, got {HUGE}",
+                 id="noise-sd-too-large-for-a-float"),
+    pytest.param("sweep", "schema: 1\nseed: 1\nreplications: 2\n" + SMALL_SCENARIO
+                 + f"  noise_sd: {HUGE}\n",
+                 f"line 10: bad scenario spec: noise_sd must be a number, got {HUGE}",
+                 id="sweep-noise-sd-too-large-for-a-float"),
 ])
 def test_a_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, verb, body, message):
     cfg = write_config(tmp_path, "c.yaml", body)
@@ -897,6 +907,8 @@ def test_a_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, verb, body, 
 @pytest.mark.parametrize("params, message", [
     pytest.param("k0: false, k1: 10", "parameter k0 must be a number, got False", id="k0-false"),
     pytest.param('k0: 0, k1: "10"', "parameter k1 must be a number, got '10'", id="k1-string"),
+    pytest.param(f"k0: 0, k1: {HUGE}", f"parameter k1 must be a number, got {HUGE}",
+                 id="k1-too-large-for-a-float"),
 ])
 def test_a_method_parameter_of_the_wrong_type_exits_2(tmp_path, p8_files, capsys, params, message):
     obs, _ = p8_files

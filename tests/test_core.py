@@ -186,7 +186,7 @@ def test_oracle_columns_answer_y_and_s():
     assert (f.y(12, 1), f.s(11, 0)) == (4.0, 1)
     assert f.outcomes == {1: (10.0, 4.0)}
     for read in (lambda: f.y(12, 0), lambda: f.y(13, 1), lambda: f.s(11, 1),
-                 lambda: f.s(13, 0), lambda: f.ys(0), lambda: f.compliance_group(1, 1)):
+                 lambda: f.s(13, 0), lambda: f.ys(0)):
         with pytest.raises(OracleError, match="undefined at"):
             read()
     bare = FuturePopulation(units)

@@ -204,3 +204,38 @@ def test_writers_reject_mixed_covariate_columns_before_opening_the_file(tmp_path
         with pytest.raises(ValueError, match=rf"^unit 3: covariate {re.escape(repr(second))} "):
             save(population, path)
         assert not path.exists()
+
+
+def test_generate_readers_writers_and_methods_leave_rows_and_units_unbuilt(tmp_path):
+    """The hot paths work on columns: no ``Row`` or ``Unit`` view is built."""
+    from finitepop.audit import audit_compliance_stability, audit_dominance
+    from finitepop.cli import run_methods
+    from finitepop.core import CovariatePartition
+    from finitepop.estimate import Tabular
+    from finitepop.simulate import InstrumentSpec, ScenarioSpec, generate
+
+    levels = ("a", "b", "c")
+    scenario = generate(ScenarioSpec(
+        n_observed=60, n_future=60, levels=levels, noise_sd=1.0, shared_unit_noise=True,
+        base_outcomes=tuple((lv, (2.0 + i, 4.0 + i)) for i, lv in enumerate(levels)),
+        instrument=InstrumentSpec(), seed=3,
+    ))
+    save_observed_csv(scenario.observed, tmp_path / "o.csv")
+    save_future_csv(scenario.future, tmp_path / "f.csv")
+    loaded = (load_observed_csv(tmp_path / "o.csv"), load_future_csv(tmp_path / "f.csv"))
+    xs = [Covariate.of(level=lv) for lv in levels]
+    files = {("partition", "p.yaml"): CovariatePartition.from_members({"ab": xs[:2], "c": xs[2:]}),
+             ("predictor", "q.yaml"): Tabular({(x, t): 3.0 for x in xs for t in (0, 1)})}
+    cfg = {"methods": [
+        "rct", "matching", {"name": "coarsened", "partition": "p.yaml"},
+        {"name": "plugin", "predictor": "q.yaml", "partition": "p.yaml"},
+        {"name": "dr", "predictor": "q.yaml"}, {"name": "iv_lower", "eps": 0.1, "delta": 0.1},
+        {"name": "rm_bounds", "k0": 0.0, "k1": 10.0, "delta": 5.0},
+    ]}
+    for data, future in ((scenario.observed, scenario.future), loaded):
+        report = run_methods(cfg, data, future, loaded=files)
+        assert len(report["methods"]) == 7
+        audit_dominance(future)
+        audit_compliance_stability(data, future)
+        assert "rows" not in vars(data) and "units" not in vars(future)
+    assert loaded == (scenario.observed, scenario.future)

@@ -14,7 +14,7 @@ from unittest.mock import ANY
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finitepop.cli import ConfigError, _parse_yaml, load_config
@@ -38,6 +38,47 @@ def test_cli_import_loads_no_numpy_and_lazy_names_resolve():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "module 'finitepop' has no attribute 'no_such_name'\n"
+
+
+P8_OBSERVED = "id,t,y,z,xc_level\n1,1,10.0,1,a\n2,0,6.0,0,a\n3,1,4.0,1,b\n4,0,2.0,0,b\n"
+P8_FUTURE = ("id,xc_level,y_t0,y_t1,s_z0,s_z1\n11,a,6.0,10.0,0,1\n12,a,6.0,10.0,0,1\n"
+             "13,b,2.0,4.0,0,1\n14,b,2.0,4.0,0,1\n")
+P8_PARTITION = "schema: 1\ncells:\n  c1: [{level: a}]\n  c2: [{level: b}]\n"
+P8_PREDICTOR = "schema: 1\nentries:\n" + "".join(
+    f"  - {{x: {{level: {lv}}}, t: {t}, p: {p}}}\n"
+    for lv, t, p in (("a", 0, 6.0), ("a", 1, 10.0), ("b", 0, 2.0), ("b", 1, 4.0))
+)
+
+
+def test_run_and_audit_load_no_numpy(tmp_path):
+    """Every point method in oracle mode, then every audit, with partition and predictor
+    files: neither verb imports numpy."""
+    files = {"observed.csv": P8_OBSERVED, "future.csv": P8_FUTURE,
+             "part.yaml": P8_PARTITION, "pred.yaml": P8_PREDICTOR}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    common = "schema: 1\nmode: oracle\nobserved: observed.csv\nfuture: future.csv\n"
+    (tmp_path / "run.yaml").write_text(
+        common + "out: run.json\nmethods: [rct, matching, {name: coarsened, partition: part.yaml},"
+        " {name: plugin, predictor: pred.yaml, partition: part.yaml},"
+        " {name: dr, predictor: pred.yaml}]\n")
+    (tmp_path / "audit.yaml").write_text(
+        common + "out: audit.json\npredictor: pred.yaml\npartition: part.yaml\naudits: [sp, cfd,"
+        " signed_difference, ml_groupwise, dr_condition, dominance, compliance_stability]\n")
+    code = (
+        "import sys\nfrom finitepop.cli import main\n"
+        "assert main(['run', '--config', 'run.yaml']) == 0\n"
+        "assert main(['audit', '--config', 'audit.yaml']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    report = json.loads((tmp_path / "run.json").read_text())
+    assert sorted(report["methods"]) == ["coarsened", "dr", "matching", "plugin", "rct"]
+    assert report["ok"] is True
+    assert len(json.loads((tmp_path / "audit.json").read_text())["audits"]) == 7
 
 
 def parsed(parse, text):
@@ -96,6 +137,7 @@ def test_libyaml_and_pure_loader_build_equal_trees(tree, style):
 @given(tree=st.dictionaries(st.text(max_size=6), trees, min_size=1, max_size=5),
        cuts=st.lists(st.integers(0, 10_000), min_size=1, max_size=3),
        junk=st.sampled_from("[]{}:,-'\"\t\n#&*!|>?%@` \ufeff\x85\u2028"))
+@example(tree={"a": {"": None}}, cuts=[1, 11], junk="!")  # "a!:\n  ? ''\n!  : null\n"
 def test_configs_parse_as_the_pure_loader_parses_them(tree, cuts, junk):
     """Valid configs with a character inserted here and there: the pure loader's tree,
     or its error; or libyaml's tree where only the pure loader rejects the text."""
