@@ -36,13 +36,6 @@ class AuditResult:
     per_treatment: dict = field(default_factory=dict)
     details: dict | None = None
 
-    @property
-    def headline(self) -> float:
-        """Largest absolute discrepancy across keys."""
-        if not self.per_treatment:
-            return 0.0
-        return max(abs(v) for v in self.per_treatment.values())
-
     def to_json(self) -> dict:
         return {
             "assumption": self.name,
@@ -113,35 +106,33 @@ def audit_ml_groupwise(
     p,
     data: ObservedDataset,
     future: FuturePopulation,
+    t: int,
     partition: CovariatePartition | None = None,
 ) -> AuditResult:
-    """Area-wise residual-transfer gaps for an arbitrary predictor.
+    """Area-wise residual-transfer gaps at treatment t for an arbitrary predictor.
 
-    Per cell and treatment: mean future residual (prediction minus true outcome
-    over the cell's future units) minus mean observed residual over the cell's
-    treated observed rows.  Headline per treatment is the max absolute cell gap.
-    Without a partition every covariate value is its own cell.
+    Per cell: mean future residual (prediction minus true outcome under t over
+    the cell's future units) minus mean observed residual over the cell's rows
+    treated with t.  Its value at t is the max absolute cell gap.  Without a
+    partition every covariate value is its own cell.
     """
     future.require_oracle()
     xs = sorted(set(data.xs()) | set(future.xs()))
     cells = (partition or CovariatePartition.singletons(xs)).groups(xs).items()
+    truth, observed = future.ys(t), data.ys(t)
     details: dict[tuple[str, int], float] = {}
-    per: dict[int, float] = {}
-    for t in sorted(data.treatments):
-        truth, observed = future.ys(t), data.ys(t)
-        worst = 0.0
-        for name, members in cells:
-            fut = {x: truth[x] for x in members if x in truth}
-            obs = {x: observed[x] for x in members if x in observed}
-            if not fut or not obs:
-                raise SupportError(
-                    f"cell {name}: empty on {'future' if not fut else 'observed'} side"
-                )
-            gap = _mean_residual(p, t, fut) - _mean_residual(p, t, obs)
-            details[(name, t)] = gap
-            worst = max(worst, abs(gap))
-        per[t] = worst
-    return AuditResult("groupwise_residual_transfer", per, details)
+    worst = 0.0
+    for name, members in cells:
+        fut = {x: truth[x] for x in members if x in truth}
+        obs = {x: observed[x] for x in members if x in observed}
+        if not fut or not obs:
+            raise SupportError(
+                f"cell {name}: empty on {'future' if not fut else 'observed'} side"
+            )
+        gap = _mean_residual(p, t, fut) - _mean_residual(p, t, obs)
+        details[(name, t)] = gap
+        worst = max(worst, abs(gap))
+    return AuditResult("groupwise_residual_transfer", {t: worst}, details)
 
 
 def _mean_residual(p, t: int, groups: dict) -> float:

@@ -519,39 +519,21 @@ def run_methods(cfg: dict, data: ObservedDataset, future: FuturePopulation | Non
 
 
 def _run_point_method(method, params, data, future, truth) -> dict:
-    per_t = {t: method.estimate(data, t, params) for t in sorted(data.treatments)}
+    """The method's estimates; with ``truth``, each one's error against its audited budget:
+    the stable-prediction gap, audited once for all treatments, plus the transfer term at t."""
+    p = method.fit(data, params)
+    per_t = {t: method.estimate(p, data, t, params) for t in sorted(data.treatments)}
     entry: dict = {"per_treatment": {str(t): r.to_json() for t, r in per_t.items()}}
     if 0 in per_t and 1 in per_t:
         entry["ate"] = ate_estimate(per_t[1], per_t[0]).to_json()
-    if truth is not None:
-        entry["verdicts"] = verdicts = _oracle_verdicts(method, params, data, future, truth, per_t)
-        if 0 in per_t and 1 in per_t:
-            v1, v0 = verdicts["1"], verdicts["0"]
-            if v1["budget"] is not None and v0["budget"] is not None:
-                ate = truth[1] - truth[0]
-                err = abs((per_t[1].estimate - per_t[0].estimate) - ate)
-                budget = v1["budget"] + v0["budget"]
-                verdicts["ate"] = {
-                    "truth": ate, "error": err, "budget": budget,
-                    "pass": err <= budget + 2 * _SLACK,
-                }
-    return entry
-
-
-def _oracle_verdicts(method, params, data, future, truth, per_t) -> dict:
-    """Each treatment's estimation error against its audited budget.
-
-    The budget is the bound of the method's guarantee: the stable-prediction
-    gap plus its transfer term.  Every audit runs once per method and serves
-    all treatments.
-    """
-    p = method.predictor(data, params)
-    guarantees = method.budget(p, data, future, tuple(per_t), params)
-    verdicts = {}
+    if truth is None:
+        return entry
+    sp = audit_sp(p, data, future).per_treatment
+    entry["verdicts"] = verdicts = {}
     for t, report in per_t.items():
-        guarantee, premise = guarantees[t]
+        delta, premise = method.transfer(p, data, future, t, params)
         error = abs(report.estimate - truth[t])
-        budget = None if guarantee is None else guarantee.bound
+        budget = None if delta is None else sp[t] + delta
         v = {"truth": truth[t], "error": error, "budget": budget,
              "pass": None if budget is None else error <= budget + _SLACK}
         if premise:
@@ -559,7 +541,17 @@ def _oracle_verdicts(method, params, data, future, truth, per_t) -> dict:
         elif budget is None:
             v["note"] = "no audited premise holds; bound not applicable"
         verdicts[str(t)] = v
-    return verdicts
+    if 0 in per_t and 1 in per_t:
+        v1, v0 = verdicts["1"], verdicts["0"]
+        if v1["budget"] is not None and v0["budget"] is not None:
+            ate = truth[1] - truth[0]
+            err = abs((per_t[1].estimate - per_t[0].estimate) - ate)
+            budget = v1["budget"] + v0["budget"]
+            verdicts["ate"] = {
+                "truth": ate, "error": err, "budget": budget,
+                "pass": err <= budget + 2 * _SLACK,
+            }
+    return entry
 
 
 # ----------------------------------------------------------------------------
@@ -594,12 +586,22 @@ def cmd_run(cfg: dict) -> int:
     return EXIT_OK if report["ok"] else EXIT_VERDICT_FAIL
 
 
+def _ml_groupwise(p, d, f, ps) -> AuditResult:
+    """``audit_ml_groupwise`` at each observed treatment in order, merged into one result."""
+    merged = AuditResult("groupwise_residual_transfer", {}, {})
+    for t in sorted(d.treatments):
+        result = audit_ml_groupwise(p, d, f, t, ps.get("partition"))
+        merged.per_treatment.update(result.per_treatment)
+        merged.details.update(result.details)
+    return merged
+
+
 _AUDITS = {  # name -> audit of (predictor, data, future, method parameters)
     "sp": lambda p, d, f, _: audit_sp(p, d, f),
-    "cfd": lambda p, d, f, _: audit_cfd(p, f),
+    "cfd": lambda p, d, f, _: audit_cfd(p, f, tuple(sorted(d.treatments))),
     "signed_difference": lambda p, d, f, _: AuditResult("avg_signed_difference", {
         t: avg_signed_difference(d, f, t) for t in sorted(d.treatments)}),
-    "ml_groupwise": lambda p, d, f, ps: audit_ml_groupwise(p, d, f, ps.get("partition")),
+    "ml_groupwise": _ml_groupwise,
     "dr_condition": lambda p, d, f, _: AuditResult("dr_condition", {
         t: audit_dr_condition(d, f, t) for t in sorted(d.treatments)}),
     "dominance": lambda p, d, f, _: audit_dominance(f),
@@ -625,7 +627,7 @@ def cmd_audit(cfg: dict) -> int:
     params = _method_params({"name": "audit", **files}, {})
     if "partition" in params:
         _check_covers(params["partition"], files["partition"], data, future)
-    p = _lookup(METHODS, "auditing predictor", kind, "predictor", params).predictor(data, params)
+    p = _lookup(METHODS, "auditing predictor", kind, "predictor", params).fit(data, params)
     results = {}
     for name in audits:
         run = _lookup(_AUDITS, "audit", name, "audits")

@@ -1,7 +1,7 @@
 """Point estimators: RCT, matching (exact and coarsened), plug-in, doubly
 robust, treatment-effect differences, difference-in-differences, and policy
-values for deterministic and stochastic treatment rules.  ``METHODS`` pairs
-each point method with the audits that set its error budget.
+values for deterministic and stochastic treatment rules.  ``METHODS`` gives
+each point method's fit, estimator and transfer term.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from .audit import (
     audit_cfd,
     audit_dr_condition,
     audit_ml_groupwise,
-    audit_sp,
     avg_signed_difference,
 )
 from .core import (
@@ -46,15 +45,20 @@ class Predictor:
         raise NotImplementedError
 
 
-def _fitted_mean(data: ObservedDataset, t: int, xs, empty: str, **where) -> float:
-    """Observed mean outcome at treatment t over the covariate values xs.
-
-    An empty group raises, with ``empty`` formatted by t and ``where``.
-    """
-    ys = pooled(data.ys(t), xs)
-    if not ys:
-        raise PredictorError(empty.format(t=t, **where))
-    return mean_of(ys)
+def _supported(
+    data: ObservedDataset, partition: CovariatePartition | None, treatments
+) -> SupportReport:
+    """The support report of ``data``; the first of ``treatments`` that some x (or cell)
+    lacks is a SupportError naming them."""
+    support = common_support_check(data, partition)
+    for t in treatments:
+        bad = ", ".join(label for label, s in support.violations if s == t)
+        if bad:
+            raise SupportError(
+                f"common support fails for t={t} at {bad}" if partition is None
+                else f"empty treated cell for t={t}: {bad}"
+            )
+    return support
 
 
 @dataclass(frozen=True)
@@ -65,8 +69,7 @@ class RctConstant(Predictor):
 
     @classmethod
     def fit(cls, data: ObservedDataset) -> "RctConstant":
-        return cls({t: _fitted_mean(data, t, data.xs(), "no observed rows for treatment {t}")
-                    for t in sorted(data.treatments)})
+        return cls({t: rct_estimate(data, t).estimate for t in sorted(data.treatments)})
 
     def __call__(self, x: Covariate, t: int) -> float:
         try:
@@ -83,9 +86,9 @@ class ExactMatching(Predictor):
 
     @classmethod
     def fit(cls, data: ObservedDataset) -> "ExactMatching":
+        _supported(data, None, sorted(data.treatments))
         return cls({
-            (x, t): _fitted_mean(data, t, (x,), "empty cell at x={x!r}, t={t} (common support)", x=x)
-            for x in data.xs() for t in sorted(data.treatments)
+            (x, t): mean_of(data.ys(t)[x]) for x in data.xs() for t in sorted(data.treatments)
         })
 
     def __call__(self, x: Covariate, t: int) -> float:
@@ -104,9 +107,9 @@ class CoarsenedMatching(Predictor):
 
     @classmethod
     def fit(cls, data: ObservedDataset, partition: CovariatePartition) -> "CoarsenedMatching":
+        _supported(data, partition, sorted(data.treatments))
         return cls(partition, {
-            (name, t): _fitted_mean(
-                data, t, xs, "empty cell at U={name}, t={t} (common support)", name=name)
+            (name, t): mean_of(pooled(data.ys(t), xs))
             for name, xs in partition.groups(data.xs()).items() if xs
             for t in sorted(data.treatments)
         })
@@ -223,56 +226,50 @@ def rct_estimate(data: ObservedDataset, t: int) -> EstimateReport:
     return EstimateReport(mean_of(ys), "rct", t)
 
 
-def _assert_identity(lhs: float, rhs: float, label: str) -> None:
-    scale = max(1.0, abs(lhs), abs(rhs))
-    if abs(lhs - rhs) > _IDENTITY_RTOL * scale:
-        raise AssertionError(f"{label}: {lhs!r} != {rhs!r}")
-
-
 def exact_matching_estimate(data: ObservedDataset, t: int) -> EstimateReport:
     """Inverse-propensity-weighted sum over the treated rows, x-wise.
 
     Algebraically identical to averaging the exact-matching predictor over all
-    observed rows; the identity is asserted internally.
+    observed rows; ``METHODS`` checks the identity against its fitted predictor.
     """
-    return _matching_estimate(data, t, None)
+    return _horvitz_thompson(data, t, None)
 
 
 def coarsened_matching_estimate(
     data: ObservedDataset, partition: CovariatePartition, t: int
 ) -> EstimateReport:
     """Inverse cell-propensity weighted sum over the treated rows."""
-    return _matching_estimate(data, t, partition)
+    return _horvitz_thompson(data, t, partition)
 
 
-def _matching_estimate(
+def _horvitz_thompson(
     data: ObservedDataset, t: int, partition: CovariatePartition | None
 ) -> EstimateReport:
-    """Horvitz-Thompson sum, checked against the matching plug-in it equals."""
+    """Horvitz-Thompson sum over the rows treated with t, weighted per x or per cell.
+    Support is checked at t first; the other treatments follow, since the matching
+    predictor this sum equals needs them all."""
     data.check_treatment(t)
-    support = common_support_check(data, partition)
-    bad = ", ".join(label for label, s in support.violations if s == t)
-    if bad:
-        raise SupportError(
-            f"common support fails for t={t} at {bad}" if partition is None
-            else f"empty treated cell for t={t}: {bad}"
-        )
+    support = _supported(data, partition, (t, *sorted(data.treatments - {t})))
     prop = empirical_propensity(data, t, partition)
-    if partition is None:
-        share, predictor = prop.__getitem__, ExactMatching.fit(data)
-        label, method = "Horvitz-Thompson / matching plug-in identity", "exact_matching"
-    else:
-        share = lambda x: prop[partition.cell_of(x).name]  # noqa: E731
-        predictor = CoarsenedMatching.fit(data, partition)
-        label, method = "coarsened Horvitz-Thompson / plug-in identity", "coarsened_matching"
+    if partition is not None:  # every observed value must lie in a cell
+        prop = {x: prop[partition.cell_of(x).name] for x in data.xs()}
     terms: list[float] = []
     for x, ys in data.ys(t).items():
-        p = share(x)
+        p = prop[x]
         terms += [y / p for y in ys]
-    ht = math.fsum(terms) / len(data)
-    plug = average(lambda x: predictor(x, t), data.n_x)
-    _assert_identity(ht, plug, label)
-    return EstimateReport(ht, method, t, support=support)
+    method = "exact_matching" if partition is None else "coarsened_matching"
+    return EstimateReport(math.fsum(terms) / len(data), method, t, support=support)
+
+
+def _plug_in_checked(p: Predictor, data: ObservedDataset, report: EstimateReport) -> EstimateReport:
+    """A Horvitz-Thompson report, checked against the plug-in of the fitted matching
+    predictor p, which it equals algebraically."""
+    plug = average(lambda x: p(x, report.treatment), data.n_x)
+    if abs(report.estimate - plug) > _IDENTITY_RTOL * max(1.0, abs(report.estimate), abs(plug)):
+        raise AssertionError(
+            f"{report.method} Horvitz-Thompson / plug-in identity: {report.estimate!r} != {plug!r}"
+        )
+    return report
 
 
 def plugin_estimate(p: Predictor, data: ObservedDataset, t: int) -> EstimateReport:
@@ -329,26 +326,23 @@ def ate_estimate(apo1: EstimateReport, apo0: EstimateReport) -> EstimateReport:
 
 @dataclass(frozen=True)
 class Method:
-    """A point method: the parameters it needs, its APO estimator, the predictor
-    whose audits price its error, and that price.
+    """A point method: the parameters it needs, its predictor, its APO estimator and
+    the transfer term of its error budget.
 
-    ``budget(p, data, future, ts, params)`` maps each treatment to its
-    ``Guarantee`` (eps the stable-prediction gap, delta the absolute transfer
-    term) and the premise it rests on, or to ``(None, None)`` when no audited
-    premise holds.  Entries call estimators and audits through module globals,
-    so rebinding one of them reaches every caller.
+    ``fit(data, params)`` builds the predictor once per run, and
+    ``estimate(p, data, t, params)`` estimates the APO under t with it.
+    ``transfer(p, data, future, t, params)`` is ``(delta, premise)``: the absolute
+    transfer term at t, which reads the future's outcomes under t and no others,
+    and the premise it rests on (None where the method has one), or
+    ``(None, None)`` when no audited premise holds.  The budget at t is the
+    stable-prediction gap of ``audit_sp`` plus delta.  Entries call estimators and
+    audits through module globals, so rebinding one of them reaches every caller.
     """
 
     needs: tuple[str, ...]
-    estimate: Callable[[ObservedDataset, int, dict], EstimateReport]
-    predictor: Callable[[ObservedDataset, dict], Predictor]
-    budget: Callable[..., dict[int, tuple[Guarantee | None, str | None]]]
-
-
-def _sp_plus(p, data, future, transfer: Mapping[int, float]) -> dict:
-    """Stable-prediction gap plus the absolute transfer term, per treatment."""
-    sp = audit_sp(p, data, future).per_treatment
-    return {t: (Guarantee(sp[t], abs(d)), None) for t, d in transfer.items()}
+    fit: Callable[[ObservedDataset, dict], Predictor]
+    estimate: Callable[[Predictor, ObservedDataset, int, dict], EstimateReport]
+    transfer: Callable[..., tuple[float | None, str | None]]
 
 
 def _dr_weights(data: ObservedDataset) -> Callable[[Covariate, int], float]:
@@ -367,63 +361,56 @@ def _dr_weights(data: ObservedDataset) -> Callable[[Covariate, int], float]:
     return w
 
 
-def _dr_premise(data: ObservedDataset, future: FuturePopulation, p, t: int, sp: float):
-    """Which audited arm, if any, covers a doubly robust verdict.
+def _dr_premise(p, data: ObservedDataset, future: FuturePopulation, t: int):
+    """The doubly robust transfer term at t and the audited arm that covers it.
 
-    Arm one needs the predictor to match observed cell means.  Arm two needs
-    the supplied weights to equal the population-share correction and the
-    f=1 audit condition to vanish.  ``sp`` is the predictor's stable-prediction
-    gap at t.  Returns (guarantee, label) or (None, None).
+    Arm one needs the predictor to match observed cell means; its term is the
+    absolute average signed difference.  Arm two needs the supplied weights to
+    equal the population-share correction and the f=1 audit condition to
+    vanish; its term is 0.  Returns (delta, label) or (None, None).
     """
     cell_gap = 0.0
     for x, ys in data.ys(t).items():
         cell_gap = max(cell_gap, abs(p(x, t) - mean_of(ys)))
     if cell_gap <= 1e-9:
-        return Guarantee(sp, abs(avg_signed_difference(data, future, t))), "cell_mean_predictor"
+        return abs(avg_signed_difference(data, future, t)), "cell_mean_predictor"
     if abs(audit_dr_condition(data, future, t)) <= 1e-9:
-        return Guarantee(sp, 0.0), "weighted_condition"
+        return 0.0, "weighted_condition"
     return None, None
-
-
-def _dr_budget(p, data, future, ts) -> dict:
-    sp = audit_sp(p, data, future).per_treatment
-    return {t: _dr_premise(data, future, p, t, sp[t]) for t in ts}
 
 
 METHODS: dict[str, Method] = {
     "rct": Method(
         (),
-        lambda d, t, _: rct_estimate(d, t),
         lambda d, _: RctConstant.fit(d),
-        lambda p, d, f, ts, _: _sp_plus(p, d, f, audit_cfd(p, f, ts).per_treatment),
+        lambda p, d, t, _: rct_estimate(d, t),
+        lambda p, d, f, t, _: (audit_cfd(p, f, (t,)).per_treatment[t], None),
     ),
     "matching": Method(
         (),
-        lambda d, t, _: exact_matching_estimate(d, t),
         lambda d, _: ExactMatching.fit(d),
-        lambda p, d, f, ts, _: _sp_plus(p, d, f, {t: avg_signed_difference(d, f, t) for t in ts}),
+        lambda p, d, t, _: _plug_in_checked(p, d, exact_matching_estimate(d, t)),
+        lambda p, d, f, t, _: (abs(avg_signed_difference(d, f, t)), None),
     ),
     "coarsened": Method(
         ("partition",),
-        lambda d, t, ps: coarsened_matching_estimate(d, ps["partition"], t),
         lambda d, ps: CoarsenedMatching.fit(d, ps["partition"]),
-        lambda p, d, f, ts, ps: _sp_plus(
-            p, d, f, {t: avg_signed_difference(d, f, t, ps["partition"]) for t in ts}
-        ),
+        lambda p, d, t, ps: _plug_in_checked(
+            p, d, coarsened_matching_estimate(d, ps["partition"], t)),
+        lambda p, d, f, t, ps: (abs(avg_signed_difference(d, f, t, ps["partition"])), None),
     ),
     "plugin": Method(
         ("predictor",),
-        lambda d, t, ps: plugin_estimate(ps["predictor"], d, t),
         lambda d, ps: ps["predictor"],
-        lambda p, d, f, ts, ps: _sp_plus(
-            p, d, f, audit_ml_groupwise(p, d, f, ps.get("partition")).per_treatment
-        ),
+        lambda p, d, t, _: plugin_estimate(p, d, t),
+        lambda p, d, f, t, ps: (
+            audit_ml_groupwise(p, d, f, t, ps.get("partition")).per_treatment[t], None),
     ),
     "dr": Method(
         ("predictor",),
-        lambda d, t, ps: doubly_robust_estimate(ps["predictor"], _dr_weights(d), d, t),
         lambda d, ps: ps["predictor"],
-        lambda p, d, f, ts, _: _dr_budget(p, d, f, ts),
+        lambda p, d, t, _: doubly_robust_estimate(p, _dr_weights(d), d, t),
+        lambda p, d, f, t, _: _dr_premise(p, d, f, t),
     ),
 }
 
@@ -434,7 +421,7 @@ def named_estimator(name: str) -> Callable[[ObservedDataset, int], EstimateRepor
     if method is None or method.needs:
         free = [n for n, m in METHODS.items() if not m.needs]
         raise ValueError(f"unknown estimator selector {name!r}; known: {', '.join(free)}")
-    return lambda data, t: method.estimate(data, t, {})
+    return lambda data, t: method.estimate(method.fit(data, {}), data, t, {})
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,8 @@ def _table(path: Path, what: str, required: tuple[str, ...], fields_of):
 
     A repeated name's last column holds.  Each distinct tuple of raw covariate
     cells gets one code and is parsed once, so ``-0.0`` and ``0.0`` stay apart.
-    Where a conversion fails, the first fault in file order is reported (a line counts the
-    header and the nonblank records); a decode error, once the records before it pass.
+    Where a conversion fails, the first fault in file order is reported at the physical
+    line where its record starts; a decode error, once the records before it pass.
     """
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -76,7 +76,7 @@ def _table(path: Path, what: str, required: tuple[str, ...], fields_of):
         numeric = _convert(list(zip(*index)), [(c, j, float) for j, c in enumerate(cols)
                                                 if c[:3] == "xn_"])
     if columns is None or numeric is None:
-        for line, record in enumerate(records, 2):
+        for record, line in zip(records, _record_lines(path)):  # no read past the records
             if len(record) != len(header):
                 raise SchemaError(
                     f"line {line}: {len(record)} cells where the header has {len(header)}")
@@ -89,6 +89,19 @@ def _table(path: Path, what: str, required: tuple[str, ...], fields_of):
     values = [Covariate.of(**{c[3:]: numeric[c][k] if c in numeric else cells[j]
                               for j, c in enumerate(cols)}) for k, cells in enumerate(index)]
     return header, columns, values, codes
+
+
+def _record_lines(path: Path):
+    """The physical line on which each nonblank record after the header starts: a second
+    read of the file, made only to name a fault."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        start = reader.line_num + 1
+        for record in reader:
+            if record:
+                yield start
+            start = reader.line_num + 1
 
 
 def _convert(table: list[tuple[str, ...]], fields) -> dict[str, list] | None:

@@ -1,12 +1,13 @@
-"""``csv.DictReader`` reference implementations of the CSV readers.
+"""Record-by-record reference implementations of the CSV readers.
 
-Each reader here turns every data record into a dict and builds one
-``Covariate`` per row.  That is slow but easy to check by eye.
-``test_csv_differential.py`` asserts that the readers in ``finitepop.io``
-load what these load, and fail with the same message where these raise a
-``SchemaError``.  These readers never check a record's cell count: a short
-record fills its missing cells with ``None`` and a long one drops its extra
-cells.
+Each reader here turns every data record into a dict, as ``csv.DictReader``
+does, and builds one ``Covariate`` per row.  That is slow but easy to check by
+eye.  ``test_csv_differential.py`` asserts that the readers in
+``finitepop.io`` load what these load, and fail with the same message where
+these raise a ``SchemaError``.  These readers never check a record's cell
+count: a short record fills its missing cells with ``None`` and a long one
+drops its extra cells.  A line number is the physical line where the record
+starts.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+from itertools import zip_longest
 from pathlib import Path
 
 from fixtures import columns
@@ -38,6 +40,16 @@ def _names_file(load):
             raise
 
     return wrapper
+
+
+def _records(reader, header: list[str]):
+    """(line, record) for each nonblank record that ``reader`` has left: the physical line the
+    record starts on, and its cells by column name, where the last of repeated names holds."""
+    start = reader.line_num + 1
+    for row in reader:
+        if row:
+            yield start, dict(zip_longest(header, row[: len(header)]))
+        start = reader.line_num + 1
 
 
 def _covariate_columns(header: list[str]) -> list[str]:
@@ -74,15 +86,15 @@ def _parse_float(record: dict[str, str], col: str, line: int) -> float:
 def load_observed_csv(path: str | Path, treatments: frozenset[int] | None = None) -> ObservedDataset:
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         for required in ("id", "t", "y"):
             if required not in header:
                 raise SchemaError(f"line 1: observed CSV header must contain {required!r}, got {header}")
         cov_cols = _covariate_columns(header)
         has_z = "z" in header
         rows = []
-        for line, record in enumerate(reader, start=2):
+        for line, record in _records(reader, header):
             rows.append(
                 Row(
                     unit=_parse_int(record, "id", line),
@@ -106,8 +118,8 @@ def load_observed_csv(path: str | Path, treatments: frozenset[int] | None = None
 def load_future_csv(path: str | Path) -> FuturePopulation:
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         if "id" not in header:
             raise SchemaError(f"line 1: future CSV header must contain 'id', got {header}")
         cov_cols = _covariate_columns(header)
@@ -116,7 +128,7 @@ def load_future_csv(path: str | Path) -> FuturePopulation:
         units = []
         outcomes: dict[tuple[int, int], float] = {}
         compliance: dict[tuple[int, int], int] = {}
-        for line, record in enumerate(reader, start=2):
+        for line, record in _records(reader, header):
             unit = _parse_int(record, "id", line)
             units.append(Unit(unit, _parse_covariate(record, cov_cols, line)))
             for col, t in y_cols.items():

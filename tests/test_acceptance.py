@@ -167,12 +167,12 @@ def test_plugin_error_within_stability_plus_groupwise_budget():
                     table[(x, t)] = base(x, t) + offsets[x] - center
         p = Tabular(table)
         sp = audit_sp(p, scenario.observed, scenario.future)
-        groupwise = audit_ml_groupwise(p, scenario.observed, scenario.future, partition)
         for t in (0, 1):
             err = abs(
                 plugin_estimate(p, scenario.observed, t).estimate
                 - scenario.future.apo(t)
             )
+            groupwise = audit_ml_groupwise(p, scenario.observed, scenario.future, t, partition)
             budget = sp.per_treatment[t] + groupwise.per_treatment[t]
             assert err <= budget + SLACK, (i, t, err, budget)
 

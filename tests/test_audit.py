@@ -26,6 +26,7 @@ from finitepop.core import (
     common_support_check,
     empirical_propensity,
 )
+from finitepop.cli import _AUDITS
 from finitepop.estimate import METHODS, ExactMatching, External, coarsened_matching_estimate
 
 
@@ -39,6 +40,11 @@ def shifted_p8_future(shift_a=0.0, shift_b=0.0):
         table[(u.unit, 1)] = base1 + s
         table[(u.unit, 0)] = base0
     return FuturePopulation(units, columns(units, table))
+
+
+def groupwise(p, d, f, part=None):
+    """audit_ml_groupwise at each treatment of d in order, merged as the audit verb merges it."""
+    return _AUDITS["ml_groupwise"](p, d, f, {"partition": part})
 
 
 def test_sp_zero_when_compositions_match():
@@ -127,7 +133,7 @@ def test_cfd_matches_abs_signed_difference_for_matching_predictor():
 def test_ml_groupwise_zero_for_matching_predictor():
     d, f = p8_observed(), p8_future()
     part = CovariatePartition.singletons(d.xs())
-    res = audit_ml_groupwise(ExactMatching.fit(d), d, f, part)
+    res = groupwise(ExactMatching.fit(d), d, f, part)
     assert res.per_treatment == {0: 0.0, 1: 0.0}
 
 
@@ -136,7 +142,7 @@ def test_ml_groupwise_constant_bias_cancels():
     part = CovariatePartition.singletons(d.xs())
     base = ExactMatching.fit(d)
     biased = External(lambda x, t: base(x, t) + 1.0)
-    res = audit_ml_groupwise(biased, d, f, part)
+    res = audit_ml_groupwise(biased, d, f, 1, part)
     assert res.per_treatment[1] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -144,7 +150,7 @@ def test_ml_groupwise_future_only_bias_shows():
     d = p8_observed()
     f = shifted_p8_future(shift_a=-1.0, shift_b=-1.0)  # predictor now overshoots future by 1
     part = CovariatePartition.singletons(d.xs())
-    res = audit_ml_groupwise(ExactMatching.fit(d), d, f, part)
+    res = audit_ml_groupwise(ExactMatching.fit(d), d, f, 1, part)
     assert res.per_treatment[1] == pytest.approx(1.0)
 
 
@@ -159,21 +165,21 @@ def test_ml_groupwise_without_partition_groups_each_value_by_itself(monkeypatch)
     lopsided = FuturePopulation(units + (Unit(200, Covariate.of(v=-1.0)),),
                                 {t: [1.0] * 31 for t in (0, 1)})
     p = External(lambda x, t: x.get("v") / 3 + t)
-    want = audit_ml_groupwise(p, d, f, CovariatePartition.singletons(xs))
+    want = groupwise(p, d, f, CovariatePartition.singletons(xs))
     with pytest.raises(SupportError) as explicit:
-        audit_ml_groupwise(p, d, lopsided, CovariatePartition.singletons([*xs, *lopsided.xs()]))
+        groupwise(p, d, lopsided, CovariatePartition.singletons([*xs, *lopsided.xs()]))
 
     def no_membership_test(*args):
         raise AssertionError("PartitionCell.contains called")
 
     monkeypatch.setattr(PartitionCell, "contains", no_membership_test)
     monkeypatch.setattr(CovariatePartition, "cell_of", no_membership_test)
-    got = audit_ml_groupwise(p, d, f)
+    got = groupwise(p, d, f)
     assert got.per_treatment == want.per_treatment
     assert list(got.details.items()) == list(want.details.items())
     assert list(got.details)[:3] == [("x0", 0), ("x1", 0), ("x2", 0)]
     with pytest.raises(SupportError) as implicit:
-        audit_ml_groupwise(p, d, lopsided)
+        groupwise(p, d, lopsided)
     assert str(implicit.value) == str(explicit.value) == "cell x0: empty on observed side"
 
 
@@ -256,12 +262,15 @@ def test_no_estimator_or_audit_tests_cell_membership(monkeypatch):
 
     def answers(part):
         params = {"partition": part}
+        fitted = coarsened.fit(d, params)
+        eps = audit_sp(fitted, d, f).per_treatment
         return [
             empirical_propensity(d, 1, part), common_support_check(d, part),
             [coarsened_matching_estimate(d, part, t).estimate for t in (0, 1)],
+            [coarsened.estimate(fitted, d, t, params).estimate for t in (0, 1)],
             [avg_signed_difference(d, f, t, part) for t in (0, 1)],
-            audit_ml_groupwise(ExactMatching.fit(d), d, f, part).details,
-            coarsened.budget(coarsened.predictor(d, params), d, f, (0, 1), params),
+            [audit_ml_groupwise(ExactMatching.fit(d), d, f, t, part).details for t in (0, 1)],
+            {t: (eps[t], *coarsened.transfer(fitted, d, f, t, params)) for t in (0, 1)},
             d.rows_where(cell=part.cells[0]), f.units_where(cell=part.cells[0]),
         ]
 

@@ -5,11 +5,12 @@ from pathlib import Path
 
 import pytest
 import yaml
-from fixtures import p8_future, p8_observed
+from fixtures import XA, XB, p8_future, p8_observed
 
 from finitepop import cli
 from finitepop.cli import main, render_report
-from finitepop.core import Covariate, FuturePopulation, Unit
+from finitepop.core import Covariate, CovariatePartition, FuturePopulation, Unit
+from finitepop.estimate import METHODS, CoarsenedMatching, ExactMatching, External
 from finitepop.io import save_future_csv, save_observed_csv
 from finitepop.simulate import InstrumentSpec, ScenarioSpec
 
@@ -530,7 +531,7 @@ def test_malformed_csv_row_exits_2_naming_file_and_line(tmp_path, capsys, last_r
     )
     assert main(["run", "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"{bad}: line 4: {cells} cells where the header has 4")
+    assert err.startswith(f"{bad}: line 5: {cells} cells where the header has 4")
     assert "Traceback" not in err and not out.exists()
 
 
@@ -1026,3 +1027,57 @@ def test_an_oracle_audit_in_data_mode_exits_3_with_its_own_message(
     assert capsys.readouterr().err == f"precondition failed: audit {audit}: {message}\n"
     oracle = Path(cfg).read_text().replace("mode: data", "mode: oracle")
     assert main(["audit", "--config", write_config(tmp_path, "c.yaml", oracle)]) == 0
+
+
+def test_each_transfer_audit_covers_every_observed_treatment(tmp_path):
+    obs, fut, out = tmp_path / "o.csv", tmp_path / "f.csv", tmp_path / "r.json"
+    obs.write_text("id,t,y,xc_level\n" + "".join(
+        f"{i},{i % 3},{i}.0,{'ab'[i % 2]}\n" for i in range(1, 13)))
+    fut.write_text("id,xc_level,y_t0,y_t1,y_t2\n21,a,1.0,2.0,3.0\n22,b,2.0,3.0,5.0\n")
+    cfg = write_config(
+        tmp_path, "c.yaml", f"schema: 1\nmode: oracle\nobserved: {obs}\nfuture: {fut}\nout: {out}\n"
+        "audits: [sp, cfd, signed_difference, ml_groupwise, dr_condition]\n",
+    )
+    assert main(["audit", "--config", cfg]) == 0
+    for name, result in json.loads(out.read_text())["audits"].items():
+        assert sorted(result["per_treatment"]) == ["0", "1", "2"], name
+
+
+def test_each_transfer_term_reads_the_future_outcomes_under_its_treatment_only(monkeypatch):
+    d, full = p8_observed(), p8_future()
+    params = {"partition": CovariatePartition.from_members({"all": [XA, XB]}),
+              "predictor": External(lambda x, t: 5.0)}
+    read = []
+    real = FuturePopulation.outcome_column
+    monkeypatch.setattr(FuturePopulation, "outcome_column",
+                        lambda self, t: read.append(t) or real(self, t))
+    for name, method in METHODS.items():
+        read.clear()
+        future = FuturePopulation(full.units, {1: full.outcomes[1]})  # y(t=1) only, read afresh
+        delta, _ = method.transfer(method.fit(d, params), d, future, 1, params)
+        assert delta is not None and set(read) == {1}, name
+
+
+def test_an_oracle_run_fits_each_matching_predictor_once(monkeypatch):
+    calls = []
+    for cls in (ExactMatching, CoarsenedMatching):
+        monkeypatch.setattr(cls, "fit", lambda *args, real=cls.fit, name=cls.__name__:
+                            calls.append(name) or real(*args))
+    files = {("partition", "p.yaml"): CovariatePartition.from_members({"all": [XA, XB]})}
+    cfg = {"methods": ["matching", {"name": "coarsened", "partition": "p.yaml"}]}
+    report = cli.run_methods(cfg, p8_observed(), p8_future(), loaded=files)
+    assert report["ok"] and sorted(calls) == ["CoarsenedMatching", "ExactMatching"]
+
+
+@pytest.mark.parametrize("method", ["matching", "coarsened"])
+@pytest.mark.parametrize("missing", [0, 1])
+def test_a_run_names_the_first_treatment_without_support(tmp_path, capsys, method, missing):
+    obs = tmp_path / "obs.csv"
+    obs.write_text(f"id,t,y,xc_level\n1,1,2.0,a\n2,0,1.0,a\n3,{1 - missing},1.0,b\n")
+    part = write_config(tmp_path, "p.yaml", "schema: 1\ncells:\n  A: [{level: a}]\n  B: [{level: b}]\n")
+    entry = method if method == "matching" else f"{{name: coarsened, partition: {part}}}"
+    cfg = write_config(tmp_path, "run.yaml", f"schema: 1\nobserved: {obs}\nmethods: [{entry}]\n")
+    assert main(["run", "--config", cfg]) == 3
+    cause = (f"common support fails for t={missing} at Covariate(level='b')" if method == "matching"
+             else f"empty treated cell for t={missing}: B")
+    assert capsys.readouterr().err == f"precondition failed: method {method}: {cause}\n"

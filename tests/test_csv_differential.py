@@ -70,16 +70,15 @@ def csv_texts(draw, columns) -> str:
 
 
 def first_misshapen_record(text: str) -> int | None:
-    """The line number, as the readers count it, of the first nonblank record whose
-    cell count differs from the header's."""
+    """The physical line on which the first nonblank record whose cell count differs from
+    the header's starts."""
     rows = csv.reader(io.StringIO(text, newline=""))
     header = next(rows, [])
-    line = 1
+    start = rows.line_num + 1
     for record in rows:
-        if record:
-            line += 1
-            if len(record) != len(header):
-                return line
+        if record and len(record) != len(header):
+            return start
+        start = rows.line_num + 1
     return None
 
 

@@ -76,6 +76,15 @@ def test_exact_matching_support_failure_names_x():
         exact_matching_estimate(d, 1)
 
 
+def test_exact_matching_names_its_own_treatment_before_the_others():
+    # t=0 lacks support at a, t=1 at b; each estimate names its own treatment first
+    d = ObservedDataset((Row(1, XA, 1, 8.0), Row(2, XB, 0, 1.0)))
+    with pytest.raises(SupportError, match=r"t=1 at Covariate\(level='b'\)"):
+        exact_matching_estimate(d, 1)
+    with pytest.raises(SupportError, match=r"t=0 at Covariate\(level='a'\)"):
+        exact_matching_estimate(d, 0)
+
+
 def coarsened_fixture():
     """Six rows, two cells: U1={a,b} holds treated y=10,4 among four rows, U2={c} treated y=8 of two."""
     rows = (

@@ -168,6 +168,15 @@ def test_save_observed_csv_reads_has_instrument_once_per_call(tmp_path):
                  id="future-duplicate-id"),
     pytest.param(load_future_csv, "id,xc_level,y_tx\n11,a,1.0\n",
                  "line 1: column y_tx: 'x' is not an integer", id="future-oracle-column"),
+    # a line is the physical line where the record starts
+    pytest.param(load_observed_csv, "id,t,y\n\n1,1,x\n", "line 3: column y: not a number: 'x'",
+                 id="after-blank-line"),
+    pytest.param(load_observed_csv, 'id,t,y,xc_a\n1,1,2.0,"a\nb"\n2,0,x,a\n',
+                 "line 4: column y: not a number: 'x'", id="after-quoted-cell-spanning-lines"),
+    pytest.param(load_observed_csv, 'id,xc_a,t,y\n1,"a\nb",1,x\n',
+                 "line 2: column y: not a number: 'x'", id="record-spanning-lines"),
+    pytest.param(load_future_csv, 'id,xc_a\n\n1,"a\n\nb"\n2\n',
+                 "line 6: 1 cells where the header has 2", id="short-record-after-both"),
 ])
 def test_malformed_records_are_schema_errors_naming_the_file(tmp_path, load, text, message):
     path = tmp_path / "bad.csv"

@@ -11,7 +11,7 @@ from fixtures import columns
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitepop import audit, bounds, estimate
+from finitepop import audit, bounds, cli, estimate
 from finitepop.bounds import OutcomeBounds
 from finitepop.core import (
     Covariate,
@@ -153,7 +153,7 @@ def test_audits(case):
     same(lambda: audit.audit_cfd(table, future, ts).per_treatment,
          lambda: ref.audit_cfd(table, future, ts))
     same(lambda: (lambda r: (r.per_treatment, r.details))(
-        audit.audit_ml_groupwise(table, data, future, partition)),
+        cli._AUDITS["ml_groupwise"](table, data, future, {"partition": partition})),
          lambda: ref.audit_ml_groupwise(table, data, future, partition))
     same(lambda: audit.audit_compliance_stability(data, future).per_treatment,
          lambda: ref.audit_compliance_stability(data, future))
@@ -167,10 +167,10 @@ def test_audits(case):
 
 
 def dr_budget(p, data, future, t):
-    """(budget, premise label) of a doubly robust verdict, from its guarantee."""
+    """(budget, premise label) of a doubly robust verdict, from its transfer term."""
     sp = ref.audit_sp(p, data, future)[t]
-    guarantee, premise = estimate._dr_premise(data, future, p, t, sp)
-    return (guarantee and guarantee.bound), premise
+    delta, premise = estimate._dr_premise(p, data, future, t)
+    return (None if delta is None else sp + delta), premise
 
 
 @EXAMPLES
