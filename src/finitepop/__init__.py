@@ -62,6 +62,16 @@ from .bounds import (
     iv_ate_lower_bound_randomized,
     robins_manski_bounds,
 )
+from .regress import (
+    LinearModel,
+    RankDeficiencyError,
+    RegressionReport,
+    check_linear_identification,
+    fit_linear,
+    iv_regression_policy_apo,
+    ovb_consistency_check,
+    xt_covariance,
+)
 from .simulate import (
     InstrumentSpec,
     PanelSpec,
@@ -76,24 +86,3 @@ from .simulate import (
 )
 
 __version__ = "0.1.0"
-
-# The regression tools need numpy, which ``run`` and ``audit`` never use, so
-# they are imported on first use (PEP 562).
-_REGRESS = frozenset({
-    "LinearModel",
-    "RankDeficiencyError",
-    "RegressionReport",
-    "check_linear_identification",
-    "fit_linear",
-    "iv_regression_policy_apo",
-    "ovb_consistency_check",
-    "xt_covariance",
-})
-
-
-def __getattr__(name: str):
-    if name in _REGRESS:
-        from . import regress
-
-        return getattr(regress, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -123,12 +123,12 @@ def robins_manski_bounds(
     if t not in (0, 1):
         raise ValueError("interval bounds are defined for binary treatments only")
     # Of the rows assigned z=t, those that took t give the mean, the others the edge.
-    mean_ys = data.ys_tz.get((t, t), ())
-    if not mean_ys:
+    taker_ys = data.ys_tz.get((t, t), ())
+    if not taker_ys:
         raise SupportError(f"group (t={t}, z={t}) is empty")
     edge_share = len(data.ys_tz.get((1 - t, t), ())) / len(data)
-    mean_share = len(mean_ys) / len(data)
-    observed_mean = mean_of(mean_ys)
+    mean_share = len(taker_ys) / len(data)
+    observed_mean = mean_of(taker_ys)
     lower = edge_share * bounds.k0 - delta + mean_share * observed_mean
     upper = edge_share * bounds.k1 + delta + mean_share * observed_mean
     return BoundReport(

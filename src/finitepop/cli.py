@@ -8,7 +8,8 @@ significant digits, so a rerun with identical inputs produces a byte-identical f
 
 Exit codes: 0 success (in oracle mode additionally every verdict passed),
 1 at least one oracle verdict failed, 2 configuration or input schema
-violation (no report is written), 3 method precondition failure.
+violation (no report is written), 3 method precondition failure (an outcome sum that
+overflows is one).
 """
 
 from __future__ import annotations
@@ -473,13 +474,14 @@ _RUNNABLE = {**METHODS, **_BOUNDS}
 
 
 def run_methods(cfg: dict, data: ObservedDataset, future: FuturePopulation | None,
-                truth: dict | None = None, loaded: dict | None = None) -> dict:
-    """Verdicts are judged whenever ``future`` carries outcomes.  ``truth``: true APO per
-    treatment, if known; ``loaded``: parsed files."""
+                loaded: dict | None = None) -> dict:
+    """Verdicts are judged against the future's true APOs whenever it carries outcomes.
+    ``loaded``: parsed files."""
     methods_cfg = cfg.get("methods", [])
     if not isinstance(methods_cfg, list) or not methods_cfg:
         raise ConfigError("config needs a nonempty 'methods' list", key="methods")
-    if truth is None and future is not None and future.outcomes is not None:
+    truth = None
+    if future is not None and future.outcomes is not None:
         truth = {t: future.apo(t) for t in sorted(data.treatments | {0, 1})}
     report: dict = {"methods": {}}
     all_pass = True
@@ -687,9 +689,7 @@ def cmd_sweep(cfg: dict) -> int:
     for i in range(replications):
         spec = dataclasses.replace(base_spec, seed=scenario_seed(master_seed, i))
         scenario = generate(spec)
-        sub = run_methods(
-            run_cfg, scenario.observed, scenario.future, scenario.ground_truth["apo"], loaded
-        )
+        sub = run_methods(run_cfg, scenario.observed, scenario.future, loaded=loaded)
         for name, entry in sub["methods"].items():
             bucket = per_method.setdefault(name, {"errors": [], "passes": 0, "judged": 0})
             for t, verdict in entry.get("verdicts", {}).items():
@@ -780,7 +780,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # an input or output path that cannot be read or written
         print(f"{exc.filename or args.config}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except FinitePopError as exc:
+    except (FinitePopError, ArithmeticError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -1,4 +1,4 @@
-"""Finite-population data model, index-set algebra, and approximate equality.
+"""Finite-population data model and approximate equality.
 
 Everything here is immutable after construction and safe to share across
 workers.  All operations are pure functions.
@@ -167,13 +167,6 @@ class _Grouped:
     def _ys(self) -> dict[int, Mapping[Covariate, tuple[float, ...]]]:
         return {}  # ys(t), filled once per t
 
-    def _where(self, x: Covariate | None, cell: PartitionCell | None) -> Sequence[int]:
-        """Positions of the members with value x, or in cell, or of all; in member order."""
-        if x is not None and cell is not None:
-            raise ValueError("give at most one of x and cell")
-        xs = (x,) if x is not None else self._at if cell is None else cell.values
-        return sorted(chain.from_iterable(self._at.get(u, ()) for u in xs))
-
 
 def pooled(
     groups: Mapping[Covariate, Sequence[float]], xs: Iterable[Covariate]
@@ -252,38 +245,12 @@ class ObservedDataset(_Grouped):
         if t not in self.treatments:
             raise ValueError(f"unknown treatment id {t}; declared set is {sorted(self.treatments)}")
 
-    def rows_where(
-        self,
-        t: int | None = None,
-        x: Covariate | None = None,
-        cell: "PartitionCell | None" = None,
-        z: int | None = None,
-    ) -> tuple[Row, ...]:
-        positions = self._where(x, cell)
-        if t is not None:
-            self.check_treatment(t)
-        rows = map(self.rows.__getitem__, positions)
-        return tuple(r for r in rows if (t is None or r.t == t) and (z is None or r.z == z))
-
-    def subgroup(
-        self,
-        t: int | None = None,
-        x: Covariate | None = None,
-        cell: "PartitionCell | None" = None,
-    ) -> frozenset[int]:
-        """Index set J_t, J^x, J_t^x, J^U or J_t^U, depending on the filters."""
-        return frozenset(r.unit for r in self.rows_where(t=t, x=x, cell=cell))
-
 
 def mean_of(values: Sequence[float]) -> float:
     """Exactly rounded mean of a nonempty group."""
     if not values:
         raise SupportError("mean over an empty subgroup")
     return math.fsum(values) / len(values)
-
-
-def mean_y(rows: Iterable[Row]) -> float:
-    return mean_of([r.y for r in rows])
 
 
 def average(f: Callable[[Covariate], float], n_x: Mapping[Covariate, int]) -> float:
@@ -380,11 +347,6 @@ class FuturePopulation(_Grouped):
         """The treatment ``unit`` takes when assigned instrument z."""
         return self._of_unit(self.compliance_column(z), unit)
 
-    def units_where(
-        self, x: Covariate | None = None, cell: "PartitionCell | None" = None
-    ) -> tuple[Unit, ...]:
-        return tuple(map(self.units.__getitem__, self._where(x, cell)))
-
     def require_oracle(self) -> FuturePopulation:
         if self.outcomes is None:
             raise OracleError("operation requires the outcome oracle (oracle mode only)")
@@ -407,9 +369,6 @@ class FuturePopulation(_Grouped):
 class PartitionCell:
     name: str
     values: frozenset[Covariate]
-
-    def contains(self, x: Covariate) -> bool:
-        return x in self.values
 
 
 @dataclass(frozen=True)

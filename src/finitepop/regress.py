@@ -3,7 +3,8 @@ the omitted-variable-bias consistency check, and the two-step instrument
 procedure for predicting policy APOs.
 
 Treatment is coerced to a real for regression.  Categorical covariates are
-one-hot encoded with the lexicographically first level dropped.
+one-hot encoded with the lexicographically first level dropped.  numpy is
+imported inside the functions that fit, so importing this module loads none.
 """
 
 from __future__ import annotations
@@ -11,11 +12,14 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .core import Covariate, FinitePopError, ObservedDataset, SupportError, mean_of
+from .estimate import EstimateReport, Policy
 
-from .core import Covariate, FinitePopError, ObservedDataset, SupportError, mean_of, mean_y
-from .estimate import Policy
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class RankDeficiencyError(FinitePopError):
@@ -31,10 +35,10 @@ class _Encoding:
 
     @classmethod
     def from_data(cls, data: ObservedDataset) -> "_Encoding":
-        names = data.rows[0].x.names()
+        xs = data.xs()
         numeric, categorical = [], []
-        for name in names:
-            values = {r.x.get(name) for r in data.rows}
+        for name in xs[0].names():
+            values = {x.get(name) for x in xs}
             if all(isinstance(v, str) for v in values):
                 levels = tuple(sorted(values))  # type: ignore[arg-type]
                 categorical.append((name, levels[1:]))
@@ -93,11 +97,14 @@ class RegressionReport:
 
 
 def _design(data: ObservedDataset, encoding: _Encoding) -> tuple[np.ndarray, list[str]]:
-    rows = [encoding.encode(r.x) + [float(r.t), 1.0] for r in data.rows]
+    import numpy as np
+    features = [encoding.encode(x) for x in data.values]
+    rows = [features[code] + [float(t), 1.0] for code, t in zip(data.codes, data.t)]
     return np.asarray(rows, dtype=float), encoding.feature_names() + ["t", "intercept"]
 
 
 def _collinear_columns(matrix: np.ndarray, names: list[str]) -> list[str]:
+    import numpy as np
     full = np.linalg.matrix_rank(matrix)
     flagged = []
     for j in range(matrix.shape[1]):
@@ -109,6 +116,7 @@ def _collinear_columns(matrix: np.ndarray, names: list[str]) -> list[str]:
 
 def fit_linear(data: ObservedDataset) -> LinearModel:
     """Least-squares fit of outcome on covariates, treatment, and an intercept."""
+    import numpy as np
     if len(data) == 0:
         raise SupportError("empty dataset")
     encoding = _Encoding.from_data(data)
@@ -116,7 +124,7 @@ def fit_linear(data: ObservedDataset) -> LinearModel:
     if np.linalg.matrix_rank(design) < design.shape[1]:
         flagged = _collinear_columns(design, names)
         raise RankDeficiencyError(f"design matrix is rank deficient; collinear columns: {flagged}")
-    y = np.asarray([r.y for r in data.rows], dtype=float)
+    y = np.asarray(data.y, dtype=float)
     coefs, *_ = np.linalg.lstsq(design, y, rcond=None)
     a = {name: float(v) for name, v in zip(names[:-2], coefs[:-2])}
     return LinearModel(a, beta=float(coefs[-2]), c=float(coefs[-1]), encoding=encoding)
@@ -124,6 +132,7 @@ def fit_linear(data: ObservedDataset) -> LinearModel:
 
 def xt_covariance(data: ObservedDataset) -> dict[str, float]:
     """Sample covariance of each design feature with the treatment column."""
+    import numpy as np
     encoding = _Encoding.from_data(data)
     design, names = _design(data, encoding)
     t = design[:, -2]
@@ -138,6 +147,7 @@ def check_linear_identification(
     model: LinearModel, data: ObservedDataset, eps_plus_delta: float
 ) -> RegressionReport:
     """Compare each (x, t) cell's observed mean outcome with the model's prediction."""
+    import numpy as np
     residuals: dict[str, float] = {}
     worst = 0.0
     for x in data.xs():
@@ -166,10 +176,11 @@ def ovb_consistency_check(data: ObservedDataset, long_model: LinearModel) -> flo
     when the covariates are uncorrelated with the treatment (see
     xt_covariance) or the long model has no covariate effect.
     """
-    ts = np.asarray([float(r.t) for r in data.rows])
+    import numpy as np
+    ts = np.asarray(data.t, dtype=float)
     if np.ptp(ts) == 0:
         raise RankDeficiencyError("treatment is constant; short regression is degenerate")
-    y = np.asarray([r.y for r in data.rows])
+    y = np.asarray(data.y)
     design = np.column_stack([ts, np.ones_like(ts)])
     coefs, *_ = np.linalg.lstsq(design, y, rcond=None)
     return abs(float(coefs[0]) - long_model.beta)
@@ -193,8 +204,6 @@ def iv_regression_policy_apo(
     step 2 returns that arm's observed mean outcome.  With gamma=inf this
     reduces to picking the nearest arm.
     """
-    from .estimate import EstimateReport  # local import to avoid cycle at module load
-
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     data.require_instrument()
@@ -209,9 +218,10 @@ def iv_regression_policy_apo(
 
     arms: dict[int, tuple[float, float]] = {}
     for z in data.instrument_values():
-        rows = data.rows_where(z=z)
-        mean_t = math.fsum(float(r.t) for r in rows) / len(rows)
-        arms[z] = (mean_t, mean_y(rows))
+        groups = {t: ys for (t, arm), ys in data.ys_tz.items() if arm == z}
+        outcomes = tuple(chain.from_iterable(groups.values()))
+        mean_t = math.fsum(float(t) * len(ys) for t, ys in groups.items()) / len(outcomes)
+        arms[z] = (mean_t, mean_of(outcomes))
 
     qualifying = [z for z, (mean_t, _) in arms.items() if abs(mean_t - target_level) < gamma]
     if not qualifying:

@@ -30,7 +30,7 @@ def rows_where(data, t=None, x=None, cell=None, z=None):
             continue
         if x is not None and r.x != x:
             continue
-        if cell is not None and not cell.contains(r.x):
+        if cell is not None and r.x not in cell.values:
             continue
         if z is not None and r.z != z:
             continue
@@ -45,7 +45,7 @@ def units_where(future, x=None, cell=None):
     for u in future.units:
         if x is not None and u.x != x:
             continue
-        if cell is not None and not cell.contains(u.x):
+        if cell is not None and u.x not in cell.values:
             continue
         out.append(u)
     return tuple(out)

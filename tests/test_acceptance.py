@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import rowscan_reference as ref
 from fixtures import columns
 
 from finitepop.audit import (
@@ -34,7 +35,6 @@ from finitepop.core import (
     ObservedDataset,
     Row,
     Unit,
-    mean_y,
 )
 from finitepop.estimate import (
     CoarsenedMatching,
@@ -158,7 +158,7 @@ def test_plugin_error_within_stability_plus_groupwise_budget():
             for cell_xs in members.values():
                 offsets = {x: float(rng.normal(0, 2.0)) for x in cell_xs}
                 counts = {
-                    x: len(scenario.observed.rows_where(t=t, x=x)) for x in cell_xs
+                    x: len(ref.rows_where(scenario.observed, t=t, x=x)) for x in cell_xs
                 }
                 center = math.fsum(offsets[x] * counts[x] for x in cell_xs) / sum(
                     counts.values()
@@ -198,7 +198,7 @@ def test_dr_correct_predictions_arbitrary_weights_1000_scenarios():
         )
         table = {}
         for x in scenario.observed.xs():
-            units = scenario.future.units_where(x=x)
+            units = ref.units_where(scenario.future, x=x)
             for t in (0, 1):
                 table[(x, t)] = math.fsum(
                     scenario.future.y(u.unit, t) for u in units
@@ -233,8 +233,8 @@ def test_dr_correct_weights_arbitrary_predictions_1000_scenarios():
         n_obs, n_fut = len(scenario.observed), len(scenario.future)
 
         def w(x, t, _sc=scenario, _n_obs=n_obs, _n_fut=n_fut):
-            n_future_x = len(_sc.future.units_where(x=x))
-            n_obs_cell = len(_sc.observed.rows_where(t=t, x=x))
+            n_future_x = len(ref.units_where(_sc.future, x=x))
+            n_obs_cell = len(ref.rows_where(_sc.observed, t=t, x=x))
             return n_future_x / n_obs_cell * _n_obs / _n_fut
 
         p = Tabular(
@@ -277,16 +277,25 @@ def close(a, b):
 
 
 def test_horvitz_thompson_form_equals_matching_plugin():
+    """Both matching estimators are Horvitz-Thompson sums, and each equals the plug-in
+    of its fitted predictor; the exact one also equals the row-by-row sum."""
+    partition_rng = np.random.default_rng(511)
     for _, scenario in small_datasets(200, 501):
         data = scenario.observed
+        partition, _ = random_partition(partition_rng, data.xs())
+        exact, coarse = ExactMatching.fit(data), CoarsenedMatching.fit(data, partition)
         for t in (0, 1):
             ht_terms = []
-            for r in data.rows_where(t=t):
-                cell = data.rows_where(t=t, x=r.x)
-                prop = len(cell) / len(data.rows_where(x=r.x))
+            for r in ref.rows_where(data, t=t):
+                cell = ref.rows_where(data, t=t, x=r.x)
+                prop = len(cell) / len(ref.rows_where(data, x=r.x))
                 ht_terms.append(r.y / prop)
             ht = math.fsum(ht_terms) / len(data)
-            assert close(ht, exact_matching_estimate(data, t).estimate)
+            estimate = exact_matching_estimate(data, t).estimate
+            assert close(ht, estimate)
+            assert close(estimate, plugin_estimate(exact, data, t).estimate)
+            assert close(coarsened_matching_estimate(data, partition, t).estimate,
+                         plugin_estimate(coarse, data, t).estimate)
 
 
 def test_singleton_partition_equals_exact_matching():
@@ -359,7 +368,7 @@ def test_iv_lower_bound_sound_and_dominance_violations_detected():
         delta = max(
             abs(
                 math.fsum(f.y(u.unit, f.s(u.unit, z)) for u in f.units) / len(f.units)
-                - mean_y(scenario.observed.rows_where(z=z))
+                - ref.mean_y(ref.rows_where(scenario.observed, z=z))
             )
             for z in (0, 1)
         )
@@ -398,7 +407,7 @@ def test_interval_covers_truth_under_stable_compliance_1000_scenarios():
             if scenario.future.s(u.unit, z_arm) == t
         ]
         mu = math.fsum(scenario.future.y(u.unit, t) for u in stable) / len(stable)
-        delta = abs(mean_y(scenario.observed.rows_where(t=t, z=z_arm)) - mu)
+        delta = abs(ref.mean_y(ref.rows_where(scenario.observed, t=t, z=z_arm)) - mu)
         interval = robins_manski_bounds(
             scenario.observed, t, OutcomeBounds(0.0, 10.0), delta
         )

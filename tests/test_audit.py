@@ -170,9 +170,8 @@ def test_ml_groupwise_without_partition_groups_each_value_by_itself(monkeypatch)
         groupwise(p, d, lopsided, CovariatePartition.singletons([*xs, *lopsided.xs()]))
 
     def no_membership_test(*args):
-        raise AssertionError("PartitionCell.contains called")
+        raise AssertionError("CovariatePartition.cell_of called")
 
-    monkeypatch.setattr(PartitionCell, "contains", no_membership_test)
     monkeypatch.setattr(CovariatePartition, "cell_of", no_membership_test)
     got = groupwise(p, d, f)
     assert got.per_treatment == want.per_treatment
@@ -255,7 +254,14 @@ def test_audit_result_json_shape():
     assert js["assumption"] == "stable_predictions"
 
 
-def test_no_estimator_or_audit_tests_cell_membership(monkeypatch):
+class _NoMembership(frozenset):
+    """A cell's set of values that refuses the question ``x in values``."""
+
+    def __contains__(self, x):
+        raise AssertionError("membership tested on a partition cell's values")
+
+
+def test_no_estimator_or_audit_tests_cell_membership():
     """Every cell question is answered by the partition's value -> cell index."""
     d, f = p8_observed(), p8_future()
     coarsened = METHODS["coarsened"]
@@ -271,15 +277,10 @@ def test_no_estimator_or_audit_tests_cell_membership(monkeypatch):
             [avg_signed_difference(d, f, t, part) for t in (0, 1)],
             [audit_ml_groupwise(ExactMatching.fit(d), d, f, t, part).details for t in (0, 1)],
             {t: (eps[t], *coarsened.transfer(fitted, d, f, t, params)) for t in (0, 1)},
-            d.rows_where(cell=part.cells[0]), f.units_where(cell=part.cells[0]),
         ]
 
     partitions = [CovariatePartition.singletons(d.xs()),
                   CovariatePartition.from_members({"all": [XA, XB]})]
-    want = [answers(part) for part in partitions]
-
-    def no_membership_test(*args):
-        raise AssertionError("PartitionCell.contains called")
-
-    monkeypatch.setattr(PartitionCell, "contains", no_membership_test)
-    assert [answers(part) for part in partitions] == want
+    guarded = [CovariatePartition(tuple(PartitionCell(c.name, _NoMembership(c.values))
+                                        for c in part.cells)) for part in partitions]
+    assert [answers(part) for part in guarded] == [answers(part) for part in partitions]

@@ -10,8 +10,14 @@ from fixtures import XA, XB, p8_future, p8_observed
 from finitepop import cli
 from finitepop.cli import main, render_report
 from finitepop.core import Covariate, CovariatePartition, FuturePopulation, Unit
-from finitepop.estimate import METHODS, CoarsenedMatching, ExactMatching, External
-from finitepop.io import save_future_csv, save_observed_csv
+from finitepop.estimate import (
+    METHODS,
+    CoarsenedMatching,
+    ExactMatching,
+    External,
+    exact_matching_estimate,
+)
+from finitepop.io import load_observed_csv, save_future_csv, save_observed_csv
 from finitepop.simulate import InstrumentSpec, ScenarioSpec
 
 
@@ -1081,3 +1087,44 @@ def test_a_run_names_the_first_treatment_without_support(tmp_path, capsys, metho
     cause = (f"common support fails for t={missing} at Covariate(level='b')" if method == "matching"
              else f"empty treated cell for t={missing}: B")
     assert capsys.readouterr().err == f"precondition failed: method {method}: {cause}\n"
+
+
+OVERFLOWING = "id,t,y,xc_level\n1,1,1e308,a\n2,1,1e308,a\n3,0,1.0,a\n4,0,2.0,a\n"
+
+
+@pytest.mark.parametrize("verb, body", [
+    ("run", "methods: [rct]\n"),
+    ("audit", "future: {fut}\naudits: [sp]\n"),
+], ids=["run", "audit"])
+def test_an_outcome_sum_that_overflows_exits_3(tmp_path, capsys, verb, body):
+    obs, fut = tmp_path / "obs.csv", tmp_path / "fut.csv"
+    obs.write_text(OVERFLOWING)
+    fut.write_text("id,xc_level\n9,a\n")
+    cfg = write_config(tmp_path, "c.yaml", f"schema: 1\nobserved: {obs}\n" + body.format(fut=fut))
+    assert main([verb, "--config", cfg]) == 3
+    assert capsys.readouterr().err == "precondition failed: intermediate overflow in fsum\n"
+
+
+# Treated outcomes near +1e6 in cell a and near -1e6 in cell b cancel, so the
+# Horvitz-Thompson sum (about -1.24) and the plug-in of the matching predictor,
+# equal in exact arithmetic, differ after rounding by about 2e-11.
+CANCELLING = (
+    "id,t,y,xc_level\n1,1,999996.875,a\n2,1,999988.25,a\n3,1,1000000.875,a\n"
+    "4,1,1000005.375,a\n5,0,1.0,a\n6,0,2.0,a\n7,1,-999991.375,b\n8,1,-1000011.375,b\n"
+    "9,1,-999998.25,b\n10,0,8.0,b\n11,0,6.0,b\n12,0,8.0,b\n"
+)
+
+
+@pytest.mark.parametrize("method", ["matching", "coarsened"])
+def test_a_matching_run_reports_the_horvitz_thompson_sum_when_outcomes_cancel(tmp_path, method):
+    obs, out = tmp_path / "obs.csv", tmp_path / "r.json"
+    obs.write_text(CANCELLING)
+    part = write_config(tmp_path, "p.yaml", "schema: 1\ncells:\n  A: [{level: a}]\n  B: [{level: b}]\n")
+    entry = method if method == "matching" else f"{{name: coarsened, partition: {part}}}"
+    cfg = write_config(tmp_path, "run.yaml",
+                       f"schema: 1\nobserved: {obs}\nout: {out}\nmethods: [{entry}]\n")
+    assert main(["run", "--config", cfg]) == 0
+    data = load_observed_csv(str(obs))
+    per_t = json.loads(out.read_text())["methods"][method]["per_treatment"]
+    for t in (0, 1):
+        assert per_t[str(t)]["estimate"] == exact_matching_estimate(data, t).estimate

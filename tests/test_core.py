@@ -15,7 +15,7 @@ from finitepop.core import (
     approx_eq,
     common_support_check,
     empirical_propensity,
-    mean_y,
+    mean_of,
 )
 from finitepop.estimate import exact_matching_estimate
 
@@ -44,25 +44,11 @@ def test_covariate_numeric_equality_is_bitwise():
     assert Covariate.of(v=0.1 + 0.2) != Covariate.of(v=0.3)
 
 
-def test_subgroup_filters():
-    d = p8_observed()
-    assert d.subgroup(t=1) == frozenset({1, 3})
-    assert d.subgroup(x=XA) == frozenset({1, 2})
-    assert d.subgroup(t=0, x=XB) == frozenset({4})
-    assert d.subgroup(t=1, x=XB) == frozenset({3})
-
-
-def test_subgroup_unknown_treatment_errors():
-    with pytest.raises(ValueError):
-        p8_observed().subgroup(t=7)
-
-
 def test_treatment_partition():
+    """The outcome groups of the treatments hold every row once."""
     d = p8_observed()
-    all_units = frozenset(r.unit for r in d.rows)
-    groups = [d.subgroup(t=t) for t in sorted(d.treatments)]
-    assert frozenset().union(*groups) == all_units
-    assert sum(len(g) for g in groups) == len(all_units)
+    groups = [ys for t in sorted(d.treatments) for ys in d.ys(t).values()]
+    assert sorted(y for ys in groups for y in ys) == sorted(d.y)
 
 
 def test_duplicate_unit_ids_rejected():
@@ -119,9 +105,9 @@ def test_common_support_empty_dataset():
     assert report.note is not None
 
 
-def test_mean_y_empty_errors():
+def test_mean_of_empty_errors():
     with pytest.raises(SupportError):
-        mean_y(())
+        mean_of(())
 
 
 def test_partition_cells_must_be_exhaustive():
@@ -169,9 +155,9 @@ def test_partition_groups_keep_order_and_leave_out_uncovered_values():
 def test_partition_groups_partition_the_data():
     d = p8_observed()
     part = CovariatePartition.singletons(d.xs())
-    units = [d.subgroup(cell=c) for c in part.cells]
-    assert frozenset().union(*units) == frozenset(r.unit for r in d.rows)
-    assert sum(len(u) for u in units) == len(d)
+    members = list(part.groups(d.xs()).values())
+    assert sorted(x for xs in members for x in xs) == list(d.xs())
+    assert sum(d.n_x[x] for xs in members for x in xs) == len(d)
 
 
 def test_oracle_reads_are_stable():

@@ -2,6 +2,7 @@
 
 import math
 
+import rowscan_reference as ref
 from hypothesis import given, settings
 from fixtures import columns
 from hypothesis import strategies as st
@@ -132,9 +133,9 @@ def test_signed_difference_bounded_by_max_group_gap(pair):
     asd = avg_signed_difference(data, future, 1)
     worst = 0.0
     for x in future.xs():
-        units = future.units_where(x=x)
+        units = ref.units_where(future, x=x)
         mu = math.fsum(future.y(u.unit, 1) for u in units) / len(units)
-        rows = data.rows_where(t=1, x=x)
+        rows = ref.rows_where(data, t=1, x=x)
         mu_hat = math.fsum(r.y for r in rows) / len(rows)
         worst = max(worst, abs(mu - mu_hat))
     assert abs(asd) <= worst + 1e-12

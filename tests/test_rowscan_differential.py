@@ -81,17 +81,6 @@ def test_group_queries(case):
     data, future, partition, _ = case
     assert data.xs() == ref.xs(data) and future.xs() == ref.xs(future)
     assert repr(data.xs()) == repr(ref.xs(data))
-    for cell in (None, *partition.cells):
-        for x in (None, *POOL):
-            if x is not None and cell is not None:
-                continue
-            assert future.units_where(x=x, cell=cell) == ref.units_where(future, x=x, cell=cell)
-            for t in (None, *sorted(data.treatments)):
-                for z in (None, 0, 1):
-                    got = data.rows_where(t=t, x=x, cell=cell, z=z)
-                    assert got == ref.rows_where(data, t=t, x=x, cell=cell, z=z)
-                assert data.subgroup(t=t, x=x, cell=cell) == frozenset(
-                    r.unit for r in ref.rows_where(data, t=t, x=x, cell=cell))
     same(data.instrument_values, lambda: tuple(sorted({r.z for r in data.rows})) if
          data.has_instrument else 1 / 0)
     for t in sorted(data.treatments):
