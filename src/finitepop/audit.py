@@ -9,7 +9,6 @@ summation (math.fsum).
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -21,6 +20,7 @@ from .core import (
     SchemaError,
     SupportError,
     average,
+    fsum,
     mean_of,
     pooled,
 )
@@ -99,7 +99,7 @@ def avg_signed_difference(
             raise SupportError(f"no observed rows with t={t} in group {label} (common support)")
         ys = pooled(truth, fut_xs)
         terms.append(len(ys) / len(future) * (mean_of(ys) - mean_of(obs_ys)))
-    return math.fsum(terms)
+    return fsum(terms)
 
 
 def audit_ml_groupwise(
@@ -173,7 +173,7 @@ def audit_dr_condition(
             raise SupportError(f"no observed rows with t={t} at x={x!r} (common support)")
         gap = mean_of(truth[x]) - mean_of(obs_ys)
         terms.append(data.n_x[x] / len(data) * gap * fn(x, t))
-    return math.fsum(terms)
+    return fsum(terms)
 
 
 def audit_dominance(future: FuturePopulation) -> AuditResult:
@@ -189,7 +189,7 @@ def audit_dominance(future: FuturePopulation) -> AuditResult:
     for (t, z) in ((0, 1), (1, 0)):
         takes = future.compliance_column(z)  # an empty group reads no outcome column
         pairs = zip(future.outcome_column(1), future.outcome_column(0), takes) if t in takes else ()
-        per[(t, z)] = math.fsum(y1 - y0 for y1, y0, s in pairs if s == t)
+        per[(t, z)] = fsum(y1 - y0 for y1, y0, s in pairs if s == t)
     holds = all(v >= 0 for v in per.values())
     return AuditResult("dominance", per, details={"holds": holds})
 

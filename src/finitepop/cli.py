@@ -785,5 +785,22 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PRECONDITION
 
 
+# Any of these set by the user sizes numpy's BLAS pool; the process entry leaves it alone.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def start() -> int:
+    """The process entry (``python -m finitepop.cli`` and the ``finitepop`` script): ``main``
+    with OpenBLAS capped at one thread, as no verb calls BLAS, unless the user sized its pool.
+
+    It must run before numpy loads, which starts the pool and an idle worker thread that
+    spins on a second core.  ``main`` itself changes nothing process-wide, so callers that
+    import this module keep numpy as they configured it.
+    """
+    if not any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(start())

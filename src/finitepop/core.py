@@ -246,21 +246,31 @@ class ObservedDataset(_Grouped):
             raise ValueError(f"unknown treatment id {t}; declared set is {sorted(self.treatments)}")
 
 
+def fsum(values: Iterable[float]) -> float:
+    """``math.fsum``, where meeting infinities of both signs is an ``ArithmeticError``, as an
+    overflow is, not a ``ValueError``.  Any ``ValueError`` inside becomes one, so ``values``
+    may only do arithmetic: a call that may raise runs before the sum."""
+    try:
+        return math.fsum(values)
+    except ValueError as exc:  # math.fsum raises it only for -inf + inf
+        raise ArithmeticError(str(exc)) from None
+
+
 def mean_of(values: Sequence[float]) -> float:
     """Exactly rounded mean of a nonempty group."""
     if not values:
         raise SupportError("mean over an empty subgroup")
-    return math.fsum(values) / len(values)
+    return fsum(values) / len(values)
 
 
 def average(f: Callable[[Covariate], float], n_x: Mapping[Covariate, int]) -> float:
     """Mean of f(x) over a population given by its count per covariate value.
 
-    f runs once per distinct x; its value enters the exactly rounded sum once
-    per member, so the result is bit-identical to the member-by-member mean.
+    f runs once per distinct x, before the sum; its value enters the exactly rounded
+    sum once per member, so the result is bit-identical to the member-by-member mean.
     """
-    values = chain.from_iterable(repeat(f(x), n) for x, n in n_x.items())
-    return math.fsum(values) / sum(n_x.values())
+    per_x = [(f(x), n) for x, n in n_x.items()]
+    return fsum(chain.from_iterable(repeat(v, n) for v, n in per_x)) / sum(n_x.values())
 
 
 @dataclass(frozen=True)
@@ -339,13 +349,21 @@ class FuturePopulation(_Grouped):
             raise OracleError(f"oracle undefined at unit={unit}: not in the future population")
         return column[i]
 
+    # y and s try one lookup first; only a miss runs the checks, in the order of their errors:
+    # no oracle (None is not subscriptable), then an unknown key, then an unknown unit.
     def y(self, unit: int, t: int) -> float:
         """The ground-truth outcome of ``unit`` under treatment t."""
-        return self._of_unit(self.outcome_column(t), unit)
+        try:
+            return self.outcomes[t][self._position[unit]]  # type: ignore[index]
+        except (TypeError, KeyError):
+            return self._of_unit(self.outcome_column(t), unit)
 
     def s(self, unit: int, z: int) -> int:
         """The treatment ``unit`` takes when assigned instrument z."""
-        return self._of_unit(self.compliance_column(z), unit)
+        try:
+            return self.compliance[z][self._position[unit]]  # type: ignore[index]
+        except (TypeError, KeyError):
+            return self._of_unit(self.compliance_column(z), unit)
 
     def require_oracle(self) -> FuturePopulation:
         if self.outcomes is None:

@@ -6,7 +6,6 @@ each point method's fit, estimator and transfer term.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
@@ -27,6 +26,7 @@ from .core import (
     average,
     common_support_check,
     empirical_propensity,
+    fsum,
     mean_of,
     pooled,
 )
@@ -166,7 +166,7 @@ class Policy:
     def probs(self, x: Covariate) -> dict[int, float]:
         assert self.probabilities is not None
         probs = dict(self.probabilities(x))
-        total = math.fsum(probs.values())
+        total = fsum(probs.values())
         if any(p < 0 for p in probs.values()) or abs(total - 1.0) > 1e-9:
             raise ValueError(f"invalid probability vector {probs} at x={x!r}")
         return probs
@@ -255,7 +255,7 @@ def _horvitz_thompson(
         p = prop[x]
         terms += [y / p for y in ys]
     method = "exact_matching" if partition is None else "coarsened_matching"
-    return EstimateReport(math.fsum(terms) / len(data), method, t, support=support)
+    return EstimateReport(fsum(terms) / len(data), method, t, support=support)
 
 
 def plugin_estimate(p: Predictor, data: ObservedDataset, t: int) -> EstimateReport:
@@ -284,9 +284,9 @@ def doubly_robust_estimate(
     terms, ys = [], data.ys(t)
     for x, n_x in data.n_x.items():
         px = p(x, t)
-        resid = math.fsum(y - px for y in ys.get(x, ())) / n_x
+        resid = fsum(y - px for y in ys.get(x, ())) / n_x
         terms.append(n_x / len(data) * (px + w(x, t) * resid))
-    return EstimateReport(math.fsum(terms), "doubly_robust", t)
+    return EstimateReport(fsum(terms), "doubly_robust", t)
 
 
 def ate_estimate(apo1: EstimateReport, apo0: EstimateReport) -> EstimateReport:
@@ -437,7 +437,7 @@ class PanelDataset:
 def did_predict(panel: PanelDataset) -> tuple[EstimateReport, EstimateReport]:
     """Predicted step-1 mean for group C under t=1 (via A) and under t=0 (via B)."""
     def m(v):
-        return math.fsum(v) / len(v)
+        return fsum(v) / len(v)
 
     via_a = m(panel.a_step1) - m(panel.a_step0) + m(panel.c_step0)
     via_b = m(panel.b_step1) - m(panel.b_step0) + m(panel.c_step0)
@@ -472,7 +472,7 @@ def policy_value_estimate(
 
     # A level set weighs its unit count, or its profile weight, over the total, divided once.
     profile = future.n_x if isinstance(future, FuturePopulation) else future
-    total = math.fsum(profile.values())
+    total = fsum(profile.values())
     if total <= 0:
         raise ValueError("future profile weights must have positive total")
 
@@ -483,7 +483,7 @@ def policy_value_estimate(
     terms = []
     for t, xs in sorted(level_sets.items()):
         data.check_treatment(t)
-        weight = math.fsum(profile.get(x, 0.0) for x in xs) / total
+        weight = fsum(profile.get(x, 0.0) for x in xs) / total
         if weight == 0:
             continue
         members = set(xs)
@@ -499,7 +499,7 @@ def policy_value_estimate(
         except SupportError as exc:
             raise SupportError(f"level set t={t}: {exc}") from exc
         terms.append(weight * report.estimate)
-    return EstimateReport(math.fsum(terms), "policy_value")
+    return EstimateReport(fsum(terms), "policy_value")
 
 
 def stochastic_policy_value(
@@ -511,7 +511,7 @@ def stochastic_policy_value(
     if len(data) == 0:
         raise SupportError("empty dataset")
     value = average(
-        lambda x: math.fsum(prob * p(x, t) for t, prob in policy.probs(x).items()),
+        lambda x: fsum([prob * p(x, t) for t, prob in policy.probs(x).items()]),
         data.n_x,
     )
     return EstimateReport(value, "stochastic_policy_value")

@@ -9,13 +9,12 @@ imported inside the functions that fit, so importing this module loads none.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING
 
-from .core import Covariate, FinitePopError, ObservedDataset, SupportError, mean_of
+from .core import Covariate, FinitePopError, ObservedDataset, SupportError, fsum, mean_of
 from .estimate import EstimateReport, Policy
 
 if TYPE_CHECKING:
@@ -72,7 +71,7 @@ class LinearModel:
     def predict(self, x: Covariate, t: float) -> float:
         features = self.encoding.encode(x)
         names = self.encoding.feature_names()
-        return math.fsum(self.a[n] * v for n, v in zip(names, features)) + self.beta * t + self.c
+        return fsum(self.a[n] * v for n, v in zip(names, features)) + self.beta * t + self.c
 
     def to_json(self) -> dict:
         return {"a": dict(self.a), "beta": self.beta, "c": self.c}
@@ -187,8 +186,8 @@ def ovb_consistency_check(data: ObservedDataset, long_model: LinearModel) -> flo
 
 
 def _policy_mean_treatment(policy: Policy, profile: Mapping[Covariate, float]) -> float:
-    total = math.fsum(profile.values())
-    return math.fsum(wt * policy.assign(x) for x, wt in profile.items()) / total
+    total = fsum(profile.values())
+    return fsum([wt * policy.assign(x) for x, wt in profile.items()]) / total
 
 
 def iv_regression_policy_apo(
@@ -220,7 +219,7 @@ def iv_regression_policy_apo(
     for z in data.instrument_values():
         groups = {t: ys for (t, arm), ys in data.ys_tz.items() if arm == z}
         outcomes = tuple(chain.from_iterable(groups.values()))
-        mean_t = math.fsum(float(t) * len(ys) for t, ys in groups.items()) / len(outcomes)
+        mean_t = fsum(float(t) * len(ys) for t, ys in groups.items()) / len(outcomes)
         arms[z] = (mean_t, mean_of(outcomes))
 
     qualifying = [z for z, (mean_t, _) in arms.items() if abs(mean_t - target_level) < gamma]

@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from .core import Covariate, FuturePopulation, ObservedDataset
+from .core import Covariate, FuturePopulation, ObservedDataset, fsum
 from .estimate import PanelDataset, named_estimator
 
 if TYPE_CHECKING:
@@ -126,7 +126,7 @@ class ScenarioSpec:
         for name in ("observed_level_weights", "future_level_weights"):
             if getattr(self, name) is not None:
                 w = _require_levels(getattr(self, name), self.levels, name)
-                if not all(0 <= v < math.inf for v in w) or not math.fsum(w) > 0:
+                if not all(0 <= v < math.inf for v in w) or not fsum(w) > 0:
                     raise ValueError(f"{name} must be finite, nonnegative and not all zero")
         if not all(math.isfinite(v) for _, v in self.future_outcome_shift or ()):
             raise ValueError("future_outcome_shift values must be finite")
@@ -227,7 +227,7 @@ def _ground_truth(y: np.ndarray) -> dict:
 
     ``math.fsum`` is exactly rounded, so each APO equals ``future.apo(t)``.
     """
-    apo = {t: math.fsum(y[:, t].tolist()) / len(y) for t in (0, 1)}
+    apo = {t: fsum(y[:, t].tolist()) / len(y) for t in (0, 1)}
     return {"apo": apo, "ate": apo[1] - apo[0]}
 
 
@@ -446,7 +446,7 @@ def convergence_check(
             )
             scenario = generate(spec)
             errors.append(abs(run(scenario.observed, 1).estimate - scenario.ground_truth["apo"][1]))
-        curve.append((size, math.fsum(errors) / len(errors)))
+        curve.append((size, fsum(errors) / len(errors)))
     return curve
 
 
@@ -486,7 +486,7 @@ def generate_panel(spec: PanelSpec) -> tuple[PanelDataset, dict]:
     )
 
     def m(v):
-        return math.fsum(v) / len(v)
+        return fsum(v) / len(v)
 
     truth = {
         "c_step1_t1": m(panel.a_step1) - m(panel.a_step0) + m(panel.c_step0) + spec.violation,

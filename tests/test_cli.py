@@ -1090,19 +1090,23 @@ def test_a_run_names_the_first_treatment_without_support(tmp_path, capsys, metho
 
 
 OVERFLOWING = "id,t,y,xc_level\n1,1,1e308,a\n2,1,1e308,a\n3,0,1.0,a\n4,0,2.0,a\n"
+# The Horvitz-Thompson terms of the treated rows are 1e308 / 0.5 = inf and -inf.
+OPPOSITE_INFINITIES = ("id,t,y,xc_level\n1,1,1e308,a\n2,0,1.0,a\n3,1,-1e308,b\n4,0,1.0,b\n"
+                       "5,0,2.0,a\n6,0,2.0,b\n")
 
 
-@pytest.mark.parametrize("verb, body", [
-    ("run", "methods: [rct]\n"),
-    ("audit", "future: {fut}\naudits: [sp]\n"),
-], ids=["run", "audit"])
-def test_an_outcome_sum_that_overflows_exits_3(tmp_path, capsys, verb, body):
+@pytest.mark.parametrize("verb, observed, body, cause", [
+    ("run", OVERFLOWING, "methods: [rct]\n", "intermediate overflow in fsum"),
+    ("audit", OVERFLOWING, "future: {fut}\naudits: [sp]\n", "intermediate overflow in fsum"),
+    ("run", OPPOSITE_INFINITIES, "methods: [matching]\n", "-inf + inf in fsum"),
+], ids=["run", "audit", "run-opposite-infinities"])
+def test_an_outcome_sum_that_overflows_exits_3(tmp_path, capsys, verb, observed, body, cause):
     obs, fut = tmp_path / "obs.csv", tmp_path / "fut.csv"
-    obs.write_text(OVERFLOWING)
+    obs.write_text(observed)
     fut.write_text("id,xc_level\n9,a\n")
     cfg = write_config(tmp_path, "c.yaml", f"schema: 1\nobserved: {obs}\n" + body.format(fut=fut))
     assert main([verb, "--config", cfg]) == 3
-    assert capsys.readouterr().err == "precondition failed: intermediate overflow in fsum\n"
+    assert capsys.readouterr().err == f"precondition failed: {cause}\n"
 
 
 # Treated outcomes near +1e6 in cell a and near -1e6 in cell b cancel, so the

@@ -13,8 +13,10 @@ from finitepop.core import (
     SupportError,
     Unit,
     approx_eq,
+    average,
     common_support_check,
     empirical_propensity,
+    fsum,
     mean_of,
 )
 from finitepop.estimate import exact_matching_estimate
@@ -110,6 +112,23 @@ def test_mean_of_empty_errors():
         mean_of(())
 
 
+def test_a_sum_of_infinities_of_both_signs_is_arithmetic():
+    with pytest.raises(ArithmeticError, match="-inf \\+ inf in fsum") as info:
+        fsum([math.inf, 1.0, -math.inf])
+    assert not isinstance(info.value, ValueError)
+    with pytest.raises(OverflowError):
+        fsum([1e308, 1e308])
+    with pytest.raises(ArithmeticError):
+        average(lambda x: math.inf if x == XA else -math.inf, {XA: 1, XB: 1})
+
+
+def test_a_value_error_of_the_averaged_function_stays_one():
+    def cell(x):
+        raise ValueError(f"covariate {x!r} lies in no partition cell")
+    with pytest.raises(ValueError, match="lies in no partition cell"):
+        average(cell, {XA: 2})
+
+
 def test_partition_cells_must_be_exhaustive():
     part = CovariatePartition.from_members({"only_a": [XA]})
     with pytest.raises(ValueError):
@@ -180,6 +199,25 @@ def test_oracle_columns_answer_y_and_s():
         bare.y(11, 1)
     with pytest.raises(OracleError, match="requires the compliance oracle"):
         bare.s(11, 0)
+
+
+@pytest.mark.parametrize("oracle, read, message", [
+    ("none", "y", "operation requires the outcome oracle (oracle mode only)"),
+    ("none", "s", "operation requires the compliance oracle (oracle mode only)"),
+    ("other_key", "y", "outcome oracle undefined at t=0"),
+    ("other_key", "s", "compliance oracle undefined at z=0"),
+    ("unit", "y", "oracle undefined at unit=13: not in the future population"),
+    ("unit", "s", "oracle undefined at unit=13: not in the future population"),
+])
+def test_a_missing_oracle_read_names_the_first_missing_part(oracle, read, message):
+    """No oracle, then an unknown t or z, then an unknown unit: a read missing several
+    parts names the first.  Each read asks for t or z = 0 of unit 13, which is not there."""
+    units = (Unit(11, XA), Unit(12, XB))
+    columns = {"none": None, "other_key": {1: [1, 0]}, "unit": {0: [1, 0]}}[oracle]
+    f = FuturePopulation(units, columns, columns)
+    with pytest.raises(OracleError) as info:
+        getattr(f, read)(13, 0)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("name, columns, message", [

@@ -1,6 +1,9 @@
-"""Start-up: what ``import finitepop.cli`` loads, and how configs are parsed.
+"""Start-up: what ``import finitepop.cli`` loads, what the process entry sets, and how
+configs are parsed.
 
-Verbs that never draw must not pay for importing numpy.  Configs are parsed
+Verbs that never draw must not pay for importing numpy, and no verb loads
+``finitepop.regress``.  The process entry caps OpenBLAS at one thread unless the
+user sized its pool; ``main`` changes nothing process-wide.  Configs are parsed
 by libyaml where it is available; its trees must equal the pure-Python
 loader's, and a syntax error must be reported at the pure loader's line.
 """
@@ -17,27 +20,37 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from finitepop import cli
 from finitepop.cli import ConfigError, _parse_yaml, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 EXAMPLES = settings(max_examples=200, deadline=None)
 
 
-def test_cli_import_loads_no_numpy_and_lazy_names_resolve():
-    code = (
-        "import sys, finitepop, finitepop.cli\n"
-        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
-        "from finitepop import LinearModel, fit_linear, generate\n"
-        "import finitepop.regress as regress\n"
-        "assert fit_linear is regress.fit_linear and LinearModel is regress.LinearModel\n"
-        "try:\n    finitepop.no_such_name\nexcept AttributeError as e:\n    print(e)\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
-    )
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def python(code: str, cwd=None, **variables: str) -> str:
+    """The standard output of ``code`` in a fresh interpreter, with none of the BLAS thread
+    variables set but ``variables``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env.update(variables, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env, cwd=cwd)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "module 'finitepop' has no attribute 'no_such_name'\n"
+    return done.stdout
+
+
+def test_the_package_loads_no_submodule_and_the_cli_no_numpy():
+    """Nor does importing any module set an environment variable."""
+    python(
+        "import os, sys\nbefore = dict(os.environ)\nimport finitepop\n"
+        "assert not [m for m in sys.modules if m.startswith('finitepop.')], sys.modules\n"
+        "import finitepop.cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        "import finitepop.regress\n"
+        "assert dict(os.environ) == before\n"
+    )
 
 
 P8_OBSERVED = "id,t,y,z,xc_level\n1,1,10.0,1,a\n2,0,6.0,0,a\n3,1,4.0,1,b\n4,0,2.0,0,b\n"
@@ -50,9 +63,14 @@ P8_PREDICTOR = "schema: 1\nentries:\n" + "".join(
 )
 
 
+SCENARIO = ("n_observed: 8\nn_future: 8\nlevels: [a, b]\n"
+            "base_outcomes: {a: [6.0, 10.0], b: [2.0, 4.0]}\n")
+
+
 def test_run_and_audit_load_no_numpy(tmp_path):
     """Every point method in oracle mode, then every audit, with partition and predictor
-    files: neither verb imports numpy."""
+    files: neither verb imports numpy.  Then simulate and sweep: no verb imports
+    ``finitepop.regress``."""
     files = {"observed.csv": P8_OBSERVED, "future.csv": P8_FUTURE,
              "part.yaml": P8_PARTITION, "pred.yaml": P8_PREDICTOR}
     for name, text in files.items():
@@ -65,20 +83,75 @@ def test_run_and_audit_load_no_numpy(tmp_path):
     (tmp_path / "audit.yaml").write_text(
         common + "out: audit.json\npredictor: pred.yaml\npartition: part.yaml\naudits: [sp, cfd,"
         " signed_difference, ml_groupwise, dr_condition, dominance, compliance_stability]\n")
-    code = (
+    (tmp_path / "simulate.yaml").write_text("schema: 1\nout: sim\n" + SCENARIO)
+    (tmp_path / "sweep.yaml").write_text(
+        "schema: 1\nout: sweep.json\nreplications: 2\nscenario:\n"
+        + "".join(f"  {line}\n" for line in SCENARIO.splitlines()))
+    python(
         "import sys\nfrom finitepop.cli import main\n"
         "assert main(['run', '--config', 'run.yaml']) == 0\n"
         "assert main(['audit', '--config', 'audit.yaml']) == 0\n"
         "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        "assert main(['simulate', '--config', 'simulate.yaml']) == 0\n"
+        "assert main(['sweep', '--config', 'sweep.yaml']) == 0\n"
+        "assert 'numpy' in sys.modules and 'finitepop.regress' not in sys.modules\n",
+        cwd=tmp_path,
     )
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=60, env=env, cwd=tmp_path)
-    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "sim" / "future.csv").is_file() and (tmp_path / "sweep.json").is_file()
     report = json.loads((tmp_path / "run.json").read_text())
     assert sorted(report["methods"]) == ["coarsened", "dr", "matching", "plugin", "rct"]
     assert report["ok"] is True
     assert len(json.loads((tmp_path / "audit.json").read_text())["audits"]) == 7
+
+
+# The entry runs as ``python -m finitepop.cli`` does, then prints the OpenBLAS variable
+# and the threads the process holds.
+ENTRY = (
+    "import os, runpy, sys\n"
+    "sys.argv = ['finitepop', 'simulate', '--config', 'simulate.yaml']\n"
+    "try:\n    runpy.run_module('finitepop.cli', run_name='__main__')\n"
+    "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
+    "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))\n"
+)
+BARE_NUMPY = "import os, numpy\nprint(len(os.listdir('/proc/self/task')))\n"
+needs_threads = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+    reason="counting threads needs /proc/self/task and two CPUs")
+
+
+@needs_threads
+def test_the_process_entry_caps_openblas_at_one_thread(tmp_path):
+    (tmp_path / "simulate.yaml").write_text("schema: 1\nout: sim\n" + SCENARIO)
+    assert python(ENTRY, cwd=tmp_path) == "1 1\n"
+    assert (tmp_path / "sim" / "observed.csv").is_file()
+
+
+@needs_threads
+def test_the_process_entry_leaves_a_sized_pool_alone(tmp_path):
+    (tmp_path / "simulate.yaml").write_text("schema: 1\nout: sim\n" + SCENARIO)
+    pool = python(BARE_NUMPY, OPENBLAS_NUM_THREADS="2")
+    assert python(ENTRY, cwd=tmp_path, OPENBLAS_NUM_THREADS="2") == f"2 {pool}"
+
+
+@pytest.mark.parametrize("variable", BLAS_THREAD_VARIABLES)
+def test_a_blas_thread_variable_the_user_set_overrides_the_cap(monkeypatch, variable):
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv(variable, "3")
+    monkeypatch.setattr(cli, "main", lambda: 0)
+    assert cli.start() == 0
+    assert {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES} == {
+        name: "3" if name == variable else None for name in BLAS_THREAD_VARIABLES}
+
+
+def test_main_leaves_the_environment_alone(tmp_path, monkeypatch):
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    (tmp_path / "simulate.yaml").write_text("schema: 1\n" + SCENARIO)
+    before = dict(os.environ)
+    assert cli.main(["simulate", "--config", str(tmp_path / "simulate.yaml"),
+                     "--out", str(tmp_path / "sim")]) == 0
+    assert dict(os.environ) == before
 
 
 def parsed(parse, text):
