@@ -21,17 +21,20 @@ interquartile range.  ``--out`` writes that summary as JSON, with both
 revisions, the Python and numpy versions and the number of usable CPUs.
 
 The exit code is 1 when an invocation failed a check or a run exited
-nonzero, else 0.
+nonzero, else 0.  SIGTERM or SIGINT stops the running perfbench run, with
+the CLI it started, removes the unpacked tree and exits 128 + the signal.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -98,20 +101,37 @@ def _git(*args: str) -> str:
 
 
 def bench(tree: Path, args) -> tuple[dict | None, str]:
-    """One perfbench run in ``tree``: its metric values (None if it failed) and its output."""
-    done = subprocess.run(
+    """One perfbench run in ``tree``: its metric values (None if it failed) and its output.
+
+    The run leads a process group of its own, so that whatever stops this one (an
+    exception, or a signal through ``_stop``) kills the run and the CLI it started.
+    """
+    with subprocess.Popen(
         [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed",
          str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True,
-    )
-    lines = done.stdout.strip().splitlines()
+        cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    ) as run:
+        try:
+            stdout, stderr = run.communicate()
+        except BaseException:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(run.pid, signal.SIGKILL)
+            raise
+    lines = stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        return None, done.stdout + done.stderr
-    if done.returncode != 0 or result["failed"] > 0:
-        return None, done.stdout + done.stderr
-    return {name: m["value"] for name, m in result["metrics"].items()}, done.stdout
+        return None, stdout + stderr
+    if run.returncode != 0 or result["failed"] > 0:
+        return None, stdout + stderr
+    return {name: m["value"] for name, m in result["metrics"].items()}, stdout
+
+
+def _stop(signum, frame):
+    """SIGTERM and SIGINT unwind as an exit: the running perfbench run is killed and the
+    temporary tree removed on the way out."""
+    raise SystemExit(128 + signum)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -123,6 +143,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--out", help="write the summary as JSON to this file")
     args = parser.parse_args(argv)
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, _stop)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
     pairs: list[tuple[dict, dict]] = []

@@ -1,16 +1,24 @@
 """Auditors for the testable assumption quantities.
 
-Each auditor returns the realized discrepancy as a real number rather than a
-pass/fail flag, so callers can verify guarantees of the form
-"estimate error <= audited stable-prediction gap + audited calibration gap"
-without choosing a budget up front.  Sums are accumulated with compensated
-summation (math.fsum).
+Each auditor returns the realized discrepancy as a real number, not a pass/fail
+flag.  All but the instrument audits are views of one residual table.  With
+w_I(c) the future share of cell c, and r_J(c) and r_I(c) the mean of p - y over
+its observed rows treated with t and over its future units, the error of the
+plug-in of p over the observed covariates splits exactly (Kitagawa, JASA 1955;
+Oaxaca, IER 1973) as estimate - truth = s_t + kappa_t + tau_t, where
+
+    s_t = mean of p over J - mean of p over I       (covariates only)
+    kappa_t = sum_c w_I(c) * r_J(c)                  (no oracle)
+    tau_t = sum_c w_I(c) * (r_I(c) - r_J(c)).       Sums are exactly rounded (fsum).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import sub
+from typing import NamedTuple
 
 from .core import (
     CovariatePartition,
@@ -19,10 +27,7 @@ from .core import (
     OracleError,
     SchemaError,
     SupportError,
-    average,
     fsum,
-    mean_of,
-    pooled,
 )
 
 WeightLike = Callable[[object, int], float] | float | None
@@ -44,6 +49,89 @@ class AuditResult:
         }
 
 
+class Side(NamedTuple):
+    """One population's part of a cell at t: per covariate value, p (``vs``), members (``ks``)
+    and outcomes under t (rows treated with t, or units whose outcomes are read).  ``p`` is the
+    exactly rounded mean of p over the ``n`` members, and ``y`` and ``r`` those of y and p - y
+    over the ``n_t`` outcomes (None over none); each is summed when read."""
+
+    vs: tuple
+    ks: tuple
+    groups: tuple
+    n: int
+    n_t: int
+
+    @property
+    def p(self) -> float | None:
+        values = chain.from_iterable(map(repeat, self.vs, self.ks))
+        return fsum(values) / self.n if self.n else None
+
+    @property
+    def y(self) -> float | None:
+        return fsum(chain.from_iterable(self.groups)) / self.n_t if self.n_t else None
+
+    @property
+    def r(self) -> float | None:
+        residuals = chain.from_iterable(map(map, repeat(sub), map(repeat, self.vs), self.groups))
+        return fsum(residuals) / self.n_t if self.n_t else None  # p - y
+
+
+class Cell(NamedTuple):
+    name: str
+    xs: tuple  # its covariate values found in either population
+    j: Side  # the observed rows
+    i: Side  # the future units
+
+
+def _rows(p, t: int, observed: tuple, future: tuple) -> dict:
+    """Per covariate value of either population, in sorted order (of equal values, the
+    future's): p at t, and each side's members and outcomes under t there."""
+    (n_j, ys_j), (n_i, ys_i) = observed, future
+    extra = [x for x in n_j if x not in n_i]
+    xs = sorted([*n_i, *extra]) if extra else n_i  # n_x is in sorted order
+    return {x: ((v := p(x, t), n_j.get(x, 0), ys_j.get(x, ())),
+                (v, n_i.get(x, 0), ys_i.get(x, ()))) for x in xs}
+
+
+def _cell(name: str, xs, rows: list) -> Cell:
+    sides = [tuple(zip(*side)) for side in zip(*rows)] if rows else [((), (), ())] * 2
+    j, i = (Side(vs, ks, ys, sum(ks), sum(map(len, ys))) for vs, ks, ys in sides)
+    return Cell(name, tuple(xs), j, i)
+
+
+def residual_table(p, t: int, observed: tuple, future: tuple,
+                   partition: CovariatePartition | None) -> list[Cell]:
+    """The residual table of predictor p at treatment t: one ``Cell`` per partition cell, or
+    per covariate value of either population (x0, x1, ... in sorted order) without one.
+    ``observed`` and ``future`` are ``(pop.n_x, pop.ys(t))``, with ``{}`` for outcomes not
+    read.  p runs once per value."""
+    rows = _rows(p, t, observed, future)
+    cells = partition.groups(rows) if partition else {f"x{i}": [x] for i, x in enumerate(rows)}
+    return [_cell(name, xs, [rows[x] for x in xs]) for name, xs in cells.items()]
+
+
+def _whole(p, t: int, observed: tuple, future: tuple) -> Cell:
+    """The residual table at t as one cell of every covariate value of either population."""
+    rows = _rows(p, t, observed, future)
+    return _cell("all", rows, list(rows.values()))
+
+
+def _oracle_cells(p, data: ObservedDataset, future: FuturePopulation, t: int,
+                  partition: CovariatePartition | None, every: bool) -> list[Cell]:
+    """The table at t with the future's outcomes.  Every cell (when ``every``), or only those
+    with future units, must hold units and observed rows treated with t: else SupportError."""
+    future.require_oracle()
+    data.check_treatment(t)
+    cells = residual_table(p, t, (data.n_x, data.ys(t)), (future.n_x, future.ys(t)), partition)
+    for c in cells:
+        if every and (not c.i.n or not c.j.n_t):
+            raise SupportError(f"cell {c.name}: empty on {'observed' if c.i.n else 'future'} side")
+        if c.i.n and not c.j.n_t:
+            label = c.name if partition else repr(c.xs[0])
+            raise SupportError(f"no observed rows with t={t} in cell {label} (common support)")
+    return [c for c in cells if c.i.n]
+
+
 def audit_sp(p, data: ObservedDataset, future: FuturePopulation) -> AuditResult:
     """Stable-predictions gap |mean of p over future - mean of p over observed| per treatment.
 
@@ -51,23 +139,17 @@ def audit_sp(p, data: ObservedDataset, future: FuturePopulation) -> AuditResult:
     """
     if len(data) == 0:
         raise SupportError("observed dataset is empty")
-    per = {}
-    for t in sorted(data.treatments):
-        mu = average(lambda x: p(x, t), future.n_x)
-        mu_hat = average(lambda x: p(x, t), data.n_x)
-        per[t] = abs(mu - mu_hat)
-    return AuditResult("stable_predictions", per)
+    cells = {t: _whole(p, t, (data.n_x, {}), (future.n_x, {})) for t in sorted(data.treatments)}
+    return AuditResult("stable_predictions", {t: abs(c.i.p - c.j.p) for t, c in cells.items()})
 
 
 def audit_cfd(p, future: FuturePopulation, treatments=(0, 1)) -> AuditResult:
     """Calibration-on-future-data gap |true APO - mean prediction over future| per treatment."""
     if future.outcomes is None:
         raise OracleError("CFD unobservable without ground truth")
-    per = {}
-    for t in treatments:
-        mu_p = average(lambda x: p(x, t), future.n_x)
-        per[t] = abs(future.apo(t) - mu_p)
-    return AuditResult("calibration_on_future_data", per)
+    cells = {t: _whole(p, t, ({}, {}), (future.n_x, future.ys(t))) for t in treatments}
+    return AuditResult("calibration_on_future_data",
+                       {t: abs(c.i.y - c.i.p) for t, c in cells.items()})
 
 
 def avg_signed_difference(
@@ -83,23 +165,8 @@ def avg_signed_difference(
     by the group's share of the future population.  Signed: opposite-sign local
     gaps cancel.
     """
-    future.require_oracle()
-    data.check_treatment(t)
-    truth, observed = future.ys(t), data.ys(t)
-    if partition is None:
-        groups = [(repr(x), (x,), (x,)) for x in future.xs()]
-    else:
-        obs = partition.groups(data.xs())
-        groups = [(name, members, obs[name])
-                  for name, members in partition.groups(future.xs()).items() if members]
-    terms = []
-    for label, fut_xs, obs_xs in groups:
-        obs_ys = pooled(observed, obs_xs)
-        if not obs_ys:
-            raise SupportError(f"no observed rows with t={t} in group {label} (common support)")
-        ys = pooled(truth, fut_xs)
-        terms.append(len(ys) / len(future) * (mean_of(ys) - mean_of(obs_ys)))
-    return fsum(terms)
+    cells = _oracle_cells(lambda x, t: 0.0, data, future, t, partition, False)
+    return fsum([c.i.n / len(future) * (c.i.y - c.j.y) for c in cells])
 
 
 def audit_ml_groupwise(
@@ -116,32 +183,19 @@ def audit_ml_groupwise(
     treated with t.  Its value at t is the max absolute cell gap.  Without a
     partition every covariate value is its own cell.
     """
-    future.require_oracle()
-    xs = sorted(set(data.xs()) | set(future.xs()))
-    cells = (partition or CovariatePartition.singletons(xs)).groups(xs).items()
-    truth, observed = future.ys(t), data.ys(t)
-    details: dict[tuple[str, int], float] = {}
-    worst = 0.0
-    for name, members in cells:
-        fut = {x: truth[x] for x in members if x in truth}
-        obs = {x: observed[x] for x in members if x in observed}
-        if not fut or not obs:
-            raise SupportError(
-                f"cell {name}: empty on {'future' if not fut else 'observed'} side"
-            )
-        gap = _mean_residual(p, t, fut) - _mean_residual(p, t, obs)
-        details[(name, t)] = gap
-        worst = max(worst, abs(gap))
-    return AuditResult("groupwise_residual_transfer", {t: worst}, details)
+    cells = _oracle_cells(p, data, future, t, partition, True)
+    details = {(c.name, t): c.i.r - c.j.r for c in cells}
+    return AuditResult("groupwise_residual_transfer",
+                       {t: max([0.0, *map(abs, details.values())])}, details)
 
 
-def _mean_residual(p, t: int, groups: dict) -> float:
-    """Mean of p(x, t) - y over the outcomes y grouped by x; p runs once per x."""
-    resid: list[float] = []
-    for x, ys in groups.items():
-        px = p(x, t)
-        resid += [px - y for y in ys]
-    return mean_of(resid)
+def groupwise_transfer(p, data: ObservedDataset, future: FuturePopulation, t: int,
+                       partition: CovariatePartition | None) -> float:
+    """The plug-in transfer term at t, |kappa_t| + max over cells of |r_I(c) - r_J(c)|, which
+    bounds |kappa_t + tau_t| for any p; kappa_t is 0 where p is the observed cell means."""
+    cells = _oracle_cells(p, data, future, t, partition, True)
+    kappa = fsum([c.i.n / len(future) * c.j.r for c in cells])
+    return abs(kappa) + max([0.0, *(abs(c.i.r - c.j.r) for c in cells)])
 
 
 def audit_dr_condition(
@@ -157,23 +211,9 @@ def audit_dr_condition(
     is treated as a constant function.  Note the weights come from the observed
     composition, unlike avg_signed_difference which weights by the future one.
     """
-    future.require_oracle()
-    data.check_treatment(t)
-    if f is None:
-        fn = lambda x, t: 1.0
-    elif callable(f):
-        fn = f
-    else:
-        fn = lambda x, t, _c=float(f): _c
-    truth, observed = future.ys(t), data.ys(t)
-    terms = []
-    for x in future.xs():
-        obs_ys = observed.get(x)
-        if not obs_ys:
-            raise SupportError(f"no observed rows with t={t} at x={x!r} (common support)")
-        gap = mean_of(truth[x]) - mean_of(obs_ys)
-        terms.append(data.n_x[x] / len(data) * gap * fn(x, t))
-    return fsum(terms)
+    fn = f if callable(f) else lambda x, t, k=1.0 if f is None else float(f): k
+    cells = _oracle_cells(lambda x, t: 0.0, data, future, t, None, False)
+    return fsum([c.j.n / len(data) * (c.i.y - c.j.y) * fn(c.xs[0], t) for c in cells])
 
 
 def audit_dominance(future: FuturePopulation) -> AuditResult:

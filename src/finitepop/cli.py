@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from collections.abc import Callable
+from functools import reduce
 from pathlib import Path
 from typing import NamedTuple
 
@@ -434,8 +435,9 @@ def _lookup(table: dict, kind: str, name, at: str, params: dict | None = None):
         raise ConfigError(f"unknown {kind} {name!r}; known: {', '.join(table)}", key=at)
     entry = table[name]
     for key in getattr(entry, "needs", ()):
-        if key not in params:
-            raise ConfigError(f"{kind} {name} needs parameter {key!r}", key=at)
+        if key not in params:  # the future is a top-level key, the rest are the entry's own
+            raise ConfigError(f"{kind} {name} needs parameter {key!r}",
+                              key=key if key == "future" else at)
     return entry
 
 
@@ -494,6 +496,8 @@ def run_methods(cfg: dict, data: ObservedDataset, future: FuturePopulation | Non
             raise ConfigError(f"method entry {mcfg!r} needs a 'name'", key="methods")
         name = mcfg["name"]
         params = _method_params(mcfg, loaded, "methods")
+        if future is not None:
+            params["future"] = future
         if "partition" in params and mcfg["partition"] not in covered:
             _check_covers(params["partition"], mcfg["partition"], data, future)
             covered.add(mcfg["partition"])
@@ -507,9 +511,7 @@ def run_methods(cfg: dict, data: ObservedDataset, future: FuturePopulation | Non
             raise ConfigError(f"method {name}: {exc}", key="methods") from None
         except FinitePopError as exc:
             raise PreconditionError(f"method {name}: {exc}") from None
-        for v in entry.get("verdicts", {}).values():
-            if v and v.get("pass") is False:
-                all_pass = False
+        all_pass = all_pass and all(v["pass"] for v in entry.get("verdicts", {}).values())
         report["methods"][name] = entry
     if truth is not None:
         report["ground_truth"] = {
@@ -533,26 +535,17 @@ def _run_point_method(method, params, data, future, truth) -> dict:
     sp = audit_sp(p, data, future).per_treatment
     entry["verdicts"] = verdicts = {}
     for t, report in per_t.items():
-        delta, premise = method.transfer(p, data, future, t, params)
         error = abs(report.estimate - truth[t])
-        budget = None if delta is None else sp[t] + delta
-        v = {"truth": truth[t], "error": error, "budget": budget,
-             "pass": None if budget is None else error <= budget + _SLACK}
-        if premise:
-            v["premise"] = premise
-        elif budget is None:
-            v["note"] = "no audited premise holds; bound not applicable"
-        verdicts[str(t)] = v
+        budget = sp[t] + method.transfer(p, data, future, t, params)
+        verdicts[str(t)] = {"truth": truth[t], "error": error, "budget": budget,
+                            "pass": error <= budget + _SLACK}
     if 0 in per_t and 1 in per_t:
-        v1, v0 = verdicts["1"], verdicts["0"]
-        if v1["budget"] is not None and v0["budget"] is not None:
-            ate = truth[1] - truth[0]
-            err = abs((per_t[1].estimate - per_t[0].estimate) - ate)
-            budget = v1["budget"] + v0["budget"]
-            verdicts["ate"] = {
-                "truth": ate, "error": err, "budget": budget,
-                "pass": err <= budget + 2 * _SLACK,
-            }
+        ate = truth[1] - truth[0]
+        err = abs((per_t[1].estimate - per_t[0].estimate) - ate)
+        budget = verdicts["1"]["budget"] + verdicts["0"]["budget"]
+        verdicts["ate"] = {
+            "truth": ate, "error": err, "budget": budget, "pass": err <= budget + 2 * _SLACK,
+        }
     return entry
 
 
@@ -583,19 +576,9 @@ def _load_inputs(
 def cmd_run(cfg: dict) -> int:
     data, future = _load_inputs(cfg, outcomes=True)
     report = run_methods(cfg, data, future)
-    report["metadata"] = _metadata(cfg)
+    report["metadata"] = _metadata(cfg.get("mode", "data"))
     _write_report(report, cfg.get("out"))
     return EXIT_OK if report["ok"] else EXIT_VERDICT_FAIL
-
-
-def _ml_groupwise(p, d, f, ps) -> AuditResult:
-    """``audit_ml_groupwise`` at each observed treatment in order, merged into one result."""
-    merged = AuditResult("groupwise_residual_transfer", {}, {})
-    for t in sorted(d.treatments):
-        result = audit_ml_groupwise(p, d, f, t, ps.get("partition"))
-        merged.per_treatment.update(result.per_treatment)
-        merged.details.update(result.details)
-    return merged
 
 
 _AUDITS = {  # name -> audit of (predictor, data, future, method parameters)
@@ -603,7 +586,9 @@ _AUDITS = {  # name -> audit of (predictor, data, future, method parameters)
     "cfd": lambda p, d, f, _: audit_cfd(p, f, tuple(sorted(d.treatments))),
     "signed_difference": lambda p, d, f, _: AuditResult("avg_signed_difference", {
         t: avg_signed_difference(d, f, t) for t in sorted(d.treatments)}),
-    "ml_groupwise": _ml_groupwise,
+    "ml_groupwise": lambda p, d, f, ps: reduce(  # one result per treatment, joined in order
+        lambda a, b: AuditResult(a.name, a.per_treatment | b.per_treatment, a.details | b.details),
+        [audit_ml_groupwise(p, d, f, t, ps.get("partition")) for t in sorted(d.treatments)]),
     "dr_condition": lambda p, d, f, _: AuditResult("dr_condition", {
         t: audit_dr_condition(d, f, t) for t in sorted(d.treatments)}),
     "dominance": lambda p, d, f, _: audit_dominance(f),
@@ -626,7 +611,7 @@ def cmd_audit(cfg: dict) -> int:
         kind = "plugin"
     else:
         files.pop("predictor", None)
-    params = _method_params({"name": "audit", **files}, {})
+    params = {**_method_params({"name": "audit", **files}, {}), "future": future}
     if "partition" in params:
         _check_covers(params["partition"], files["partition"], data, future)
     p = _lookup(METHODS, "auditing predictor", kind, "predictor", params).fit(data, params)
@@ -637,7 +622,7 @@ def cmd_audit(cfg: dict) -> int:
             results[name] = run(p, data, future, params).to_json()
         except FinitePopError as exc:
             raise PreconditionError(f"audit {name}: {exc}") from None
-    report = {"audits": results, "metadata": _metadata(cfg), "ok": True}
+    report = {"audits": results, "metadata": _metadata(cfg.get("mode", "data")), "ok": True}
     _write_report(report, cfg.get("out"))
     return EXIT_OK
 
@@ -652,7 +637,7 @@ def cmd_simulate(cfg: dict) -> int:
     sidecar = {
         "ground_truth": scenario.ground_truth,
         "spec": dataclasses.asdict(spec),
-        "metadata": _metadata(cfg),
+        "metadata": _metadata(None),
     }
     (out_dir / "ground_truth.json").write_text(render_report(sidecar), encoding="utf-8")
     return EXIT_OK
@@ -692,9 +677,7 @@ def cmd_sweep(cfg: dict) -> int:
         sub = run_methods(run_cfg, scenario.observed, scenario.future, loaded=loaded)
         for name, entry in sub["methods"].items():
             bucket = per_method.setdefault(name, {"errors": [], "passes": 0, "judged": 0})
-            for t, verdict in entry.get("verdicts", {}).items():
-                if verdict is None or verdict.get("pass") is None:
-                    continue
+            for verdict in entry.get("verdicts", {}).values():
                 bucket["judged"] += 1
                 bucket["passes"] += int(verdict["pass"])
                 if "error" in verdict:
@@ -716,7 +699,7 @@ def cmd_sweep(cfg: dict) -> int:
         "replications": replications,
         "seed": master_seed,
         "summary": summary,
-        "metadata": _metadata(cfg),
+        "metadata": _metadata("oracle"),
     }
     if has_instrument:
         report["dominance_fail_rate"] = dominance_failures / replications
@@ -725,8 +708,9 @@ def cmd_sweep(cfg: dict) -> int:
     return EXIT_VERDICT_FAIL if failed else EXIT_OK
 
 
-def _metadata(cfg: dict) -> dict:
-    return {"tool": "finitepop", "version": __version__, "mode": cfg.get("mode", "data")}
+def _metadata(mode: str | None) -> dict:
+    """The tool, its version and the mode the report was made in (None: a mode has no meaning)."""
+    return {"tool": "finitepop", "version": __version__, **({"mode": mode} if mode else {})}
 
 
 # ----------------------------------------------------------------------------

@@ -9,12 +9,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
-from .audit import (
-    audit_cfd,
-    audit_dr_condition,
-    audit_ml_groupwise,
-    avg_signed_difference,
-)
+from .audit import audit_cfd, avg_signed_difference, groupwise_transfer
 from .core import (
     Covariate,
     CovariatePartition,
@@ -318,52 +313,33 @@ class Method:
     ``fit(data, params)`` builds the predictor once per run, and
     ``estimate(p, data, t, params)`` estimates the APO under t with it (the matching
     sums read the data alone; the tests assert that they equal the plug-in of p).
-    ``transfer(p, data, future, t, params)`` is ``(delta, premise)``: the absolute
-    transfer term at t, which reads the future's outcomes under t and no others,
-    and the premise it rests on (None where the method has one), or
-    ``(None, None)`` when no audited premise holds.  The budget at t is the
-    stable-prediction gap of ``audit_sp`` plus delta.  Entries call estimators and
-    audits through module globals, so rebinding one of them reaches every caller.
+    ``params`` holds the method's files and numbers, and ``future``, the future
+    population, when the run has one.  ``transfer(p, data, future, t, params)`` is the
+    absolute transfer term at t, a view of the residual table that reads the future's
+    outcomes under t and no others; the budget at t is the stable-prediction gap of
+    ``audit_sp`` plus it.  Entries call estimators and audits through module globals,
+    so rebinding one of them reaches every caller.
     """
 
     needs: tuple[str, ...]
     fit: Callable[[ObservedDataset, dict], Predictor]
     estimate: Callable[[Predictor, ObservedDataset, int, dict], EstimateReport]
-    transfer: Callable[..., tuple[float | None, str | None]]
+    transfer: Callable[..., float]
 
 
-def _dr_weights(data: ObservedDataset) -> Callable[[Covariate, int], float]:
-    """Population-share correction weights |I^x|/|J_t^x| * |J|/|I|.
-
-    Without a stated future composition the observed composition stands in
-    for it, which reduces the weight to the inverse empirical propensity.
-    """
+def _dr_weights(data: ObservedDataset,
+                future: FuturePopulation) -> Callable[[Covariate, int], float]:
+    """Population-share correction weights |I^x|/|J_t^x| * |J|/|I|, with which the doubly
+    robust error is exactly the signed stable-prediction gap of p minus the average signed
+    difference, whatever p predicts."""
 
     def w(x: Covariate, t: int) -> float:
         treated = len(data.ys(t).get(x, ()))
         if treated == 0:
             raise SupportError(f"no observed rows with x={x!r}, t={t}")
-        return data.n_x[x] / treated
+        return future.n_x.get(x, 0) / treated * len(data) / len(future)
 
     return w
-
-
-def _dr_premise(p, data: ObservedDataset, future: FuturePopulation, t: int):
-    """The doubly robust transfer term at t and the audited arm that covers it.
-
-    Arm one needs the predictor to match observed cell means; its term is the
-    absolute average signed difference.  Arm two needs the supplied weights to
-    equal the population-share correction and the f=1 audit condition to
-    vanish; its term is 0.  Returns (delta, label) or (None, None).
-    """
-    cell_gap = 0.0
-    for x, ys in data.ys(t).items():
-        cell_gap = max(cell_gap, abs(p(x, t) - mean_of(ys)))
-    if cell_gap <= 1e-9:
-        return abs(avg_signed_difference(data, future, t)), "cell_mean_predictor"
-    if abs(audit_dr_condition(data, future, t)) <= 1e-9:
-        return 0.0, "weighted_condition"
-    return None, None
 
 
 METHODS: dict[str, Method] = {
@@ -371,32 +347,31 @@ METHODS: dict[str, Method] = {
         (),
         lambda d, _: RctConstant.fit(d),
         lambda p, d, t, _: rct_estimate(d, t),
-        lambda p, d, f, t, _: (audit_cfd(p, f, (t,)).per_treatment[t], None),
+        lambda p, d, f, t, _: audit_cfd(p, f, (t,)).per_treatment[t],
     ),
     "matching": Method(
         (),
         lambda d, _: ExactMatching.fit(d),
         lambda p, d, t, _: exact_matching_estimate(d, t),
-        lambda p, d, f, t, _: (abs(avg_signed_difference(d, f, t)), None),
+        lambda p, d, f, t, _: abs(avg_signed_difference(d, f, t)),
     ),
     "coarsened": Method(
         ("partition",),
         lambda d, ps: CoarsenedMatching.fit(d, ps["partition"]),
         lambda p, d, t, ps: coarsened_matching_estimate(d, ps["partition"], t),
-        lambda p, d, f, t, ps: (abs(avg_signed_difference(d, f, t, ps["partition"])), None),
+        lambda p, d, f, t, ps: abs(avg_signed_difference(d, f, t, ps["partition"])),
     ),
     "plugin": Method(
         ("predictor",),
         lambda d, ps: ps["predictor"],
         lambda p, d, t, _: plugin_estimate(p, d, t),
-        lambda p, d, f, t, ps: (
-            audit_ml_groupwise(p, d, f, t, ps.get("partition")).per_treatment[t], None),
+        lambda p, d, f, t, ps: groupwise_transfer(p, d, f, t, ps.get("partition")),
     ),
     "dr": Method(
-        ("predictor",),
+        ("predictor", "future"),
         lambda d, ps: ps["predictor"],
-        lambda p, d, t, _: doubly_robust_estimate(p, _dr_weights(d), d, t),
-        lambda p, d, f, t, _: _dr_premise(p, d, f, t),
+        lambda p, d, t, ps: doubly_robust_estimate(p, _dr_weights(d, ps["future"]), d, t),
+        lambda p, d, f, t, _: abs(avg_signed_difference(d, f, t)),
     ),
 }
 

@@ -192,27 +192,18 @@ def stochastic_policy_value(p, policy, data):
     return total / len(data.rows)
 
 
-def dr_weight(data, x, t):
+def dr_weight(data, future, x, t):
+    """The future-composition weight |I^x| / |J_t^x| * |J| / |I|."""
     treated = len(rows_where(data, t=t, x=x))
     if treated == 0:
         raise SupportError(f"no observed rows with x={x!r}, t={t}")
-    return len(rows_where(data, x=x)) / treated
+    return len(units_where(future, x=x)) / treated * len(data.rows) / len(future.units)
 
 
-def dr_premise(p, data, future, t):
-    """(budget, premise label) of a doubly robust verdict, as the CLI reports it."""
-    cell_gap = 0.0
-    for x in xs(data):
-        rows = rows_where(data, t=t, x=x)
-        if rows:
-            mean = math.fsum(r.y for r in rows) / len(rows)
-            cell_gap = max(cell_gap, abs(p(x, t) - mean))
-    sp = audit_sp(p, data, future)[t]
-    if cell_gap <= 1e-9:
-        return sp + abs(avg_signed_difference(data, future, t)), "cell_mean_predictor"
-    if abs(audit_dr_condition(data, future, t)) <= 1e-9:
-        return sp, "weighted_condition"
-    return None, None
+def dr_budget(p, data, future, t):
+    """The budget of a doubly robust verdict: the stable-prediction gap plus the absolute
+    average signed difference."""
+    return audit_sp(p, data, future)[t] + abs(avg_signed_difference(data, future, t))
 
 
 # ---------------------------------------------------------------------------

@@ -276,7 +276,7 @@ def test_no_estimator_or_audit_tests_cell_membership():
             [coarsened.estimate(fitted, d, t, params).estimate for t in (0, 1)],
             [avg_signed_difference(d, f, t, part) for t in (0, 1)],
             [audit_ml_groupwise(ExactMatching.fit(d), d, f, t, part).details for t in (0, 1)],
-            {t: (eps[t], *coarsened.transfer(fitted, d, f, t, params)) for t in (0, 1)},
+            {t: (eps[t], coarsened.transfer(fitted, d, f, t, params)) for t in (0, 1)},
         ]
 
     partitions = [CovariatePartition.singletons(d.xs()),

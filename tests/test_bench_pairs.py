@@ -1,11 +1,17 @@
-"""The summary of ``scripts/bench_pairs.py`` on fixed numbers."""
+"""The summary of ``scripts/bench_pairs.py`` on fixed numbers, and a stopped run."""
 
 import importlib.util
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
@@ -49,3 +55,38 @@ def test_one_pair_has_no_spread():
     s = bench_pairs.summarize(pairs_of([2.0], [1.0]), METRICS[:1])["wall_s"]
     assert (s["base"]["q1"], s["base"]["median"], s["base"]["q3"]) == (2.0, 2.0, 2.0)
     assert s["change_wins"] == 1 and s["claim_holds"]
+
+
+def _perfbench_child(pid: int, deadline: float) -> int:
+    """The pid of the perfbench run that process ``pid`` started, once it runs."""
+    while time.monotonic() < deadline:
+        for kid in Path(f"/proc/{pid}/task/{pid}/children").read_text().split():
+            try:
+                if b"perfbench/run.py" in Path(f"/proc/{kid}/cmdline").read_bytes():
+                    return int(kid)
+            except FileNotFoundError:  # a git call that ended meanwhile
+                pass
+        time.sleep(0.05)
+    raise AssertionError("no perfbench run started")
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads children from /proc")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["TERM", "INT"])
+def test_a_stopped_run_stops_its_perfbench_run_and_removes_its_tree(tmp_path, signum):
+    env = {**os.environ, "TMPDIR": str(tmp_path)}
+    proc = subprocess.Popen(
+        [sys.executable, str(SCRIPT), "--base", "HEAD", "--workload", "simulate-iv",
+         "--seed", "1", "--pairs", "1", "--seconds", "30"],
+        cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+    )
+    try:
+        child = _perfbench_child(proc.pid, time.monotonic() + 60)
+        assert [p.name for p in tmp_path.iterdir()][0].startswith("bench-base-")
+        time.sleep(0.5)  # into set-up or the timed invocations
+        proc.send_signal(signum)
+        _, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+    assert proc.returncode == 128 + signum, err
+    assert not Path(f"/proc/{child}").exists()
+    assert list(tmp_path.iterdir()) == []

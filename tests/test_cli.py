@@ -1049,6 +1049,41 @@ def test_each_transfer_audit_covers_every_observed_treatment(tmp_path):
         assert sorted(result["per_treatment"]) == ["0", "1", "2"], name
 
 
+def test_plugin_and_dr_budgets_hold_for_a_predictor_far_from_the_cell_means(tmp_path):
+    """A zero predictor on a future weighted 3:1 towards level a.  Its observed calibration
+    term enters the plug-in budget, and doubly robust weights follow the future's composition,
+    so the error is its signed stable-prediction gap minus the average signed difference."""
+    obs = write_config(tmp_path, "obs.csv", "id,t,y,xc_level\n1,1,10,a\n2,0,6,a\n3,1,4,b\n4,0,2,b\n")
+    fut = write_config(tmp_path, "fut.csv", "id,xc_level,y_t0,y_t1\n11,a,6,10\n12,a,6,10\n"
+                       "13,a,6,10\n14,b,2,4\n")
+    pred = write_config(tmp_path, "zero.yaml", "schema: 1\nentries:\n" + "".join(
+        f"  - {{x: {{level: {lv}}}, t: {t}, p: 0}}\n" for lv in "ab" for t in (0, 1)))
+    out = tmp_path / "r.json"
+    cfg = write_config(
+        tmp_path, "c.yaml",
+        f"schema: 1\nmode: oracle\nobserved: {obs}\nfuture: {fut}\nout: {out}\n"
+        f"methods: [matching, {{name: dr, predictor: {pred}}}, {{name: plugin, predictor: {pred}}}]\n",
+    )
+    assert main(["run", "--config", cfg]) == 0
+    methods = json.loads(out.read_text())["methods"]
+    for name in ("matching", "dr", "plugin"):
+        for v in methods[name]["verdicts"].values():
+            assert v["pass"] and set(v) == {"truth", "error", "budget", "pass"}, name
+    # dr weighs the treated rows 3 at level a and 1 at b, which reaches the truth (30 + 4) / 4
+    assert methods["dr"]["per_treatment"]["1"]["estimate"] == 8.5
+    assert methods["plugin"]["verdicts"]["1"]["error"] == 8.5
+    assert methods["plugin"]["verdicts"]["1"]["budget"] == 8.5  # |kappa| = 8.5, no gap
+
+
+def test_a_dr_run_without_a_future_exits_2_at_the_future_key(tmp_path, p8_files, capsys):
+    obs, _ = p8_files
+    pred = write_config(tmp_path, "pred.yaml", P8_PREDICTOR)
+    cfg = write_config(tmp_path, "c.yaml", f"schema: 1\nobserved: {obs}\n"
+                       f"methods: [rct, {{name: dr, predictor: {pred}}}]\nfuture:\n")
+    assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"{cfg}: line 4: method dr needs parameter 'future'\n"
+
+
 def test_each_transfer_term_reads_the_future_outcomes_under_its_treatment_only(monkeypatch):
     d, full = p8_observed(), p8_future()
     params = {"partition": CovariatePartition.from_members({"all": [XA, XB]}),
@@ -1060,8 +1095,8 @@ def test_each_transfer_term_reads_the_future_outcomes_under_its_treatment_only(m
     for name, method in METHODS.items():
         read.clear()
         future = FuturePopulation(full.units, {1: full.outcomes[1]})  # y(t=1) only, read afresh
-        delta, _ = method.transfer(method.fit(d, params), d, future, 1, params)
-        assert delta is not None and set(read) == {1}, name
+        method.transfer(method.fit(d, params), d, future, 1, params)
+        assert set(read) == {1}, name
 
 
 def test_an_oracle_run_fits_each_matching_predictor_once(monkeypatch):

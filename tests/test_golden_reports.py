@@ -154,16 +154,16 @@ GOLDEN = {
     "audit-signed_difference": ("8a257d46177de722996b008d239c73a7f2d00da5eac89b944640acf0a8f41d78", 0),
     "audit-sp": ("be2e5ade6b3d279483d0f52c80c3aaa4abe8e2979ed143a3b57fb1bb8ee8db87", 0),
     "run-iv": ("9dacbd01d024d600cb64d45af8208f2c668dfc91e4e93507e0e36d0f2c612d10", 0),
-    "run-wide": ("f18278c55eabf80f1aed7c104ee5218f4380f6ded0b6ec79838271253852125a", 0),
+    "run-wide": ("db51e26a51b5d9aa72520eaad29693e2e595714d8b8af75863735629f7f85b5c", 0),
     "run-wide-data": ("1fd5d524480c2071e4dadd7b2a76734faf2787b17b70ce2c16221af4d6cd5dc0", 0),
-    "run-wide-shifted": ("f8994756f19b22b373dd7e48c427879bfb82adf8d5bb6f8a60122c54c29b48a2", 0),
+    "run-wide-shifted": ("659a5f8ebd37af3725fc0eb4fba650e14ff61072959dbc4b5299b2b66f93499e", 0),
     "simulate-iv/future.csv": ("648c747d257bf921c1febee6c4436b105e05b9738c298c6dfb5143c02d715965", 0),
-    "simulate-iv/ground_truth.json": ("7fb79ec0c1be2402da5a64f2a06694121bdefd7377cbf61696f36bcf83e681e7", 0),
+    "simulate-iv/ground_truth.json": ("1882db799a12d3ba335974b519297aea5712ac255889fb21383aada5aab127eb", 0),
     "simulate-iv/observed.csv": ("dd83084026b213d238838120f52899c63c14b96f3d0633e628bb64e9095f748d", 0),
     "simulate-wide/future.csv": ("7cef91630a5d5b213e2edfc0eb7df34e4ed2ba6829f497301f575dcd4cf738f6", 0),
-    "simulate-wide/ground_truth.json": ("0eed6bc481505904e240e5bb251739231424e9036020cc9e95b9193ae807d865", 0),
+    "simulate-wide/ground_truth.json": ("cc1a73b16792b6411556c27a5f13f0c9587261f53a9c8dc0a0a1f2a6ef1f0bad", 0),
     "simulate-wide/observed.csv": ("936f3eae7f70f363e42fcb158a339b5c2d92b318c20a35de08b984664f56e0d2", 0),
-    "sweep-iv": ("9d4df7096d5db3438c037b66069baa9db94ab364b74ed58637399e69fcebbcbf", 0),
+    "sweep-iv": ("13c3ac50d2a5c40eb317d971e9158e72dc61f1439c1d3f85e9b544415796038c", 0),
 }
 
 

@@ -107,12 +107,12 @@ def test_propensity_and_support(case):
 @EXAMPLES
 @given(scenarios())
 def test_estimators(case):
-    data, _, partition, table = case
+    data, future, partition, table = case
     same(lambda: estimate.RctConstant.fit(data).values, lambda: ref.rct_constants(data))
     same(lambda: dict(estimate.ExactMatching.fit(data).table), lambda: ref.matching_table(data))
     same(lambda: dict(estimate.CoarsenedMatching.fit(data, partition).table),
          lambda: ref.coarsened_table(data, partition))
-    weights = estimate._dr_weights(data)
+    weights = estimate._dr_weights(data, future)
     for t in sorted(data.treatments):
         same(lambda: estimate.rct_estimate(data, t).estimate, lambda: ref.rct_estimate(data, t))
         same(lambda: estimate.exact_matching_estimate(data, t).estimate,
@@ -122,7 +122,7 @@ def test_estimators(case):
         same(lambda: estimate.plugin_estimate(table, data, t).estimate,
              lambda: ref.plugin_estimate(table, data, t))
         for x in POOL:
-            same(lambda: weights(x, t), lambda: ref.dr_weight(data, x, t))
+            same(lambda: weights(x, t), lambda: ref.dr_weight(data, future, x, t))
         for w in (weights, lambda x, t: 0.5 + len(repr(x)) % 3):
             same(lambda: estimate.doubly_robust_estimate(table, w, data, t).estimate,
                  lambda: ref.doubly_robust_estimate(table, w, data, t))
@@ -156,15 +156,14 @@ def test_audits(case):
 
 
 def dr_budget(p, data, future, t):
-    """(budget, premise label) of a doubly robust verdict, from its transfer term."""
-    sp = ref.audit_sp(p, data, future)[t]
-    delta, premise = estimate._dr_premise(p, data, future, t)
-    return (None if delta is None else sp + delta), premise
+    """The budget of a doubly robust verdict, from its transfer term."""
+    dr = estimate.METHODS["dr"]
+    return audit.audit_sp(p, data, future).per_treatment[t] + dr.transfer(p, data, future, t, {})
 
 
 @EXAMPLES
 @given(scenarios())
-def test_dr_premise(case):
+def test_dr_budget(case):
     data, future, _, table = case
     try:
         cell_means = Tabular(ref.matching_table(data))
@@ -172,7 +171,7 @@ def test_dr_premise(case):
         cell_means = table
     for p in (table, cell_means):
         for t in sorted(data.treatments):
-            same(lambda: dr_budget(p, data, future, t), lambda: ref.dr_premise(p, data, future, t))
+            same(lambda: dr_budget(p, data, future, t), lambda: ref.dr_budget(p, data, future, t))
 
 
 @EXAMPLES
