@@ -18,7 +18,7 @@ median and quartiles, the pairs the change wins (ties count for neither
 side), and whether the claim rule holds: the change wins at least 90% of
 the pairs and its median is better than the base's by more than the base's
 interquartile range.  ``--out`` writes that summary as JSON, with both
-revisions, the Python and numpy versions and the number of usable CPUs.
+revisions and the host (see ``host``).
 
 The exit code is 1 when an invocation failed a check or a run exited
 nonzero, else 0.  SIGTERM or SIGINT stops the running perfbench run, with
@@ -128,6 +128,20 @@ def bench(tree: Path, args) -> tuple[dict | None, str]:
     return {name: m["value"] for name, m in result["metrics"].items()}, stdout
 
 
+def host() -> dict:
+    """What the figures depend on besides the code: the Python and numpy versions, the
+    number of usable CPUs, and whether ``PYTHONDONTWRITEBYTECODE`` is set (to a nonempty
+    value), in which case every CLI run compiles each module it imports."""
+    import numpy
+
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "nproc": len(os.sched_getaffinity(0)),
+        "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+    }
+
+
 def _stop(signum, frame):
     """SIGTERM and SIGINT unwind as an exit: the running perfbench run is killed and the
     temporary tree removed on the way out."""
@@ -172,8 +186,6 @@ def main(argv: list[str] | None = None) -> int:
               f"wins {s['change_wins']}/{s['pairs']}  claim rule "
               f"{'holds' if s['claim_holds'] else 'fails'}")
     if args.out:
-        import numpy
-
         head = _git("rev-parse", "HEAD").strip()
         dirty = bool(_git("status", "--porcelain", "--untracked-files=no").strip())
         Path(args.out).write_text(json.dumps({
@@ -182,9 +194,7 @@ def main(argv: list[str] | None = None) -> int:
             "seconds": args.seconds,
             "base": base_commit,
             "change": head + ("+working-tree" if dirty else ""),
-            "python": platform.python_version(),
-            "numpy": numpy.__version__,
-            "nproc": len(os.sched_getaffinity(0)),
+            **host(),
             "metrics": summary,
         }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0

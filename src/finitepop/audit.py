@@ -15,7 +15,6 @@ Oaxaca, IER 1973) as estimate - truth = s_t + kappa_t + tau_t, where
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import sub
 from typing import NamedTuple
@@ -30,15 +29,12 @@ from .core import (
     fsum,
 )
 
-WeightLike = Callable[[object, int], float] | float | None
 
-
-@dataclass(frozen=True)
-class AuditResult:
+class AuditResult(NamedTuple):
     """Realized discrepancies of one assumption, with optional per-cell breakdown."""
 
     name: str
-    per_treatment: dict = field(default_factory=dict)
+    per_treatment: dict
     details: dict | None = None
 
     def to_json(self) -> dict:
@@ -202,7 +198,7 @@ def audit_dr_condition(
     data: ObservedDataset,
     future: FuturePopulation,
     t: int,
-    f: WeightLike = None,
+    f: Callable[[object, int], float] | float | None = None,
 ) -> float:
     """Weighted signed sum of x-wise mean-outcome gaps, with observed-composition weights.
 

@@ -9,23 +9,19 @@ audit them (see finitepop.audit.audit_dominance).
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .core import Covariate, ObservedDataset, SchemaError, SupportError, average, mean_of
 
-ZWisePredictor = Callable[[Covariate, int], float]
 
-
-@dataclass(frozen=True)
 class OutcomeBounds:
     """Hard bounds on every possible outcome value."""
 
-    k0: float
-    k1: float
+    __slots__ = ("k0", "k1")
 
-    def __post_init__(self) -> None:
-        if self.k0 > self.k1:
-            raise ValueError(f"k0={self.k0} must be <= k1={self.k1}")
+    def __init__(self, k0: float, k1: float) -> None:
+        if k0 > k1:
+            raise ValueError(f"k0={k0} must be <= k1={k1}")
+        self.k0, self.k1 = k0, k1
 
     def validate(self, data: ObservedDataset) -> None:
         for unit, y in zip(data.ids, data.y):
@@ -35,19 +31,15 @@ class OutcomeBounds:
                 )
 
 
-@dataclass(frozen=True)
 class BoundReport:
-    lower: float
-    upper: float | None
-    eps: float
-    delta: float
-    method: str
-    treatment: int | None = None
-    assumed: tuple[str, ...] = ()
+    __slots__ = ("lower", "upper", "eps", "delta", "method", "treatment", "assumed")
 
-    def __post_init__(self) -> None:
-        if self.upper is not None and self.lower > self.upper:
+    def __init__(self, lower: float, upper: float | None, eps: float, delta: float, method: str,
+                 treatment: int | None = None, assumed: tuple[str, ...] = ()) -> None:
+        if upper is not None and lower > upper:
             raise ValueError("lower bound exceeds upper bound")
+        self.lower, self.upper, self.eps, self.delta = lower, upper, eps, delta
+        self.method, self.treatment, self.assumed = method, treatment, assumed
 
     def to_json(self) -> dict:
         return {
@@ -65,7 +57,7 @@ _IV_ASSUMED = ("exclusion_restriction", "dominance")
 
 
 def iv_ate_lower_bound(
-    py: ZWisePredictor, data: ObservedDataset, eps: float, delta: float
+    py: Callable[[Covariate, int], float], data: ObservedDataset, eps: float, delta: float
 ) -> BoundReport:
     """ATE lower bound from instrument-wise predictions.
 

@@ -15,7 +15,6 @@ overflows is one).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -50,7 +49,6 @@ from .core import (
 )
 from .estimate import METHODS, Tabular, ate_estimate
 from .io import load_future_csv, load_observed_csv, not_utf8, save_future_csv, save_observed_csv
-from .simulate import InstrumentSpec, ScenarioSpec, generate, scenario_seed
 
 EXIT_OK = 0
 EXIT_VERDICT_FAIL = 1
@@ -345,9 +343,10 @@ _CONVERSIONS = {
 }
 
 
-def spec_from_config(cfg, at: str | None = None) -> ScenarioSpec:
-    """The scenario at config key ``at`` (None: the top level, whose keys ``main`` checks); a
-    missing, mistyped or unknown key is a ``ConfigError`` that names it, at its line."""
+def spec_from_config(cfg, at: str | None = None):
+    """The ``ScenarioSpec`` at config key ``at`` (None: the top level, whose keys ``main``
+    checks); a missing, mistyped or unknown key is a ``ConfigError`` that names it, at its line."""
+    from .simulate import ScenarioSpec
     if not isinstance(cfg, dict):
         raise ConfigError(f"bad scenario spec: {at} must be a mapping, got {cfg!r}", key=at)
     try:
@@ -358,6 +357,8 @@ def spec_from_config(cfg, at: str | None = None) -> ScenarioSpec:
 
 def _build(spec, tree: dict, at: str | None, prefix: str = ""):
     """A ``spec`` from ``tree``, the mapping at ``prefix`` in the scenario at ``at``."""
+    import dataclasses
+    from .simulate import InstrumentSpec
     fields = dataclasses.fields(spec)
     path = ".".join(part for part in (at, prefix[:-1]) if part)
     if path:
@@ -488,6 +489,7 @@ def run_methods(cfg: dict, data: ObservedDataset, future: FuturePopulation | Non
     report: dict = {"methods": {}}
     all_pass = True
     loaded = {} if loaded is None else loaded
+    facts: dict = {}  # terms that several methods share, computed once per run
     covered: set[str] = set()  # partition files checked against data and future
     for mcfg in methods_cfg:
         if isinstance(mcfg, str):
@@ -495,7 +497,7 @@ def run_methods(cfg: dict, data: ObservedDataset, future: FuturePopulation | Non
         if not isinstance(mcfg, dict) or "name" not in mcfg:
             raise ConfigError(f"method entry {mcfg!r} needs a 'name'", key="methods")
         name = mcfg["name"]
-        params = _method_params(mcfg, loaded, "methods")
+        params = {**_method_params(mcfg, loaded, "methods"), "facts": facts}
         if future is not None:
             params["future"] = future
         if "partition" in params and mcfg["partition"] not in covered:
@@ -628,6 +630,8 @@ def cmd_audit(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict) -> int:
+    import dataclasses
+    from .simulate import generate
     spec = spec_from_config(cfg)
     scenario = generate(spec)
     out_dir = Path(cfg.get("out") or ".")
@@ -654,6 +658,8 @@ def _quantile(sorted_vals: list[float], q: float) -> float:
 
 
 def cmd_sweep(cfg: dict) -> int:
+    import dataclasses
+    from .simulate import generate, scenario_seed
     for key in ("replications", "seed"):
         if type(cfg.get(key, 0)) is not int:
             raise ConfigError("replications and seed must be integers", key=key)
@@ -731,13 +737,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Each verb's command and the top-level keys it reads; any other key is an error.
+# Each verb's command and the top-level keys it reads, with every ScenarioSpec field for
+# simulate (added in main); any other key is an error.
 _VERBS = {
     "run": (cmd_run, ("schema", "mode", "observed", "future", "out", "methods")),
     "audit": (cmd_audit, ("schema", "mode", "observed", "future", "out", "audits", "predictor",
                           "partition")),
-    "simulate": (cmd_simulate, ("schema", "out",
-                                *(f.name for f in dataclasses.fields(ScenarioSpec)))),
+    "simulate": (cmd_simulate, ("schema", "out", "seed")),
     "sweep": (cmd_sweep, ("schema", "seed", "replications", "out", "methods", "scenario")),
 }
 
@@ -748,6 +754,10 @@ def main(argv: list[str] | None = None) -> int:
     text = ""
     try:
         cfg, text = load_config(args.config)
+        if command is cmd_simulate:  # only the verbs that draw load simulate and dataclasses
+            import dataclasses
+            from .simulate import ScenarioSpec
+            keys += tuple(f.name for f in dataclasses.fields(ScenarioSpec))
         _check_keys(cfg, keys, args.verb)
         cfg = _apply_overrides(cfg, args, keys)
         if cfg.get("mode", "data") not in ("data", "oracle"):

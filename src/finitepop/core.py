@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass
-from functools import cached_property, total_ordering
+from functools import cached_property
 from itertools import chain, groupby, repeat
 from types import MappingProxyType
+from typing import NamedTuple
 
 
 class FinitePopError(Exception):
@@ -54,51 +54,47 @@ def approx_eq(r: float, s: float, eps: float) -> bool:
     return abs(r - s) < eps
 
 
-@total_ordering
-@dataclass(frozen=True)
-class Covariate:
+class Covariate(tuple):
     """A record of named covariate fields with exact, hashable equality.
 
     Categorical fields are strings, numeric fields are floats compared
     bitwise.  Fuzzy grouping of numeric values must go through an explicit
-    CovariatePartition.  Covariates are totally ordered: field by field, by
-    name, then numbers before strings, then by value.
+    CovariatePartition.  A covariate is a tuple of (name, is_str, value)
+    triples sorted by name, so it hashes, compares and sorts as a tuple does,
+    in C: field by field, by name, then numbers before strings, then by value.
     """
 
-    items: tuple[tuple[str, str | float], ...]
+    __slots__ = ()
 
     @classmethod
     def of(cls, **fields: str | float) -> "Covariate":
-        norm: list[tuple[str, str | float]] = []
+        norm: list[tuple[str, bool, str | float]] = []
         for name, value in sorted(fields.items()):
             if isinstance(value, bool) or not isinstance(value, (str, int, float)):
                 raise ValueError(f"covariate field {name!r} must be str or real, got {value!r}")
-            norm.append((name, value if isinstance(value, str) else float(value)))
-        return cls(tuple(norm))
+            is_str = isinstance(value, str)
+            norm.append((name, is_str, value if is_str else float(value)))
+        return tuple.__new__(cls, norm)
 
-    @cached_property
-    def _order(self) -> tuple[tuple[str, bool, str | float], ...]:
-        return tuple((k, isinstance(v, str), v) for k, v in self.items)
-
-    def __lt__(self, other: Covariate) -> bool:
-        return self._order < other._order
+    @property
+    def items(self) -> tuple[tuple[str, str | float], ...]:  # (name, value), sorted by name
+        return tuple((k, v) for k, _, v in self)
 
     def get(self, name: str) -> str | float:
-        for k, v in self.items:
+        for k, _, v in self:
             if k == name:
                 return v
         raise KeyError(name)
 
     def names(self) -> tuple[str, ...]:
-        return tuple(k for k, _ in self.items)
+        return tuple(k for k, _, _ in self)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v!r}" for k, v in self.items)
+        inner = ", ".join(f"{k}={v!r}" for k, _, v in self)
         return f"Covariate({inner})"
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     unit: int
     x: Covariate
     t: int
@@ -219,6 +215,16 @@ class ObservedDataset(_Grouped):
         return self._ys[t]
 
     @cached_property
+    def _support(self) -> dict:
+        return {}  # support(partition), filled once per partition
+
+    def support(self, partition: CovariatePartition | None = None) -> SupportReport:
+        """``common_support_check`` of these rows, run once per partition."""
+        if partition not in self._support:
+            self._support[partition] = common_support_check(self, partition)
+        return self._support[partition]
+
+    @cached_property
     def ys_tz(self) -> Mapping[tuple[int, int | None], tuple[float, ...]]:
         """Outcomes per (t, z), in row order; built only for instrument queries."""
         groups: dict[tuple[int, int | None], list[float]] = {}
@@ -273,8 +279,7 @@ def average(f: Callable[[Covariate], float], n_x: Mapping[Covariate, int]) -> fl
     return fsum(chain.from_iterable(repeat(v, n) for v, n in per_x)) / sum(n_x.values())
 
 
-@dataclass(frozen=True)
-class Unit:
+class Unit(NamedTuple):
     unit: int
     x: Covariate
 
@@ -383,32 +388,39 @@ class FuturePopulation(_Grouped):
         return self.apo(t1) - self.apo(t0)
 
 
-@dataclass(frozen=True)
-class PartitionCell:
+class PartitionCell(NamedTuple):
     name: str
     values: frozenset[Covariate]
 
 
-@dataclass(frozen=True)
 class CovariatePartition:
-    """Named cells of covariate values; one value -> cell index answers every cell question."""
+    """Named cells of covariate values; one value -> cell index answers every cell question.
 
-    cells: tuple[PartitionCell, ...]
+    Partitions with equal cells are equal, and hash alike."""
 
-    def __post_init__(self) -> None:
-        names = [c.name for c in self.cells]
+    __slots__ = ("cells", "_index")
+
+    def __init__(self, cells: tuple[PartitionCell, ...]) -> None:
+        self.cells = cells = tuple(cells)
+        names = [c.name for c in cells]
         if len(set(names)) != len(names):
             raise ValueError("partition cell names must be unique")
-        if not self.cells:
+        if not cells:
             raise ValueError("partition must have at least one cell")
         index: dict[Covariate, PartitionCell] = {}
-        for cell in self.cells:
+        for cell in cells:
             shared = sorted((x for x in cell.values if x in index), key=repr)
             if shared:  # named in repr order: set order changes from one process to the next
                 raise ValueError(f"covariate {shared[0]!r} is listed in cells "
                                  f"{index[shared[0]].name!r} and {cell.name!r}")
             index.update(dict.fromkeys(cell.values, cell))
-        object.__setattr__(self, "_index", index)
+        self._index = index
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and self.cells == other.cells
+
+    def __hash__(self) -> int:
+        return hash(self.cells)
 
     @classmethod
     def from_members(cls, members: Mapping[str, Iterable[Covariate]]) -> "CovariatePartition":
@@ -434,18 +446,10 @@ class CovariatePartition:
         return out
 
 
-@dataclass(frozen=True)
-class SupportReport:
+class SupportReport(NamedTuple):
     ok: bool
     violations: tuple[tuple[str, int], ...] = ()
     note: str | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [list(v) for v in self.violations],
-            "note": self.note,
-        }
 
 
 def empirical_propensity(

@@ -7,7 +7,7 @@ each point method's fit, estimator and transfer term.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .audit import audit_cfd, avg_signed_difference, groupwise_transfer
 from .core import (
@@ -19,7 +19,6 @@ from .core import (
     SupportError,
     SupportReport,
     average,
-    common_support_check,
     empirical_propensity,
     fsum,
     mean_of,
@@ -31,7 +30,14 @@ from .core import (
 
 
 class Predictor:
-    """An evaluable rule p(x, t) -> real."""
+    """An evaluable rule p(x, t) -> real.  A subclass names its fields in ``__slots__`` and
+    takes them in that order."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields) -> None:
+        for name, value in zip(self.__slots__, fields, strict=True):
+            setattr(self, name, value)
 
     def __call__(self, x: Covariate, t: int) -> float:
         raise NotImplementedError
@@ -42,7 +48,7 @@ def _supported(
 ) -> SupportReport:
     """The support report of ``data``; the first of ``treatments`` that some x (or cell)
     lacks is a SupportError naming them."""
-    support = common_support_check(data, partition)
+    support = data.support(partition)
     for t in treatments:
         bad = ", ".join(label for label, s in support.violations if s == t)
         if bad:
@@ -53,11 +59,10 @@ def _supported(
     return support
 
 
-@dataclass(frozen=True)
 class RctConstant(Predictor):
     """Per-treatment constant: the observed treatment-group mean outcome."""
 
-    values: Mapping[int, float]
+    __slots__ = ("values",)
 
     @classmethod
     def fit(cls, data: ObservedDataset) -> "RctConstant":
@@ -70,11 +75,10 @@ class RctConstant(Predictor):
             raise PredictorError(f"no constant for treatment {t}") from None
 
 
-@dataclass(frozen=True)
 class ExactMatching(Predictor):
     """Point-wise average predictor: observed treated-group mean per covariate value."""
 
-    table: Mapping[tuple[Covariate, int], float]
+    __slots__ = ("table",)
 
     @classmethod
     def fit(cls, data: ObservedDataset) -> "ExactMatching":
@@ -90,12 +94,10 @@ class ExactMatching(Predictor):
             raise PredictorError(f"matching predictor has no cell for x={x!r}, t={t}") from None
 
 
-@dataclass(frozen=True)
 class CoarsenedMatching(Predictor):
     """Cell-wise average predictor over a covariate partition."""
 
-    partition: CovariatePartition
-    table: Mapping[tuple[str, int], float]
+    __slots__ = ("partition", "table")
 
     @classmethod
     def fit(cls, data: ObservedDataset, partition: CovariatePartition) -> "CoarsenedMatching":
@@ -114,11 +116,10 @@ class CoarsenedMatching(Predictor):
             raise PredictorError(f"coarsened predictor has no cell for U={cell.name}, t={t}") from None
 
 
-@dataclass(frozen=True)
 class Tabular(Predictor):
     """User-supplied (x, t) -> value table."""
 
-    table: Mapping[tuple[Covariate, int], float]
+    __slots__ = ("table",)
 
     def __call__(self, x: Covariate, t: int) -> float:
         try:
@@ -127,32 +128,20 @@ class Tabular(Predictor):
             raise PredictorError(f"table has no entry for x={x!r}, t={t}") from None
 
 
-@dataclass(frozen=True)
-class External(Predictor):
-    """Opaque callable, e.g. a fitted ML model."""
-
-    fn: Callable[[Covariate, int], float] = field(compare=False)
-
-    def __call__(self, x: Covariate, t: int) -> float:
-        return float(self.fn(x, t))
-
-
 # ---------------------------------------------------------------------------
 # Policies
 
 
-@dataclass(frozen=True)
 class Policy:
     """A treatment rule: deterministic x -> t, or stochastic x -> distribution over T."""
 
-    assign: Callable[[Covariate], int] | None = field(default=None, compare=False)
-    probabilities: Callable[[Covariate], Mapping[int, float]] | None = field(
-        default=None, compare=False
-    )
+    __slots__ = ("assign", "probabilities")
 
-    def __post_init__(self) -> None:
-        if (self.assign is None) == (self.probabilities is None):
+    def __init__(self, assign: Callable[[Covariate], int] | None = None,
+                 probabilities: Callable[[Covariate], Mapping[int, float]] | None = None) -> None:
+        if (assign is None) == (probabilities is None):
             raise ValueError("give exactly one of assign and probabilities")
+        self.assign, self.probabilities = assign, probabilities
 
     @property
     def deterministic(self) -> bool:
@@ -171,8 +160,7 @@ class Policy:
 # Reports
 
 
-@dataclass(frozen=True)
-class Guarantee:
+class Guarantee(NamedTuple):
     eps: float
     delta: float
     form: str = "eps_plus_delta"
@@ -185,8 +173,7 @@ class Guarantee:
         return {"eps": self.eps, "delta": self.delta, "bound": self.bound, "form": self.form}
 
 
-@dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(NamedTuple):
     estimate: float
     method: str
     treatment: int | None = None
@@ -200,7 +187,7 @@ class EstimateReport:
             "treatment": self.treatment,
             "estimate": self.estimate,
             "guarantee": self.guarantee.to_json() if self.guarantee else None,
-            "support": self.support.to_json() if self.support else None,
+            "support": self.support._asdict() if self.support else None,
             "notes": list(self.notes),
         }
 
@@ -245,10 +232,7 @@ def _horvitz_thompson(
     prop = empirical_propensity(data, t, partition)
     if partition is not None:  # every observed value must lie in a cell
         prop = {x: prop[partition.cell_of(x).name] for x in data.xs()}
-    terms: list[float] = []
-    for x, ys in data.ys(t).items():
-        p = prop[x]
-        terms += [y / p for y in ys]
+    terms = [y / prop[x] for x, ys in data.ys(t).items() for y in ys]
     method = "exact_matching" if partition is None else "coarsened_matching"
     return EstimateReport(fsum(terms) / len(data), method, t, support=support)
 
@@ -305,8 +289,7 @@ def ate_estimate(apo1: EstimateReport, apo0: EstimateReport) -> EstimateReport:
 # Method registry
 
 
-@dataclass(frozen=True)
-class Method:
+class Method(NamedTuple):
     """A point method: the parameters it needs, its predictor, its APO estimator and
     the transfer term of its error budget.
 
@@ -317,8 +300,9 @@ class Method:
     population, when the run has one.  ``transfer(p, data, future, t, params)`` is the
     absolute transfer term at t, a view of the residual table that reads the future's
     outcomes under t and no others; the budget at t is the stable-prediction gap of
-    ``audit_sp`` plus it.  Entries call estimators and audits through module globals,
-    so rebinding one of them reaches every caller.
+    ``audit_sp`` plus it, and ``params["facts"]``, one per run, keeps the terms that
+    methods share.  Entries call estimators and audits through module globals, so
+    rebinding one of them reaches every caller.
     """
 
     needs: tuple[str, ...]
@@ -342,24 +326,42 @@ def _dr_weights(data: ObservedDataset,
     return w
 
 
+def _dr_estimate(p: Predictor, data: ObservedDataset, future: FuturePopulation, t: int):
+    """``doubly_robust_estimate`` with the weights of ``_dr_weights``, which raise for a value
+    without observed rows under t: first for each future value, whose share would be lost."""
+    w = _dr_weights(data, future)
+    for x in future.n_x:
+        w(x, t)
+    return doubly_robust_estimate(p, w, data, t)
+
+
+def _signed_transfer(data, future, t: int, params: dict, partition=None) -> float:
+    """|avg_signed_difference| at t, the transfer term of matching, coarsened and dr, kept in
+    the run's ``params["facts"]``: it runs once per (t, partition) in a run."""
+    facts, key = params.get("facts", {}), ("signed_difference", t, partition)
+    if key not in facts:
+        facts[key] = abs(avg_signed_difference(data, future, t, partition))
+    return facts[key]
+
+
 METHODS: dict[str, Method] = {
-    "rct": Method(
+    "rct": Method(  # the estimate is the fitted constant
         (),
         lambda d, _: RctConstant.fit(d),
-        lambda p, d, t, _: rct_estimate(d, t),
+        lambda p, d, t, _: EstimateReport(p.values[t], "rct", t),
         lambda p, d, f, t, _: audit_cfd(p, f, (t,)).per_treatment[t],
     ),
     "matching": Method(
         (),
         lambda d, _: ExactMatching.fit(d),
         lambda p, d, t, _: exact_matching_estimate(d, t),
-        lambda p, d, f, t, _: abs(avg_signed_difference(d, f, t)),
+        lambda p, d, f, t, ps: _signed_transfer(d, f, t, ps),
     ),
     "coarsened": Method(
         ("partition",),
         lambda d, ps: CoarsenedMatching.fit(d, ps["partition"]),
         lambda p, d, t, ps: coarsened_matching_estimate(d, ps["partition"], t),
-        lambda p, d, f, t, ps: abs(avg_signed_difference(d, f, t, ps["partition"])),
+        lambda p, d, f, t, ps: _signed_transfer(d, f, t, ps, ps["partition"]),
     ),
     "plugin": Method(
         ("predictor",),
@@ -370,8 +372,8 @@ METHODS: dict[str, Method] = {
     "dr": Method(
         ("predictor", "future"),
         lambda d, ps: ps["predictor"],
-        lambda p, d, t, ps: doubly_robust_estimate(p, _dr_weights(d, ps["future"]), d, t),
-        lambda p, d, f, t, _: abs(avg_signed_difference(d, f, t)),
+        lambda p, d, t, ps: _dr_estimate(p, d, ps["future"], t),
+        lambda p, d, f, t, ps: _signed_transfer(d, f, t, ps),
     ),
 }
 
@@ -389,7 +391,6 @@ def named_estimator(name: str) -> Callable[[ObservedDataset, int], EstimateRepor
 # Difference-in-differences
 
 
-@dataclass(frozen=True)
 class PanelDataset:
     """Three-group, two-step panel.
 
@@ -397,16 +398,15 @@ class PanelDataset:
     t=0); group C is observed at step 0 and is the target at step 1.
     """
 
-    a_step0: tuple[float, ...]
-    a_step1: tuple[float, ...]
-    b_step0: tuple[float, ...]
-    b_step1: tuple[float, ...]
-    c_step0: tuple[float, ...]
+    __slots__ = ("a_step0", "a_step1", "b_step0", "b_step1", "c_step0")
 
-    def __post_init__(self) -> None:
-        for name in ("a_step0", "a_step1", "b_step0", "b_step1", "c_step0"):
-            if not getattr(self, name):
+    def __init__(self, a_step0: tuple[float, ...], a_step1: tuple[float, ...],
+                 b_step0: tuple[float, ...], b_step1: tuple[float, ...],
+                 c_step0: tuple[float, ...]) -> None:
+        for name, group in zip(self.__slots__, (a_step0, a_step1, b_step0, b_step1, c_step0)):
+            if not group:
                 raise ValueError(f"panel group {name} is empty")
+            setattr(self, name, group)
 
 
 def did_predict(panel: PanelDataset) -> tuple[EstimateReport, EstimateReport]:

@@ -10,9 +10,8 @@ imported inside the functions that fit, so importing this module loads none.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import Covariate, FinitePopError, ObservedDataset, SupportError, fsum, mean_of
 from .estimate import EstimateReport, Policy
@@ -25,8 +24,7 @@ class RankDeficiencyError(FinitePopError):
     """The regression design matrix does not have full column rank."""
 
 
-@dataclass(frozen=True)
-class _Encoding:
+class _Encoding(NamedTuple):
     """Feature layout: numeric covariate names plus per-categorical dropped-first levels."""
 
     numeric: tuple[str, ...]
@@ -59,14 +57,13 @@ class _Encoding:
         return row
 
 
-@dataclass(frozen=True)
-class LinearModel:
+class LinearModel(NamedTuple):
     """Fitted linear outcome model: covariate coefficients, treatment slope, intercept."""
 
     a: Mapping[str, float]
     beta: float
     c: float
-    encoding: _Encoding = field(repr=False)
+    encoding: _Encoding
 
     def predict(self, x: Covariate, t: float) -> float:
         features = self.encoding.encode(x)
@@ -77,14 +74,13 @@ class LinearModel:
         return {"a": dict(self.a), "beta": self.beta, "c": self.c}
 
 
-@dataclass(frozen=True)
-class RegressionReport:
+class RegressionReport(NamedTuple):
     model: LinearModel
     max_cell_residual: float
     identification_ok: bool
     design_rank: int
     xt_covariance: Mapping[str, float]
-    cell_residuals: Mapping[str, float] = field(default_factory=dict)
+    cell_residuals: Mapping[str, float]
 
     def to_json(self) -> dict:
         return {

@@ -4,8 +4,8 @@ Generation is deterministic given the spec's seed.  Independent RNG streams
 are used per component (covariates, assignment, noise, instrument, future
 side) so that turning one violation knob does not reshuffle the others.
 
-numpy is imported inside the functions that draw, so the CLI, which imports
-this module for every verb, loads it only for the verbs that draw.
+numpy is imported inside the functions that draw, and the CLI imports this
+module only inside the verbs that draw, so no other verb loads either.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ outcomes are 7 (treated) and 4 (control); true effect is 3.
 from __future__ import annotations
 
 from finitepop.core import Covariate, FuturePopulation, ObservedDataset, Row, Unit
+from finitepop.estimate import Predictor
 
 XA = Covariate.of(level="a")
 XB = Covariate.of(level="b")
@@ -34,6 +35,15 @@ def p8_future() -> FuturePopulation:
         (14, 1): 4.0, (14, 0): 2.0,
     }
     return FuturePopulation(units, columns(units, oracle))
+
+
+class External(Predictor):
+    """A predictor that calls ``fn(x, t)``, such as a fitted model."""
+
+    __slots__ = ("fn",)
+
+    def __call__(self, x: Covariate, t: int) -> float:
+        return float(self.fn(x, t))
 
 
 def columns(units, table):

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from fixtures import XA, XB, columns, p8_future, p8_observed
+from fixtures import XA, XB, External, columns, p8_future, p8_observed
 
 from finitepop.audit import (
     audit_cfd,
@@ -27,7 +27,7 @@ from finitepop.core import (
     empirical_propensity,
 )
 from finitepop.cli import _AUDITS
-from finitepop.estimate import METHODS, ExactMatching, External, coarsened_matching_estimate
+from finitepop.estimate import METHODS, ExactMatching, coarsened_matching_estimate
 
 
 def shifted_p8_future(shift_a=0.0, shift_b=0.0):

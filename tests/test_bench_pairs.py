@@ -1,4 +1,5 @@
-"""The summary of ``scripts/bench_pairs.py`` on fixed numbers, and a stopped run."""
+"""The summary of ``scripts/bench_pairs.py`` on fixed numbers, the host it records, and a
+stopped run."""
 
 import importlib.util
 import os
@@ -55,6 +56,19 @@ def test_one_pair_has_no_spread():
     s = bench_pairs.summarize(pairs_of([2.0], [1.0]), METRICS[:1])["wall_s"]
     assert (s["base"]["q1"], s["base"]["median"], s["base"]["q3"]) == (2.0, 2.0, 2.0)
     assert s["change_wins"] == 1 and s["claim_holds"]
+
+
+@pytest.mark.parametrize("value, compiles", [("1", True), ("x", True), ("", False), (None, False)])
+def test_the_host_records_whether_cli_runs_compile_their_imports(monkeypatch, value, compiles):
+    """Python writes no bytecode when PYTHONDONTWRITEBYTECODE is set to a nonempty value."""
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    got = bench_pairs.host()
+    assert got["pythondontwritebytecode"] is compiles
+    assert sorted(got) == ["nproc", "numpy", "python", "pythondontwritebytecode"]
+    assert got["python"] == sys.version.split()[0] and got["nproc"] >= 1
 
 
 def _perfbench_child(pid: int, deadline: float) -> int:

@@ -1,20 +1,20 @@
 import dataclasses
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
-from fixtures import XA, XB, p8_future, p8_observed
+from fixtures import XA, XB, External, p8_future, p8_observed
 
-from finitepop import cli
+from finitepop import audit, cli, core
 from finitepop.cli import main, render_report
 from finitepop.core import Covariate, CovariatePartition, FuturePopulation, Unit
 from finitepop.estimate import (
     METHODS,
     CoarsenedMatching,
     ExactMatching,
-    External,
     exact_matching_estimate,
 )
 from finitepop.io import load_observed_csv, save_future_csv, save_observed_csv
@@ -1075,6 +1075,21 @@ def test_plugin_and_dr_budgets_hold_for_a_predictor_far_from_the_cell_means(tmp_
     assert methods["plugin"]["verdicts"]["1"]["budget"] == 8.5  # |kappa| = 8.5, no gap
 
 
+@pytest.mark.parametrize("mode", ["data", "oracle"])
+def test_dr_exits_3_naming_a_future_value_without_observed_rows(tmp_path, capsys, mode):
+    """The future's unit at level c has no observed rows: its share of the future cannot be
+    reweighted, so dr stops in data mode as it does in oracle mode, not with APO(1) = 5."""
+    obs = write_config(tmp_path, "obs.csv", "id,t,y,xc_level\n1,1,10,a\n2,0,6,a\n3,1,4,b\n4,0,2,b\n")
+    fut = write_config(tmp_path, "fut.csv", "id,xc_level,y_t0,y_t1\n11,a,6,10\n12,c,1,3\n")
+    pred = write_config(tmp_path, "zero.yaml", "schema: 1\nentries:\n" + "".join(
+        f"  - {{x: {{level: {lv}}}, t: {t}, p: 0}}\n" for lv in "abc" for t in (0, 1)))
+    cfg = write_config(tmp_path, "c.yaml", f"schema: 1\nmode: {mode}\nobserved: {obs}\n"
+                       f"future: {fut}\nmethods: [{{name: dr, predictor: {pred}}}]\n")
+    assert main(["run", "--config", cfg]) == 3
+    assert capsys.readouterr().err == ("precondition failed: method dr: "
+                                       "no observed rows with x=Covariate(level='c'), t=0\n")
+
+
 def test_a_dr_run_without_a_future_exits_2_at_the_future_key(tmp_path, p8_files, capsys):
     obs, _ = p8_files
     pred = write_config(tmp_path, "pred.yaml", P8_PREDICTOR)
@@ -1108,6 +1123,67 @@ def test_an_oracle_run_fits_each_matching_predictor_once(monkeypatch):
     cfg = {"methods": ["matching", {"name": "coarsened", "partition": "p.yaml"}]}
     report = cli.run_methods(cfg, p8_observed(), p8_future(), loaded=files)
     assert report["ok"] and sorted(calls) == ["CoarsenedMatching", "ExactMatching"]
+
+
+def counted(monkeypatch, module, name) -> list:
+    """The arguments of every call to ``module.name`` from now on, recorded by a wrapper
+    rebound in each ``finitepop`` module that holds the function, as the benchmark's tracer
+    rebinds its spans."""
+    real, calls = getattr(module, name), []
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "finitepop"]:
+        for key, value in list(vars(mod).items()):
+            if value is real:
+                monkeypatch.setattr(mod, key, wrapper)
+    return calls
+
+
+ONE_CELL = "schema: 1\ncells:\n  all: [{level: a}, {level: b}]\n"
+EVERY_POINT_METHOD = ("methods: [rct, matching, {name: coarsened, partition: part.yaml},"
+                      " {name: plugin, predictor: pred.yaml, partition: part.yaml},"
+                      " {name: dr, predictor: pred.yaml}]\n")
+
+
+def test_a_run_checks_support_once_per_partition_and_prices_each_signed_difference_once(
+        tmp_path, monkeypatch):
+    """matching and coarsened each fit and estimate twice from one support report per
+    partition, and matching and dr share the signed difference at each t."""
+    save_observed_csv(p8_observed(), tmp_path / "observed.csv")
+    save_future_csv(p8_future(), tmp_path / "future.csv")
+    (tmp_path / "part.yaml").write_text(ONE_CELL)
+    (tmp_path / "pred.yaml").write_text(P8_PREDICTOR)
+    cfg = write_config(tmp_path, "run.yaml", "schema: 1\nmode: oracle\nobserved: observed.csv\n"
+                       "future: future.csv\nout: run.json\n" + EVERY_POINT_METHOD)
+    monkeypatch.chdir(tmp_path)
+    support = counted(monkeypatch, core, "common_support_check")
+    signed = counted(monkeypatch, audit, "avg_signed_difference")
+    assert main(["run", "--config", cfg]) == 0
+    part = cli.load_partition_file("part.yaml")
+    assert [p for _, p in support] == [None, part]  # matching's, then coarsened's
+    assert [(t, p) for _, _, t, p in signed] == [(0, None), (1, None), (0, part), (1, part)]
+
+
+def test_a_sweep_computes_each_shared_term_once_per_replication(tmp_path, monkeypatch):
+    """Three replications: three datasets, each with its own support reports and signed
+    differences, so nothing computed for one replication is read in another."""
+    (tmp_path / "part.yaml").write_text(ONE_CELL)
+    (tmp_path / "pred.yaml").write_text(P8_PREDICTOR)
+    cfg = write_config(tmp_path, "sweep.yaml", "schema: 1\nseed: 4\nreplications: 3\n"
+                       "scenario:\n  n_observed: 40\n  n_future: 20\n  levels: [a, b]\n"
+                       "  base_outcomes: {a: [6.0, 10.0], b: [2.0, 4.0]}\n" + EVERY_POINT_METHOD)
+    monkeypatch.chdir(tmp_path)
+    support = counted(monkeypatch, core, "common_support_check")
+    signed = counted(monkeypatch, audit, "avg_signed_difference")
+    assert main(["sweep", "--config", cfg, "--out", "sweep.json"]) in (0, 1)
+    datasets = {id(args[0]): args[0] for args in support + signed}
+    assert len(datasets) == 3  # kept alive by the recorded calls, so the ids are distinct
+    for data in datasets.values():
+        assert len([a for a in support if a[0] is data]) == 2
+        assert len([a for a in signed if a[0] is data]) == 4
 
 
 @pytest.mark.parametrize("method", ["matching", "coarsened"])

@@ -1,7 +1,10 @@
 import math
 
+import covariate_reference as reference
 import pytest
 from fixtures import XA, XB, p8_future, p8_observed
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finitepop.core import (
     Covariate,
@@ -258,3 +261,51 @@ def test_covariates_of_mixed_kinds_sort_numbers_before_strings():
     assert exact_matching_estimate(data, 1).estimate == (2.0 + 5.0 + 8.0) / 3
     assert sorted([Covariate.of(level="b"), xa]) == [xa, Covariate.of(level="b")]
     assert x1 < x3 < xa and xa > x1 and x3 <= x3
+
+
+FIELD_VALUES = st.one_of(st.text(max_size=2), st.integers(-2, 2),
+                         st.sampled_from([-0.0, 0.0, 0.5, -1.5, 1e300]))
+RECORDS = st.dictionaries(st.sampled_from(["a", "b", "level"]), FIELD_VALUES, max_size=3)
+
+
+def first_equal(xs) -> list[int]:
+    """For each value, the index of the first value equal to it, found through a dict."""
+    first: dict = {}
+    return [first.setdefault(x, i) for i, x in enumerate(xs)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(RECORDS, min_size=1, max_size=10))
+def test_covariates_agree_with_the_dataclass_reference(records):
+    """Covariates of two separately built populations against the frozen dataclass they once
+    were: the same sorted order, equality, order, hash classes, repr and field access."""
+    data = ObservedDataset(Row(i, Covariate.of(**f), i % 2, 0.0) for i, f in enumerate(records))
+    future = FuturePopulation([Unit(i, Covariate.of(**f)) for i, f in enumerate(records[::-1])])
+    new = [r.x for r in data.rows] + [u.x for u in future.units]
+    old = [reference.Covariate.of(**f) for f in records + records[::-1]]
+    positions = range(len(new))
+    assert sorted(positions, key=new.__getitem__) == sorted(positions, key=old.__getitem__)
+    assert first_equal(new) == first_equal(old)
+    for i in positions:
+        assert [(new[i] == y, new[i] < y, new[i] <= y) for y in new] == \
+               [(old[i] == y, old[i] < y, old[i] <= y) for y in old]
+        assert (repr(new[i]), new[i].names(), new[i].items) == \
+               (repr(old[i]), old[i].names(), old[i].items)
+        for name in ("a", "b", "level", "other"):
+            got = [x.get(name) if name in x.names() else "KeyError" for x in (new[i], old[i])]
+            assert got[0] == got[1] and repr(got[0]) == repr(got[1])
+        with pytest.raises(KeyError, match="other"):
+            new[i].get("other")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(["a", "b"]), st.one_of(
+    FIELD_VALUES, st.booleans(), st.none(), st.just([1]), st.just(10**400)), max_size=2))
+def test_covariate_of_fails_as_the_dataclass_reference_does(fields):
+    def outcome(of):
+        try:
+            return repr(of(**fields))
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    assert outcome(Covariate.of) == outcome(reference.Covariate.of)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from fixtures import XA, XB, p8_future, p8_observed
+from fixtures import XA, XB, External, p8_future, p8_observed
 
 from finitepop.core import (
     Covariate,
@@ -16,7 +16,6 @@ from finitepop.core import (
 from finitepop.estimate import (
     CoarsenedMatching,
     ExactMatching,
-    External,
     Guarantee,
     PanelDataset,
     Policy,

@@ -1,10 +1,13 @@
-"""The grouping layout stays behind ``core``, and numpy stays out of module loading.
+"""The grouping layout stays behind ``core``, and numpy stays out of module loading, as do
+``dataclasses`` and the ``cli``'s import of ``simulate``.
 
 Every other module reads a population through its queries only: ``xs()``,
 ``n_x``, ``ys(t)`` and ``ys_tz``.  How ``core`` stores the groups can then
 change without touching an estimator, audit or bound.  A module that needs
 numpy imports it inside the functions that use it, so that the verbs that
-never draw or fit do not load it.
+never draw or fit do not load it.  Only ``simulate`` defines dataclasses, whose
+code generation would cost every verb start-up time, and ``cli`` imports it only
+inside the verbs that draw.
 """
 
 import ast
@@ -82,3 +85,13 @@ def test_load_time_imports_are_found():
     assert load_time_imports(tree) == [
         (1, "numpy"), (2, "typing"), (6, "json"), (8, "numpy"), (14, "math"),
     ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_simulate_loads_dataclasses_and_only_the_drawing_verbs_load_simulate(path):
+    imports = load_time_imports(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    banned = {"simulate", "finitepop.simulate"} if path.name == "cli.py" else set()
+    if path.name != "simulate.py":
+        banned.add("dataclasses")
+    lines = [line for line, module in imports if module in banned]
+    assert not lines, f"{path.name} imports {sorted(banned)} at module level on lines {lines}"

@@ -1,8 +1,8 @@
 """Start-up: what ``import finitepop.cli`` loads, what the process entry sets, and how
 configs are parsed.
 
-Verbs that never draw must not pay for importing numpy, and no verb loads
-``finitepop.regress``.  The process entry caps OpenBLAS at one thread unless the
+Verbs that never draw must not pay for importing numpy, ``finitepop.simulate`` or
+``dataclasses``, and no verb loads ``finitepop.regress``.  The process entry caps OpenBLAS at one thread unless the
 user sized its pool; ``main`` changes nothing process-wide.  Configs are parsed
 by libyaml where it is available; its trees must equal the pure-Python
 loader's, and a syntax error must be reported at the pure loader's line.
@@ -69,8 +69,8 @@ SCENARIO = ("n_observed: 8\nn_future: 8\nlevels: [a, b]\n"
 
 def test_run_and_audit_load_no_numpy(tmp_path):
     """Every point method in oracle mode, then every audit, with partition and predictor
-    files: neither verb imports numpy.  Then simulate and sweep: no verb imports
-    ``finitepop.regress``."""
+    files: neither verb imports numpy, ``finitepop.simulate`` or ``dataclasses``.  Then
+    simulate and sweep run in the same process, and no verb imports ``finitepop.regress``."""
     files = {"observed.csv": P8_OBSERVED, "future.csv": P8_FUTURE,
              "part.yaml": P8_PARTITION, "pred.yaml": P8_PREDICTOR}
     for name, text in files.items():
@@ -91,7 +91,8 @@ def test_run_and_audit_load_no_numpy(tmp_path):
         "import sys\nfrom finitepop.cli import main\n"
         "assert main(['run', '--config', 'run.yaml']) == 0\n"
         "assert main(['audit', '--config', 'audit.yaml']) == 0\n"
-        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        "loaded = {'numpy', 'finitepop.simulate', 'dataclasses'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
         "assert main(['simulate', '--config', 'simulate.yaml']) == 0\n"
         "assert main(['sweep', '--config', 'sweep.yaml']) == 0\n"
         "assert 'numpy' in sys.modules and 'finitepop.regress' not in sys.modules\n",
