@@ -300,8 +300,8 @@ class Method(NamedTuple):
     population, when the run has one.  ``transfer(p, data, future, t, params)`` is the
     absolute transfer term at t, a view of the residual table that reads the future's
     outcomes under t and no others; the budget at t is the stable-prediction gap of
-    ``audit_sp`` plus it, and ``params["facts"]``, one per run, keeps the terms that
-    methods share.  Entries call estimators and audits through module globals, so
+    ``audit_sp`` plus it.  A run gives all its methods one ``params["facts"]``, which keeps
+    the terms they share.  Entries call estimators and audits through module globals, so
     rebinding one of them reaches every caller.
     """
 
@@ -336,8 +336,8 @@ def _dr_estimate(p: Predictor, data: ObservedDataset, future: FuturePopulation, 
 
 
 def _signed_transfer(data, future, t: int, params: dict, partition=None) -> float:
-    """|avg_signed_difference| at t, the transfer term of matching, coarsened and dr, kept in
-    the run's ``params["facts"]``: it runs once per (t, partition) in a run."""
+    """|avg_signed_difference| at t, the transfer term of matching, coarsened and dr: once per
+    (t, partition) in the ``params["facts"]`` that a run shares, and per call without one."""
     facts, key = params.get("facts", {}), ("signed_difference", t, partition)
     if key not in facts:
         facts[key] = abs(avg_signed_difference(data, future, t, partition))
