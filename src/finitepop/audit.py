@@ -10,11 +10,14 @@ Oaxaca, IER 1973) as estimate - truth = s_t + kappa_t + tau_t, where
     s_t = mean of p over J - mean of p over I       (covariates only)
     kappa_t = sum_c w_I(c) * r_J(c)                  (no oracle)
     tau_t = sum_c w_I(c) * (r_I(c) - r_J(c)).       Sums are exactly rounded (fsum).
+
+``AUDITS`` names each audit that the ``audit`` verb runs.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import reduce
 from itertools import chain, repeat
 from operator import sub
 from typing import NamedTuple
@@ -246,3 +249,18 @@ def audit_compliance_stability(data: ObservedDataset, future: FuturePopulation) 
             j_share = len(data.ys_tz.get((t, z), ())) / len(data)
             per[(t, z)] = abs(i_share - j_share)
     return AuditResult("compliance_stability", per)
+
+
+AUDITS = {  # name -> audit of (predictor, data, future, method parameters)
+    "sp": lambda p, d, f, _: audit_sp(p, d, f),
+    "cfd": lambda p, d, f, _: audit_cfd(p, f, tuple(sorted(d.treatments))),
+    "signed_difference": lambda p, d, f, _: AuditResult("avg_signed_difference", {
+        t: avg_signed_difference(d, f, t) for t in sorted(d.treatments)}),
+    "ml_groupwise": lambda p, d, f, ps: reduce(  # one result per treatment, joined in order
+        lambda a, b: AuditResult(a.name, a.per_treatment | b.per_treatment, a.details | b.details),
+        [audit_ml_groupwise(p, d, f, t, ps.get("partition")) for t in sorted(d.treatments)]),
+    "dr_condition": lambda p, d, f, _: AuditResult("dr_condition", {
+        t: audit_dr_condition(d, f, t) for t in sorted(d.treatments)}),
+    "dominance": lambda p, d, f, _: audit_dominance(f),
+    "compliance_stability": lambda p, d, f, _: audit_compliance_stability(d, f),
+}

@@ -24,7 +24,13 @@ class OutcomeBounds:
         self.k0, self.k1 = k0, k1
 
     def validate(self, data: ObservedDataset) -> None:
-        for unit, y in zip(data.ids, data.y):
+        """The first observed outcome outside the bounds, NaN included, is a ValueError; the
+        rows are searched for it only when the extremes, or the sum (NaN with any NaN), fail."""
+        ys = data.y
+        total = sum(ys)
+        if not ys or self.k0 <= min(ys) and max(ys) <= self.k1 and total == total:
+            return
+        for unit, y in zip(data.ids, ys):
             if not (self.k0 <= y <= self.k1):
                 raise ValueError(
                     f"observed outcome {y} of unit {unit} outside [{self.k0}, {self.k1}]"

@@ -20,25 +20,12 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from functools import reduce
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 import yaml
 
 from . import __version__
-from .audit import (
-    AuditResult,
-    audit_cfd,
-    audit_compliance_stability,
-    audit_dominance,
-    audit_dr_condition,
-    audit_ml_groupwise,
-    audit_sp,
-    avg_signed_difference,
-    dominance_holds,
-)
-from .bounds import OutcomeBounds, iv_ate_lower_bound_randomized, robins_manski_bounds
 from .core import (
     Covariate,
     CovariatePartition,
@@ -47,8 +34,10 @@ from .core import (
     ObservedDataset,
     SchemaError,
 )
-from .estimate import METHODS, Tabular, ate_estimate
 from .io import load_future_csv, load_observed_csv, not_utf8, save_future_csv, save_observed_csv
+
+if TYPE_CHECKING:
+    from .estimate import Tabular
 
 EXIT_OK = 0
 EXIT_VERDICT_FAIL = 1
@@ -274,6 +263,7 @@ def load_partition_file(path: str) -> CovariatePartition:
 
 
 def load_predictor_table(path: str) -> Tabular:
+    from .estimate import Tabular
     cfg, text = load_config(path)
     entries = cfg.get("entries")
     if not isinstance(entries, list) or not entries:
@@ -443,6 +433,7 @@ def _lookup(table: dict, kind: str, name, at: str, params: dict | None = None):
 
 
 def _rm_bounds(params: dict, data: ObservedDataset, truth: dict | None) -> dict:
+    from .bounds import OutcomeBounds, robins_manski_bounds
     ob = OutcomeBounds(params["k0"], params["k1"])
     delta = params.get("delta", 0.0)
     per_t = {t: robins_manski_bounds(data, t, ob, delta) for t in sorted(data.treatments)}
@@ -456,6 +447,7 @@ def _rm_bounds(params: dict, data: ObservedDataset, truth: dict | None) -> dict:
 
 
 def _iv_lower(params: dict, data: ObservedDataset, truth: dict | None) -> dict:
+    from .bounds import iv_ate_lower_bound_randomized
     b = iv_ate_lower_bound_randomized(data, params["eps"], params["delta"])
     entry: dict = {"ate_lower": b.to_json()}
     if truth is not None:
@@ -473,13 +465,14 @@ _BOUNDS = {
     "rm_bounds": _Bound(("k0", "k1"), _rm_bounds),
     "iv_lower": _Bound(("eps", "delta"), _iv_lower),
 }
-_RUNNABLE = {**METHODS, **_BOUNDS}
 
 
 def run_methods(cfg: dict, data: ObservedDataset, future: FuturePopulation | None,
                 loaded: dict | None = None) -> dict:
     """Verdicts are judged against the future's true APOs whenever it carries outcomes.
     ``loaded``: parsed files."""
+    from .estimate import METHODS
+    runnable = {**METHODS, **_BOUNDS}
     methods_cfg = cfg.get("methods", [])
     if not isinstance(methods_cfg, list) or not methods_cfg:
         raise ConfigError("config needs a nonempty 'methods' list", key="methods")
@@ -503,7 +496,7 @@ def run_methods(cfg: dict, data: ObservedDataset, future: FuturePopulation | Non
         if "partition" in params and mcfg["partition"] not in covered:
             _check_covers(params["partition"], mcfg["partition"], data, future)
             covered.add(mcfg["partition"])
-        method = _lookup(_RUNNABLE, "method", name, "methods", params)
+        method = _lookup(runnable, "method", name, "methods", params)
         try:
             if isinstance(method, _Bound):
                 entry = method.run(params, data, truth)
@@ -527,6 +520,8 @@ def run_methods(cfg: dict, data: ObservedDataset, future: FuturePopulation | Non
 def _run_point_method(method, params, data, future, truth) -> dict:
     """The method's estimates; with ``truth``, each one's error against its audited budget:
     the stable-prediction gap, audited once for all treatments, plus the transfer term at t."""
+    from .audit import audit_sp
+    from .estimate import ate_estimate
     p = method.fit(data, params)
     per_t = {t: method.estimate(p, data, t, params) for t in sorted(data.treatments)}
     entry: dict = {"per_treatment": {str(t): r.to_json() for t, r in per_t.items()}}
@@ -583,22 +578,9 @@ def cmd_run(cfg: dict) -> int:
     return EXIT_OK if report["ok"] else EXIT_VERDICT_FAIL
 
 
-_AUDITS = {  # name -> audit of (predictor, data, future, method parameters)
-    "sp": lambda p, d, f, _: audit_sp(p, d, f),
-    "cfd": lambda p, d, f, _: audit_cfd(p, f, tuple(sorted(d.treatments))),
-    "signed_difference": lambda p, d, f, _: AuditResult("avg_signed_difference", {
-        t: avg_signed_difference(d, f, t) for t in sorted(d.treatments)}),
-    "ml_groupwise": lambda p, d, f, ps: reduce(  # one result per treatment, joined in order
-        lambda a, b: AuditResult(a.name, a.per_treatment | b.per_treatment, a.details | b.details),
-        [audit_ml_groupwise(p, d, f, t, ps.get("partition")) for t in sorted(d.treatments)]),
-    "dr_condition": lambda p, d, f, _: AuditResult("dr_condition", {
-        t: audit_dr_condition(d, f, t) for t in sorted(d.treatments)}),
-    "dominance": lambda p, d, f, _: audit_dominance(f),
-    "compliance_stability": lambda p, d, f, _: audit_compliance_stability(d, f),
-}
-
-
 def cmd_audit(cfg: dict) -> int:
+    from .audit import AUDITS
+    from .estimate import METHODS
     data, future = _load_inputs(cfg)
     audits = cfg.get("audits")
     if not isinstance(audits, list) or not audits:
@@ -619,7 +601,7 @@ def cmd_audit(cfg: dict) -> int:
     p = _lookup(METHODS, "auditing predictor", kind, "predictor", params).fit(data, params)
     results = {}
     for name in audits:
-        run = _lookup(_AUDITS, "audit", name, "audits")
+        run = _lookup(AUDITS, "audit", name, "audits")
         try:
             results[name] = run(p, data, future, params).to_json()
         except FinitePopError as exc:
@@ -659,6 +641,7 @@ def _quantile(sorted_vals: list[float], q: float) -> float:
 
 def cmd_sweep(cfg: dict) -> int:
     import dataclasses
+    from .audit import audit_dominance, dominance_holds
     from .simulate import generate, scenario_seed
     for key in ("replications", "seed"):
         if type(cfg.get(key, 0)) is not int:
@@ -784,8 +767,8 @@ _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_T
 
 
 def start() -> int:
-    """The process entry (``python -m finitepop.cli`` and the ``finitepop`` script): ``main``
-    with OpenBLAS capped at one thread, as no verb calls BLAS, unless the user sized its pool.
+    """What the process entry runs: ``main`` with OpenBLAS capped at one thread, as no verb
+    calls BLAS, unless the user sized its pool.
 
     It must run before numpy loads, which starts the pool and an idle worker thread that
     spins on a second core.  ``main`` itself changes nothing process-wide, so callers that
@@ -796,5 +779,23 @@ def start() -> int:
     return main()
 
 
+def entry() -> NoReturn:
+    """The process entry (``python -m finitepop.cli`` and the ``finitepop`` script):
+    ``start``, then an exit with its code that skips interpreter teardown.
+
+    Freeing every object (most of them numpy's) would only delay the exit.  By then every
+    file the verb wrote is closed and no ``atexit`` callback is registered, so flushing
+    stdout and stderr is all that is left.  Where a flush fails, the process ends through
+    ``sys.exit``, which reports the failure as it always has.
+    """
+    code = start()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):  # no stream, a failed write, a closed stream
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(start())
+    entry()

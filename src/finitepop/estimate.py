@@ -1,7 +1,7 @@
 """Point estimators: RCT, matching (exact and coarsened), plug-in, doubly
-robust, treatment-effect differences, difference-in-differences, and policy
-values for deterministic and stochastic treatment rules.  ``METHODS`` gives
-each point method's fit, estimator and transfer term.
+robust, treatment-effect differences, and policy values for deterministic and
+stochastic treatment rules.  ``METHODS`` gives each point method's fit,
+estimator and transfer term.
 """
 
 from __future__ import annotations
@@ -385,41 +385,6 @@ def named_estimator(name: str) -> Callable[[ObservedDataset, int], EstimateRepor
         free = [n for n, m in METHODS.items() if not m.needs]
         raise ValueError(f"unknown estimator selector {name!r}; known: {', '.join(free)}")
     return lambda data, t: method.estimate(method.fit(data, {}), data, t, {})
-
-
-# ---------------------------------------------------------------------------
-# Difference-in-differences
-
-
-class PanelDataset:
-    """Three-group, two-step panel.
-
-    Groups A and B are observed at both steps (A under t=1 at step 1, B under
-    t=0); group C is observed at step 0 and is the target at step 1.
-    """
-
-    __slots__ = ("a_step0", "a_step1", "b_step0", "b_step1", "c_step0")
-
-    def __init__(self, a_step0: tuple[float, ...], a_step1: tuple[float, ...],
-                 b_step0: tuple[float, ...], b_step1: tuple[float, ...],
-                 c_step0: tuple[float, ...]) -> None:
-        for name, group in zip(self.__slots__, (a_step0, a_step1, b_step0, b_step1, c_step0)):
-            if not group:
-                raise ValueError(f"panel group {name} is empty")
-            setattr(self, name, group)
-
-
-def did_predict(panel: PanelDataset) -> tuple[EstimateReport, EstimateReport]:
-    """Predicted step-1 mean for group C under t=1 (via A) and under t=0 (via B)."""
-    def m(v):
-        return fsum(v) / len(v)
-
-    via_a = m(panel.a_step1) - m(panel.a_step0) + m(panel.c_step0)
-    via_b = m(panel.b_step1) - m(panel.b_step0) + m(panel.c_step0)
-    return (
-        EstimateReport(via_a, "did_via_a", 1),
-        EstimateReport(via_b, "did_via_b", 0),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def _table(path: Path, what: str, required: tuple[str, ...], fields_of):
             stopped = exc
     cols = [c for c in header if c.startswith(("xc_", "xn_"))]
     columns = numeric = None
-    if records and all(len(record) == len(header) for record in records):
+    if records and set(map(len, records)) == {len(header)}:
         table = list(zip(*records))
         index: dict[tuple[str, ...], int] = {}
         raw = list(zip(*(table[pos[c]] for c in cols))) or [()] * len(records)
@@ -166,21 +166,48 @@ def _covariate_columns(pop) -> list[str]:
     return columns
 
 
-def _cells(pop) -> list[list[str]]:
-    """The cells of each covariate value in the table, formatted once."""
-    return [[v if isinstance(v, str) else repr(v) for _, v in x.items] for x in pop.values]
+class _Line:
+    """A file whose ``write`` returns its text, so ``csv.writer(_Line()).writerow`` returns
+    the line it formats."""
+
+    write = staticmethod(str)
+
+
+def _covariate_cells(pop, columns: list[str]) -> list:
+    """Each unit's covariate cells, joined as ``csv`` quotes them inside a record, as one
+    column (none without covariate columns).  Each value is formatted once, behind a leading
+    cell, so that a lone empty cell is not the ``""`` of a one-cell record."""
+    if not columns:
+        return []
+    line = csv.writer(_Line()).writerow
+    cells = [line(["0", *(v if isinstance(v, str) else repr(v) for _, v in x.items)])[2:-2]
+             for x in pop.values]
+    return [map(cells.__getitem__, pop.codes)]
+
+
+def _few_ints(column) -> map:
+    """``str`` of each int of a column of few distinct values, each value formatted once."""
+    text = {v: str(v) for v in set(column)}
+    return map(text.__getitem__, column)
+
+
+def _write(path: Path, header: list[str], columns: list) -> None:
+    """The header through ``csv``, then one record per unit, its cells of ``columns``
+    (formatted strings) joined, all in one write."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        fh.write("\r\n".join([*map(",".join, zip(*columns)), ""]))
 
 
 def save_observed_csv(data: ObservedDataset, path: str | Path) -> None:
-    path = Path(path)
+    """Ints through ``str``, floats through ``repr`` and covariate cells as ``csv`` quotes
+    them: the bytes that ``csv.writer`` writes."""
     has_z = data.has_instrument
-    header = ["id", "t", "y"] + (["z"] if has_z else []) + _covariate_columns(data)
-    heads = zip(data.ids, data.t, map(repr, data.y), *([data.z] if has_z else []))
-    cells = _cells(data)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([*head, *cells[code]] for head, code in zip(heads, data.codes))
+    covariates = _covariate_columns(data)
+    header = ["id", "t", "y"] + (["z"] if has_z else []) + covariates
+    _write(Path(path), header, [map(str, data.ids), _few_ints(data.t), map(repr, data.y),
+                                *([_few_ints(data.z)] if has_z else []),
+                                *_covariate_cells(data, covariates)])
 
 
 @_names_file
@@ -201,14 +228,10 @@ def load_future_csv(path: str | Path) -> FuturePopulation:
 
 def save_future_csv(future: FuturePopulation, path: str | Path) -> None:
     """One ``y_t<k>`` column per treatment and one ``s_z<k>`` per instrument value in the
-    oracle, each in key order."""
-    path = Path(path)
+    oracle, each in key order; cells formatted as ``save_observed_csv`` formats them."""
     outcomes, compliance = future.outcomes or {}, future.compliance or {}
-    header = ["id"] + _covariate_columns(future)
-    header += [f"y_t{t}" for t in outcomes] + [f"s_z{z}" for z in compliance]
-    cells = _cells(future)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([unit, *cells[code], *oracle] for unit, code, *oracle
-                         in zip(future.ids, future.codes, *outcomes.values(), *compliance.values()))
+    covariates = _covariate_columns(future)
+    header = ["id"] + covariates + [f"y_t{t}" for t in outcomes] + [f"s_z{z}" for z in compliance]
+    _write(Path(path), header, [map(str, future.ids), *_covariate_cells(future, covariates),
+                                *(map(repr, ys) for ys in outcomes.values()),
+                                *map(_few_ints, compliance.values())])

@@ -5,7 +5,8 @@ are used per component (covariates, assignment, noise, instrument, future
 side) so that turning one violation knob does not reshuffle the others.
 
 numpy is imported inside the functions that draw, and the CLI imports this
-module only inside the verbs that draw, so no other verb loads either.
+module only inside the verbs that draw, so no other verb loads either.  The
+estimators load only with ``convergence_check``, so ``simulate`` never loads them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from .core import Covariate, FuturePopulation, ObservedDataset, fsum
-from .estimate import PanelDataset, named_estimator
 
 if TYPE_CHECKING:
     import numpy as np
@@ -433,6 +433,7 @@ def convergence_check(
     seed: int,
 ) -> list[tuple[int, float]]:
     """Replication-mean absolute estimation error of the APO of t=1, per population size."""
+    from .estimate import named_estimator
     run = named_estimator(estimator)
     curve = []
     for si, size in enumerate(sizes):
@@ -449,48 +450,3 @@ def convergence_check(
         curve.append((size, fsum(errors) / len(errors)))
     return curve
 
-
-@dataclass(frozen=True)
-class PanelSpec:
-    """Three-group two-step panel with a parallel-trends violation knob."""
-
-    group_sizes: tuple[int, int, int] = (20, 20, 20)  # A, B, C
-    base_means: tuple[float, float, float] = (5.0, 3.0, 6.0)
-    trend: float = 1.0
-    treatment_effect: float = 2.0
-    noise_sd: float = 1.0
-    violation: float = 0.0
-    seed: int = 0
-
-
-def generate_panel(spec: PanelSpec) -> tuple[PanelDataset, dict]:
-    """Panel plus recorded true step-1 means for group C under both treatments.
-
-    The truth is defined through the parallel-difference identity on realized
-    sample means, offset by the violation knob, so the prediction error of each
-    route equals the violation exactly.
-    """
-    rng = component_rng(spec.seed, _STREAM_OBS_NOISE)
-    na, nb, nc = spec.group_sizes
-    ma, mb, mc = spec.base_means
-
-    def sample(mean: float, n: int) -> tuple[float, ...]:
-        return tuple(float(v) for v in mean + spec.noise_sd * rng.standard_normal(n))
-
-    panel = PanelDataset(
-        a_step0=sample(ma, na),
-        a_step1=sample(ma + spec.trend + spec.treatment_effect, na),
-        b_step0=sample(mb, nb),
-        b_step1=sample(mb + spec.trend, nb),
-        c_step0=sample(mc, nc),
-    )
-
-    def m(v):
-        return fsum(v) / len(v)
-
-    truth = {
-        "c_step1_t1": m(panel.a_step1) - m(panel.a_step0) + m(panel.c_step0) + spec.violation,
-        "c_step1_t0": m(panel.b_step1) - m(panel.b_step0) + m(panel.c_step0) + spec.violation,
-        "violation": spec.violation,
-    }
-    return panel, truth

@@ -1,4 +1,4 @@
-"""Record-by-record reference implementations of the CSV readers.
+"""Record-by-record reference implementations of the CSV readers and writers.
 
 Each reader here turns every data record into a dict, as ``csv.DictReader``
 does, and builds one ``Covariate`` per row.  That is slow but easy to check by
@@ -8,6 +8,9 @@ these raise a ``SchemaError``.  These readers never check a record's cell
 count: a short record fills its missing cells with ``None`` and a long one
 drops its extra cells.  A line number is the physical line where the record
 starts.
+
+Each writer here hands every record, as a list of cells, to ``csv.writer``;
+the writers in ``finitepop.io`` must write the same bytes.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from pathlib import Path
 
 from fixtures import columns
 
+import finitepop.io
 from finitepop.core import (
     Covariate,
     FuturePopulation,
@@ -142,3 +146,30 @@ def load_future_csv(path: str | Path) -> FuturePopulation:
         outcomes=columns(units, outcomes),
         compliance=columns(units, compliance),
     )
+
+
+def _cells(pop) -> list[list[str]]:
+    return [[v if isinstance(v, str) else repr(v) for _, v in x.items] for x in pop.values]
+
+
+def save_observed_csv(data: ObservedDataset, path: str | Path) -> None:
+    has_z = data.has_instrument
+    header = ["id", "t", "y"] + (["z"] if has_z else []) + finitepop.io._covariate_columns(data)
+    heads = zip(data.ids, data.t, map(repr, data.y), *([data.z] if has_z else []))
+    cells = _cells(data)
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([*head, *cells[code]] for head, code in zip(heads, data.codes))
+
+
+def save_future_csv(future: FuturePopulation, path: str | Path) -> None:
+    outcomes, compliance = future.outcomes or {}, future.compliance or {}
+    header = ["id"] + finitepop.io._covariate_columns(future)
+    header += [f"y_t{t}" for t in outcomes] + [f"s_z{z}" for z in compliance]
+    cells = _cells(future)
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([unit, *cells[code], *oracle] for unit, code, *oracle
+                         in zip(future.ids, future.codes, *outcomes.values(), *compliance.values()))

@@ -42,7 +42,6 @@ from finitepop.estimate import (
     Policy,
     Tabular,
     coarsened_matching_estimate,
-    did_predict,
     doubly_robust_estimate,
     exact_matching_estimate,
     plugin_estimate,
@@ -56,12 +55,10 @@ from finitepop.regress import (
 )
 from finitepop.simulate import (
     InstrumentSpec,
-    PanelSpec,
     ScenarioSpec,
     convergence_check,
     generate,
     generate_compliance_stable_scenario,
-    generate_panel,
     random_partition_concentration,
     scenario_seed,
 )
@@ -427,23 +424,6 @@ def test_interval_fixture_reproduced_exactly():
     got = robins_manski_bounds(data, 1, OutcomeBounds(0.0, 10.0), 0.0)
     assert got.lower == 2.5
     assert got.upper == 5.0
-
-
-# ---------------------------------------------------------------------------
-# Panel differencing
-
-
-def test_panel_exact_recovery_and_exact_violation_error():
-    panel, truth = generate_panel(PanelSpec(seed=13, violation=0.0))
-    via_a, via_b = did_predict(panel)
-    assert abs(via_a.estimate - truth["c_step1_t1"]) <= 1e-12
-    assert abs(via_b.estimate - truth["c_step1_t0"]) <= 1e-12
-
-    v = 0.9
-    panel, truth = generate_panel(PanelSpec(seed=13, violation=v))
-    via_a, via_b = did_predict(panel)
-    assert abs(abs(via_a.estimate - truth["c_step1_t1"]) - v) <= 1e-12
-    assert abs(abs(via_b.estimate - truth["c_step1_t0"]) - v) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

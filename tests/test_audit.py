@@ -4,6 +4,7 @@ import pytest
 from fixtures import XA, XB, External, columns, p8_future, p8_observed
 
 from finitepop.audit import (
+    AUDITS,
     audit_cfd,
     audit_compliance_stability,
     audit_dominance,
@@ -26,7 +27,6 @@ from finitepop.core import (
     common_support_check,
     empirical_propensity,
 )
-from finitepop.cli import _AUDITS
 from finitepop.estimate import METHODS, ExactMatching, coarsened_matching_estimate
 
 
@@ -44,7 +44,7 @@ def shifted_p8_future(shift_a=0.0, shift_b=0.0):
 
 def groupwise(p, d, f, part=None):
     """audit_ml_groupwise at each treatment of d in order, merged as the audit verb merges it."""
-    return _AUDITS["ml_groupwise"](p, d, f, {"partition": part})
+    return AUDITS["ml_groupwise"](p, d, f, {"partition": part})
 
 
 def test_sp_zero_when_compositions_match():

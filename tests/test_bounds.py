@@ -1,5 +1,7 @@
 import pytest
 from fixtures import XA, XB, p8_observed
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from finitepop.bounds import (
     BoundReport,
@@ -129,6 +131,25 @@ def test_outcome_bounds_validation():
         OutcomeBounds(2.0, 1.0)
     with pytest.raises(ValueError):
         OutcomeBounds(0.0, 5.0).validate(rm_fixture())  # y=10 outside
+
+
+@settings(max_examples=200, deadline=None)
+@given(ys=st.lists(st.floats() | st.sampled_from((0.0, -0.0, 10.0)), min_size=1, max_size=8),
+       edges=st.lists(st.floats(allow_nan=False), min_size=2, max_size=2).map(sorted))
+@example(ys=[1.0, float("nan"), 2.0], edges=[0.0, 10.0])  # min and max skip a NaN inside
+@example(ys=[float("inf"), float("-inf")], edges=[float("-inf"), float("inf")])
+def test_outcome_bounds_name_the_first_outcome_a_row_scan_rejects(ys, edges):
+    k0, k1 = edges
+    data = ObservedDataset.from_columns(
+        range(len(ys)), [XA], [0] * len(ys), [i % 2 for i in range(len(ys))], ys)
+    want = next((f"observed outcome {y} of unit {unit} outside [{k0}, {k1}]"
+                 for unit, y in enumerate(ys) if not k0 <= y <= k1), None)
+    try:
+        OutcomeBounds(k0, k1).validate(data)
+        got = None
+    except ValueError as exc:
+        got = str(exc)
+    assert got == want
 
 
 def test_interval_width_monotone_in_range():

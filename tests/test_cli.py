@@ -1009,7 +1009,7 @@ def test_data_mode_reads_no_oracle_column(tmp_path, p8_files_with_compliance, mo
     assert main(["run", "--config", cfg]) == 0
     assert read == []
     report = json.loads(out.read_text())
-    assert sorted(report["methods"]) == sorted(cli.METHODS)
+    assert sorted(report["methods"]) == sorted(METHODS)
     assert "ground_truth" not in report
 
 

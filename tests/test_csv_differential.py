@@ -1,10 +1,12 @@
-"""The CSV readers against their ``csv.DictReader`` references.
+"""The CSV readers against their ``csv.DictReader`` references, and the writers against
+their ``csv.writer`` references.
 
 ``csv_reference`` keeps the readers that turn every record into a dict and
 build one ``Covariate`` per row.  On CSV text whose every nonblank record has
 the header's cell count, both must load equal datasets (signed zeros
 included), or fail with the same message.  A record with another cell count
-is a schema error naming its line, unless an earlier record already failed.
+is a schema error naming its line, unless an earlier record already failed.  Both
+writers must write the reference's bytes.
 """
 
 import csv
@@ -16,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitepop.core import SchemaError
-from finitepop.io import load_future_csv, load_observed_csv
+from finitepop.core import Covariate, FuturePopulation, ObservedDataset, SchemaError
+from finitepop.io import load_future_csv, load_observed_csv, save_future_csv, save_observed_csv
 
 EXAMPLES = settings(max_examples=200, deadline=None)
 OBSERVED_COLUMNS = ("id", "t", "y", "z", "xc_a", "xc_b", "xn_v", "xn_w")
@@ -143,3 +145,48 @@ def test_shared_covariates_keep_each_raw_value(csv_path, text):
     csv_path.write_text(text, encoding="utf-8")
     got, want = load_observed_csv(csv_path), ref.load_observed_csv(csv_path)
     assert got == want and repr(got.rows) == repr(want.rows)
+
+
+CELL_TEXTS = ("", " ", " a ", "a", "a,b", 'x"y', '"', "a\nb", "a\r\nb", "\r", "é", "日本", "\u2028")
+TEXTS = st.sampled_from(CELL_TEXTS) | st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+NUMBERS = st.sampled_from((-0.0, 0.0, 1e16, 5e-324, -1.5, 1.0)) | st.floats(allow_nan=False)
+REALS = st.sampled_from((-0.0, 0.0, 1e16, 5e-324, 2.5)) | st.floats()
+
+
+@st.composite
+def populations(draw):
+    """(observed data, future population) sharing 1 to 3 covariate columns, each of strings or
+    of numbers; the data with or without z, the future with no oracle, with outcomes only or
+    with outcomes and compliance."""
+    kinds = draw(st.dictionaries(st.sampled_from("abc"), st.sampled_from((TEXTS, NUMBERS)),
+                                 min_size=1, max_size=3))
+    values = draw(st.lists(st.fixed_dictionaries(kinds), min_size=1, max_size=4))
+    values = [Covariate.of(**fields) for fields in values]
+    n, m = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    codes = st.integers(0, len(values) - 1)
+    t = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    z = draw(st.none() | st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    data = ObservedDataset.from_columns(
+        draw(st.permutations(range(n))), values, draw(st.lists(codes, min_size=n, max_size=n)),
+        t, draw(st.lists(REALS, min_size=n, max_size=n)), z, frozenset({0, 1, 2}))
+    oracle = draw(st.sampled_from(("none", "outcomes", "both")))
+    outcomes = compliance = None
+    if oracle != "none":
+        outcomes = {t: draw(st.lists(REALS, min_size=m, max_size=m)) for t in (0, 1)}
+    if oracle == "both":
+        compliance = {z: draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)) for z in (0, 1)}
+    future = FuturePopulation.from_columns(
+        range(-m, 0), values, draw(st.lists(codes, min_size=m, max_size=m)), outcomes, compliance)
+    return data, future
+
+
+@EXAMPLES
+@given(pops=populations())
+def test_writers_write_the_reference_bytes(csv_path, pops):
+    data, future = pops
+    want = csv_path.with_name("reference.csv")
+    for save, save_ref, pop in ((save_observed_csv, ref.save_observed_csv, data),
+                                (save_future_csv, ref.save_future_csv, future)):
+        save(pop, csv_path)
+        save_ref(pop, want)
+        assert csv_path.read_bytes() == want.read_bytes()

@@ -17,13 +17,11 @@ from finitepop.estimate import (
     CoarsenedMatching,
     ExactMatching,
     Guarantee,
-    PanelDataset,
     Policy,
     RctConstant,
     Tabular,
     ate_estimate,
     coarsened_matching_estimate,
-    did_predict,
     doubly_robust_estimate,
     exact_matching_estimate,
     plugin_estimate,
@@ -202,36 +200,6 @@ def test_ate_mismatched_methods_error():
     d = p8_observed()
     with pytest.raises(ValueError):
         ate_estimate(rct_estimate(d, 1), exact_matching_estimate(d, 0))
-
-
-def test_did_fixture():
-    panel = PanelDataset(
-        a_step0=(5.0,), a_step1=(9.0,), b_step0=(3.0,), b_step1=(4.0,), c_step0=(6.0,)
-    )
-    via_a, via_b = did_predict(panel)
-    assert via_a.estimate == pytest.approx(10.0)
-    assert via_b.estimate == pytest.approx(7.0)
-    assert (via_a.treatment, via_b.treatment) == (1, 0)
-
-
-def test_did_all_means_equal():
-    panel = PanelDataset((2.0,), (2.0,), (2.0,), (2.0,), (2.0,))
-    via_a, via_b = did_predict(panel)
-    assert via_a.estimate == via_b.estimate == 2.0
-
-
-def test_did_self_consistency():
-    # using A as the target with its own data returns A's step-1 mean
-    panel = PanelDataset(
-        a_step0=(5.0, 7.0), a_step1=(9.0, 11.0), b_step0=(1.0,), b_step1=(1.0,), c_step0=(5.0, 7.0)
-    )
-    via_a, _ = did_predict(panel)
-    assert via_a.estimate == pytest.approx(10.0)
-
-
-def test_did_empty_group_rejected():
-    with pytest.raises(ValueError, match="b_step1"):
-        PanelDataset((1.0,), (1.0,), (1.0,), (), (1.0,))
 
 
 def test_policy_value_p8():

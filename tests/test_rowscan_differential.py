@@ -11,7 +11,7 @@ from fixtures import columns
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitepop import audit, bounds, cli, estimate
+from finitepop import audit, bounds, estimate
 from finitepop.bounds import OutcomeBounds
 from finitepop.core import (
     Covariate,
@@ -142,7 +142,7 @@ def test_audits(case):
     same(lambda: audit.audit_cfd(table, future, ts).per_treatment,
          lambda: ref.audit_cfd(table, future, ts))
     same(lambda: (lambda r: (r.per_treatment, r.details))(
-        cli._AUDITS["ml_groupwise"](table, data, future, {"partition": partition})),
+        audit.AUDITS["ml_groupwise"](table, data, future, {"partition": partition})),
          lambda: ref.audit_ml_groupwise(table, data, future, partition))
     same(lambda: audit.audit_compliance_stability(data, future).per_treatment,
          lambda: ref.audit_compliance_stability(data, future))

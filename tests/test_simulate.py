@@ -13,12 +13,10 @@ from finitepop.audit import (
 from finitepop.core import FuturePopulation, Unit
 from finitepop.simulate import (
     InstrumentSpec,
-    PanelSpec,
     ScenarioSpec,
     convergence_check,
     generate,
     generate_compliance_stable_scenario,
-    generate_panel,
     random_partition_concentration,
     scenario_seed,
 )
@@ -195,30 +193,6 @@ def test_concentration_impossible_gap_zero():
 def test_concentration_four_point_one_third():
     got = random_partition_concentration(_four_point_population(), 1, 5.0, 10_000, seed=1)
     assert got == pytest.approx(1 / 3, abs=0.05)
-
-
-def test_panel_parallel_trends_exact():
-    panel, truth = generate_panel(PanelSpec(seed=4, violation=0.0))
-    from finitepop.estimate import did_predict
-
-    via_a, via_b = did_predict(panel)
-    assert via_a.estimate == pytest.approx(truth["c_step1_t1"], abs=1e-12)
-    assert via_b.estimate == pytest.approx(truth["c_step1_t0"], abs=1e-12)
-
-
-def test_panel_violation_exact_error():
-    v = 0.7
-    panel, truth = generate_panel(PanelSpec(seed=4, violation=v))
-    from finitepop.estimate import did_predict
-
-    via_a, via_b = did_predict(panel)
-    assert abs(via_a.estimate - truth["c_step1_t1"]) == pytest.approx(v, abs=1e-12)
-    assert abs(via_b.estimate - truth["c_step1_t0"]) == pytest.approx(v, abs=1e-12)
-
-
-def test_panel_size_one_groups():
-    panel, _ = generate_panel(PanelSpec(group_sizes=(1, 1, 1), seed=0))
-    assert len(panel.a_step0) == len(panel.c_step0) == 1
 
 
 def test_convergence_errors_shrink():
