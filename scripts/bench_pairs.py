@@ -15,9 +15,10 @@ alternates from pair to pair.
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles, the pairs the change wins (ties count for neither
-side), and whether the claim rule holds: the change wins at least 90% of
-the pairs and its median is better than the base's by more than the base's
-interquartile range.  ``--out`` writes that summary as JSON, with both
+side), whether the claim rule holds (the change wins at least 90% of the
+pairs and its median is better than the base's by more than the base's
+interquartile range), and what the no-regression rule finds (see
+``no_regression``).  ``--out`` writes that summary as JSON, with both
 revisions and the host (see ``host``).
 
 The exit code is 1 when an invocation failed a check or a run exited
@@ -53,11 +54,24 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def no_regression(base: list[float], change: list[float], bound: float, lower: bool) -> str:
+    """``unresolved`` when the base's (q3 - q1) / median exceeds ``bound`` and not every change
+    run is better than every base run, as the spread then hides a change of the bound's size;
+    else ``within bound`` when the change's median is worse than the base's by at most
+    ``bound``, a fraction of the base's median; else ``worse``."""
+    (bq1, bmed, bq3), cmed = quartiles(base), quartiles(change)[1]
+    every_run_better = all((c < b) if lower else (c > b) for c in change for b in base)
+    if bq3 - bq1 > bound * bmed and not every_run_better:
+        return "unresolved"
+    return "within bound" if (cmed - bmed if lower else bmed - cmed) <= bound * bmed else "worse"
+
+
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
-    """Per metric: each side's quartiles, the change's wins, and whether the claim rule holds.
+    """Per metric: each side's quartiles, the change's wins, whether the claim rule holds, and
+    the no-regression rule's result.
 
     ``pairs`` holds (base, change) metric values by name, one pair per entry;
-    ``metrics`` the ``end_to_end`` entries of ``BENCHMARK.json`` (name, better).
+    ``metrics`` the ``end_to_end`` entries of ``BENCHMARK.json`` (name, better, bound).
     """
     out = {}
     for metric in metrics:
@@ -76,6 +90,8 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
             "median_gap": gap,
             "base_iqr": bq3 - bq1,
             "claim_holds": wins >= 0.9 * len(pairs) and gap > bq3 - bq1,
+            "bound": metric["bound"],
+            "no_regression": no_regression(base, change, metric["bound"], lower),
         }
     return out
 
@@ -184,7 +200,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name:12s} base {b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}]  "
               f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  "
               f"wins {s['change_wins']}/{s['pairs']}  claim rule "
-              f"{'holds' if s['claim_holds'] else 'fails'}")
+              f"{'holds' if s['claim_holds'] else 'fails'}  no-regression rule: "
+              f"{s['no_regression']}")
     if args.out:
         head = _git("rev-parse", "HEAD").strip()
         dirty = bool(_git("status", "--porcelain", "--untracked-files=no").strip())

@@ -11,7 +11,8 @@ Oaxaca, IER 1973) as estimate - truth = s_t + kappa_t + tau_t, where
     kappa_t = sum_c w_I(c) * r_J(c)                  (no oracle)
     tau_t = sum_c w_I(c) * (r_I(c) - r_J(c)).       Sums are exactly rounded (fsum).
 
-``AUDITS`` names each audit that the ``audit`` verb runs.
+``budget`` prices a point method's verdict from that table; ``AUDITS`` names each audit
+that the ``audit`` verb runs.
 """
 
 from __future__ import annotations
@@ -98,30 +99,34 @@ def _cell(name: str, xs, rows: list) -> Cell:
     return Cell(name, tuple(xs), j, i)
 
 
-def residual_table(p, t: int, observed: tuple, future: tuple,
-                   partition: CovariatePartition | None) -> list[Cell]:
-    """The residual table of predictor p at treatment t: one ``Cell`` per partition cell, or
-    per covariate value of either population (x0, x1, ... in sorted order) without one.
-    ``observed`` and ``future`` are ``(pop.n_x, pop.ys(t))``, with ``{}`` for outcomes not
-    read.  p runs once per value."""
-    rows = _rows(p, t, observed, future)
+def _table(rows: dict, partition: CovariatePartition | None) -> list[Cell]:
     cells = partition.groups(rows) if partition else {f"x{i}": [x] for i, x in enumerate(rows)}
     return [_cell(name, xs, [rows[x] for x in xs]) for name, xs in cells.items()]
 
 
-def _whole(p, t: int, observed: tuple, future: tuple) -> Cell:
-    """The residual table at t as one cell of every covariate value of either population."""
-    rows = _rows(p, t, observed, future)
+def residual_table(p, t: int, observed: tuple, future: tuple,
+                   partition: CovariatePartition | None) -> list[Cell]:
+    """The residual table of p at t: a ``Cell`` per partition cell, or per covariate value of
+    either population (x0, x1, ... in sorted order) without one.  ``observed`` and ``future``
+    are ``(pop.n_x, pop.ys(t))``, ``{}`` for outcomes not read.  p runs once per value."""
+    return _table(_rows(p, t, observed, future), partition)
+
+
+def _whole(rows: dict) -> Cell:
+    """The table of ``rows`` as one cell of every covariate value of either population."""
     return _cell("all", rows, list(rows.values()))
 
 
-def _oracle_cells(p, data: ObservedDataset, future: FuturePopulation, t: int,
-                  partition: CovariatePartition | None, every: bool) -> list[Cell]:
-    """The table at t with the future's outcomes.  Every cell (when ``every``), or only those
-    with future units, must hold units and observed rows treated with t: else SupportError."""
-    future.require_oracle()
+def _oracle_rows(p, data: ObservedDataset, future: FuturePopulation, t: int) -> dict:
+    """The rows at t with the observed outcomes and the future's (OracleError without them)."""
     data.check_treatment(t)
-    cells = residual_table(p, t, (data.n_x, data.ys(t)), (future.n_x, future.ys(t)), partition)
+    return _rows(p, t, (data.n_x, data.ys(t)), (future.n_x, future.ys(t)))
+
+
+def _oracle_cells(rows: dict, t: int, partition, every: bool) -> list[Cell]:
+    """The table of ``_oracle_rows``.  Every cell (when ``every``), or only those with future
+    units, must hold units and observed rows treated with t: else SupportError."""
+    cells = _table(rows, partition)
     for c in cells:
         if every and (not c.i.n or not c.j.n_t):
             raise SupportError(f"cell {c.name}: empty on {'observed' if c.i.n else 'future'} side")
@@ -131,6 +136,24 @@ def _oracle_cells(p, data: ObservedDataset, future: FuturePopulation, t: int,
     return [c for c in cells if c.i.n]
 
 
+def budget(p, data: ObservedDataset, future: FuturePopulation, t: int,
+           partition: CovariatePartition | None, transfer: str) -> float:
+    """|s_t| plus the transfer term that ``transfer`` names, from one table of (p, t, partition):
+    ``cfd`` |truth - mean p over I|; ``signed`` |sum_c w_I(c) * (y_I(c) - y_J(c))|; ``cellwise``
+    |kappa_t| + max_c |r_I(c) - r_J(c)|, which bounds |kappa_t + tau_t| for any p."""
+    if len(data) == 0:
+        raise SupportError("observed dataset is empty")
+    whole = _whole(rows := _oracle_rows(p, data, future, t))
+    sp = abs((p_i := whole.i.p) - whole.j.p)  # each mean is an O(n) sum, so read once
+    if transfer == "cfd":
+        return sp + abs(whole.i.y - p_i)
+    cells = _oracle_cells(rows, t, partition, transfer == "cellwise")
+    if transfer == "signed":
+        return sp + abs(fsum([c.i.n / len(future) * (c.i.y - c.j.y) for c in cells]))
+    terms = [(c.i.n / len(future) * (r_j := c.j.r), abs(c.i.r - r_j)) for c in cells]
+    return sp + (abs(fsum([k for k, _ in terms])) + max([0.0, *(g for _, g in terms)]))
+
+
 def audit_sp(p, data: ObservedDataset, future: FuturePopulation) -> AuditResult:
     """Stable-predictions gap |mean of p over future - mean of p over observed| per treatment.
 
@@ -138,7 +161,8 @@ def audit_sp(p, data: ObservedDataset, future: FuturePopulation) -> AuditResult:
     """
     if len(data) == 0:
         raise SupportError("observed dataset is empty")
-    cells = {t: _whole(p, t, (data.n_x, {}), (future.n_x, {})) for t in sorted(data.treatments)}
+    cells = {t: _whole(_rows(p, t, (data.n_x, {}), (future.n_x, {})))
+             for t in sorted(data.treatments)}
     return AuditResult("stable_predictions", {t: abs(c.i.p - c.j.p) for t, c in cells.items()})
 
 
@@ -146,7 +170,7 @@ def audit_cfd(p, future: FuturePopulation, treatments=(0, 1)) -> AuditResult:
     """Calibration-on-future-data gap |true APO - mean prediction over future| per treatment."""
     if future.outcomes is None:
         raise OracleError("CFD unobservable without ground truth")
-    cells = {t: _whole(p, t, ({}, {}), (future.n_x, future.ys(t))) for t in treatments}
+    cells = {t: _whole(_rows(p, t, ({}, {}), (future.n_x, future.ys(t)))) for t in treatments}
     return AuditResult("calibration_on_future_data",
                        {t: abs(c.i.y - c.i.p) for t, c in cells.items()})
 
@@ -164,7 +188,7 @@ def avg_signed_difference(
     by the group's share of the future population.  Signed: opposite-sign local
     gaps cancel.
     """
-    cells = _oracle_cells(lambda x, t: 0.0, data, future, t, partition, False)
+    cells = _oracle_cells(_oracle_rows(lambda x, t: 0.0, data, future, t), t, partition, False)
     return fsum([c.i.n / len(future) * (c.i.y - c.j.y) for c in cells])
 
 
@@ -182,19 +206,10 @@ def audit_ml_groupwise(
     treated with t.  Its value at t is the max absolute cell gap.  Without a
     partition every covariate value is its own cell.
     """
-    cells = _oracle_cells(p, data, future, t, partition, True)
+    cells = _oracle_cells(_oracle_rows(p, data, future, t), t, partition, True)
     details = {(c.name, t): c.i.r - c.j.r for c in cells}
     return AuditResult("groupwise_residual_transfer",
                        {t: max([0.0, *map(abs, details.values())])}, details)
-
-
-def groupwise_transfer(p, data: ObservedDataset, future: FuturePopulation, t: int,
-                       partition: CovariatePartition | None) -> float:
-    """The plug-in transfer term at t, |kappa_t| + max over cells of |r_I(c) - r_J(c)|, which
-    bounds |kappa_t + tau_t| for any p; kappa_t is 0 where p is the observed cell means."""
-    cells = _oracle_cells(p, data, future, t, partition, True)
-    kappa = fsum([c.i.n / len(future) * c.j.r for c in cells])
-    return abs(kappa) + max([0.0, *(abs(c.i.r - c.j.r) for c in cells)])
 
 
 def audit_dr_condition(
@@ -211,7 +226,7 @@ def audit_dr_condition(
     composition, unlike avg_signed_difference which weights by the future one.
     """
     fn = f if callable(f) else lambda x, t, k=1.0 if f is None else float(f): k
-    cells = _oracle_cells(lambda x, t: 0.0, data, future, t, None, False)
+    cells = _oracle_cells(_oracle_rows(lambda x, t: 0.0, data, future, t), t, None, False)
     return fsum([c.j.n / len(data) * (c.i.y - c.j.y) * fn(c.xs[0], t) for c in cells])
 
 

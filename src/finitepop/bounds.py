@@ -8,9 +8,7 @@ audit them (see finitepop.audit.audit_dominance).
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
-from .core import Covariate, ObservedDataset, SchemaError, SupportError, average, mean_of
+from .core import ObservedDataset, SupportError, mean_of
 
 
 class OutcomeBounds:
@@ -60,28 +58,6 @@ class BoundReport:
 
 
 _IV_ASSUMED = ("exclusion_restriction", "dominance")
-
-
-def iv_ate_lower_bound(
-    py: Callable[[Covariate, int], float], data: ObservedDataset, eps: float, delta: float
-) -> BoundReport:
-    """ATE lower bound from instrument-wise predictions.
-
-    The contrast of the mean z=1 and z=0 predictions over the observed
-    covariates, minus 2*(eps + delta).  Exclusion and dominance are assumed,
-    not tested; oracle mode can audit them separately.
-    """
-    if eps < 0 or delta < 0:
-        raise ValueError("eps and delta must be nonnegative")
-    data.require_instrument()
-    zs = data.instrument_values()
-    for z in (0, 1):
-        if z not in zs:
-            raise SchemaError(f"instrument value z={z} missing from the data")
-    mean1 = average(lambda x: py(x, 1), data.n_x)
-    mean0 = average(lambda x: py(x, 0), data.n_x)
-    lower = mean1 - mean0 - 2 * (eps + delta)
-    return BoundReport(lower, None, eps, delta, "iv_ate_lower_bound", assumed=_IV_ASSUMED)
 
 
 def iv_ate_lower_bound_randomized(

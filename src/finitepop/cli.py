@@ -271,10 +271,13 @@ def load_predictor_table(path: str) -> Tabular:
     table = {}
     for e in entries:
         try:
-            table[(Covariate.of(**e["x"]), _integer(e["t"]))] = _number(e["p"])
+            table[(Covariate.of(**e["x"]), _integer(e["t"]))] = value = _number(e["p"])
         except (KeyError, TypeError, ValueError):
-            line = _key_line(text, "entries")
-            raise ConfigError(f"bad predictor entry {e!r}: need x, t, p", line)
+            problem = "need x, t, p"
+        else:
+            problem = None if math.isfinite(value) else "p must be a finite number"
+        if problem:
+            raise ConfigError(f"bad predictor entry {e!r}: {problem}", _key_line(text, "entries"))
     return Tabular(table)
 
 
@@ -396,15 +399,16 @@ def _method_params(mcfg: dict, loaded: dict, at: str | None = None) -> dict:
                     exc.path = path
                     raise
             params[key] = loaded[(key, path)]
-    for key in ("k0", "k1", "eps", "delta"):
-        if key in mcfg:
-            try:
-                params[key] = _number(mcfg[key])
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"method {mcfg['name']}: parameter {key} must be a number, got {mcfg[key]!r}",
-                    key=at or key,
-                ) from None
+    for key in (key for key in ("k0", "k1", "eps", "delta") if key in mcfg):
+        try:
+            params[key] = _number(mcfg[key])
+        except (TypeError, ValueError):
+            what = "a number"
+        else:
+            what = None if math.isfinite(params[key]) else "a finite number"
+        if what:
+            raise ConfigError(f"method {mcfg['name']}: parameter {key} must be {what}, "
+                              f"got {mcfg[key]!r}", key=at or key)
     return params
 
 
@@ -482,7 +486,6 @@ def run_methods(cfg: dict, data: ObservedDataset, future: FuturePopulation | Non
     report: dict = {"methods": {}}
     all_pass = True
     loaded = {} if loaded is None else loaded
-    facts: dict = {}  # terms that several methods share, computed once per run
     covered: set[str] = set()  # partition files checked against data and future
     for mcfg in methods_cfg:
         if isinstance(mcfg, str):
@@ -490,7 +493,7 @@ def run_methods(cfg: dict, data: ObservedDataset, future: FuturePopulation | Non
         if not isinstance(mcfg, dict) or "name" not in mcfg:
             raise ConfigError(f"method entry {mcfg!r} needs a 'name'", key="methods")
         name = mcfg["name"]
-        params = {**_method_params(mcfg, loaded, "methods"), "facts": facts}
+        params = _method_params(mcfg, loaded, "methods")
         if future is not None:
             params["future"] = future
         if "partition" in params and mcfg["partition"] not in covered:
@@ -518,9 +521,8 @@ def run_methods(cfg: dict, data: ObservedDataset, future: FuturePopulation | Non
 
 
 def _run_point_method(method, params, data, future, truth) -> dict:
-    """The method's estimates; with ``truth``, each one's error against its audited budget:
-    the stable-prediction gap, audited once for all treatments, plus the transfer term at t."""
-    from .audit import audit_sp
+    """The method's estimates; with ``truth``, each one's error against its audited budget."""
+    from .audit import budget
     from .estimate import ate_estimate
     p = method.fit(data, params)
     per_t = {t: method.estimate(p, data, t, params) for t in sorted(data.treatments)}
@@ -529,20 +531,18 @@ def _run_point_method(method, params, data, future, truth) -> dict:
         entry["ate"] = ate_estimate(per_t[1], per_t[0]).to_json()
     if truth is None:
         return entry
-    sp = audit_sp(p, data, future).per_treatment
+    partition = params.get("partition") if method.cells else None
     entry["verdicts"] = verdicts = {}
     for t, report in per_t.items():
         error = abs(report.estimate - truth[t])
-        budget = sp[t] + method.transfer(p, data, future, t, params)
-        verdicts[str(t)] = {"truth": truth[t], "error": error, "budget": budget,
-                            "pass": error <= budget + _SLACK}
+        limit = budget(p, data, future, t, partition, method.transfer)
+        verdicts[str(t)] = {"truth": truth[t], "error": error, "budget": limit,
+                            "pass": error <= limit + _SLACK}
     if 0 in per_t and 1 in per_t:
-        ate = truth[1] - truth[0]
+        ate, limit = truth[1] - truth[0], verdicts["1"]["budget"] + verdicts["0"]["budget"]
         err = abs((per_t[1].estimate - per_t[0].estimate) - ate)
-        budget = verdicts["1"]["budget"] + verdicts["0"]["budget"]
-        verdicts["ate"] = {
-            "truth": ate, "error": err, "budget": budget, "pass": err <= budget + 2 * _SLACK,
-        }
+        verdicts["ate"] = {"truth": ate, "error": err, "budget": limit,
+                           "pass": err <= limit + 2 * _SLACK}
     return entry
 
 

@@ -1,4 +1,4 @@
-"""Finite-population data model and approximate equality.
+"""Finite-population data model.
 
 Everything here is immutable after construction and safe to share across
 workers.  All operations are pure functions.
@@ -45,13 +45,6 @@ class SchemaError(FinitePopError):
     """Malformed input file or configuration."""
 
     path: str | None = None  # the input file at fault, when it is not the config
-
-
-def approx_eq(r: float, s: float, eps: float) -> bool:
-    """Whether |r - s| < eps.  The inequality is strict."""
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
-    return abs(r - s) < eps
 
 
 class Covariate(tuple):

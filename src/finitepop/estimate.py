@@ -1,7 +1,7 @@
 """Point estimators: RCT, matching (exact and coarsened), plug-in, doubly
-robust, treatment-effect differences, and policy values for deterministic and
-stochastic treatment rules.  ``METHODS`` gives each point method's fit,
-estimator and transfer term.
+robust, treatment-effect differences, and the value of a deterministic
+treatment rule.  ``METHODS`` gives each point method's fit, estimator and
+transfer term.
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from typing import NamedTuple
 
-from .audit import audit_cfd, avg_signed_difference, groupwise_transfer
 from .core import (
     Covariate,
     CovariatePartition,
@@ -132,28 +131,10 @@ class Tabular(Predictor):
 # Policies
 
 
-class Policy:
-    """A treatment rule: deterministic x -> t, or stochastic x -> distribution over T."""
+class Policy(NamedTuple):
+    """A deterministic treatment rule x -> t."""
 
-    __slots__ = ("assign", "probabilities")
-
-    def __init__(self, assign: Callable[[Covariate], int] | None = None,
-                 probabilities: Callable[[Covariate], Mapping[int, float]] | None = None) -> None:
-        if (assign is None) == (probabilities is None):
-            raise ValueError("give exactly one of assign and probabilities")
-        self.assign, self.probabilities = assign, probabilities
-
-    @property
-    def deterministic(self) -> bool:
-        return self.assign is not None
-
-    def probs(self, x: Covariate) -> dict[int, float]:
-        assert self.probabilities is not None
-        probs = dict(self.probabilities(x))
-        total = fsum(probs.values())
-        if any(p < 0 for p in probs.values()) or abs(total - 1.0) > 1e-9:
-            raise ValueError(f"invalid probability vector {probs} at x={x!r}")
-        return probs
+    assign: Callable[[Covariate], int]
 
 
 # ---------------------------------------------------------------------------
@@ -293,22 +274,20 @@ class Method(NamedTuple):
     """A point method: the parameters it needs, its predictor, its APO estimator and
     the transfer term of its error budget.
 
-    ``fit(data, params)`` builds the predictor once per run, and
-    ``estimate(p, data, t, params)`` estimates the APO under t with it (the matching
-    sums read the data alone; the tests assert that they equal the plug-in of p).
-    ``params`` holds the method's files and numbers, and ``future``, the future
-    population, when the run has one.  ``transfer(p, data, future, t, params)`` is the
-    absolute transfer term at t, a view of the residual table that reads the future's
-    outcomes under t and no others; the budget at t is the stable-prediction gap of
-    ``audit_sp`` plus it.  A run gives all its methods one ``params["facts"]``, which keeps
-    the terms they share.  Entries call estimators and audits through module globals, so
-    rebinding one of them reaches every caller.
+    ``fit(data, params)`` builds the predictor once per run, and ``estimate(p, data, t,
+    params)`` estimates the APO under t with it (the matching sums read the data alone; the
+    tests assert that they equal the plug-in of p).  ``params`` holds the method's files and
+    numbers, and ``future`` when the run has one.  ``transfer`` names the term that
+    ``audit.budget`` adds to the stable-prediction gap, read over the cells of
+    ``params["partition"]`` when ``cells`` is set.  Entries call estimators through module
+    globals, so rebinding one of them reaches every caller.
     """
 
     needs: tuple[str, ...]
     fit: Callable[[ObservedDataset, dict], Predictor]
     estimate: Callable[[Predictor, ObservedDataset, int, dict], EstimateReport]
-    transfer: Callable[..., float]
+    transfer: str
+    cells: bool = False
 
 
 def _dr_weights(data: ObservedDataset,
@@ -335,45 +314,36 @@ def _dr_estimate(p: Predictor, data: ObservedDataset, future: FuturePopulation, 
     return doubly_robust_estimate(p, w, data, t)
 
 
-def _signed_transfer(data, future, t: int, params: dict, partition=None) -> float:
-    """|avg_signed_difference| at t, the transfer term of matching, coarsened and dr: once per
-    (t, partition) in the ``params["facts"]`` that a run shares, and per call without one."""
-    facts, key = params.get("facts", {}), ("signed_difference", t, partition)
-    if key not in facts:
-        facts[key] = abs(avg_signed_difference(data, future, t, partition))
-    return facts[key]
-
-
 METHODS: dict[str, Method] = {
     "rct": Method(  # the estimate is the fitted constant
         (),
         lambda d, _: RctConstant.fit(d),
         lambda p, d, t, _: EstimateReport(p.values[t], "rct", t),
-        lambda p, d, f, t, _: audit_cfd(p, f, (t,)).per_treatment[t],
+        "cfd",
     ),
     "matching": Method(
         (),
         lambda d, _: ExactMatching.fit(d),
         lambda p, d, t, _: exact_matching_estimate(d, t),
-        lambda p, d, f, t, ps: _signed_transfer(d, f, t, ps),
+        "signed",
     ),
     "coarsened": Method(
         ("partition",),
         lambda d, ps: CoarsenedMatching.fit(d, ps["partition"]),
         lambda p, d, t, ps: coarsened_matching_estimate(d, ps["partition"], t),
-        lambda p, d, f, t, ps: _signed_transfer(d, f, t, ps, ps["partition"]),
+        "signed", cells=True,
     ),
     "plugin": Method(
         ("predictor",),
         lambda d, ps: ps["predictor"],
         lambda p, d, t, _: plugin_estimate(p, d, t),
-        lambda p, d, f, t, ps: groupwise_transfer(p, d, f, t, ps.get("partition")),
+        "cellwise", cells=True,
     ),
     "dr": Method(
         ("predictor", "future"),
         lambda d, ps: ps["predictor"],
         lambda p, d, t, ps: _dr_estimate(p, d, ps["future"], t),
-        lambda p, d, f, t, ps: _signed_transfer(d, f, t, ps),
+        "signed",
     ),
 }
 
@@ -406,8 +376,6 @@ def policy_value_estimate(
     with the future composition weights.  The future side is either a full
     population or an explicit covariate-profile weighting.
     """
-    if not policy.deterministic:
-        raise ValueError("policy_value_estimate requires a deterministic policy")
     run = estimator if callable(estimator) else named_estimator(estimator)
 
     # A level set weighs its unit count, or its profile weight, over the total, divided once.
@@ -440,18 +408,3 @@ def policy_value_estimate(
             raise SupportError(f"level set t={t}: {exc}") from exc
         terms.append(weight * report.estimate)
     return EstimateReport(fsum(terms), "policy_value")
-
-
-def stochastic_policy_value(
-    p: Predictor, policy: Policy, data: ObservedDataset
-) -> EstimateReport:
-    """Predictor-based value of a stochastic treatment rule over the observed covariates."""
-    if policy.deterministic:
-        raise ValueError("stochastic_policy_value requires a stochastic policy")
-    if len(data) == 0:
-        raise SupportError("empty dataset")
-    value = average(
-        lambda x: fsum([prob * p(x, t) for t, prob in policy.probs(x).items()]),
-        data.n_x,
-    )
-    return EstimateReport(value, "stochastic_policy_value")

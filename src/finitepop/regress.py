@@ -203,8 +203,6 @@ def iv_regression_policy_apo(
         raise ValueError("gamma must be nonnegative")
     data.require_instrument()
     if isinstance(target, Policy):
-        if not target.deterministic:
-            raise ValueError("target policy must be deterministic")
         if profile is None:
             raise ValueError("a covariate profile is required to average a target policy")
         target_level = _policy_mean_treatment(target, profile)

@@ -184,26 +184,12 @@ def doubly_robust_estimate(p, w, data, t):
     return math.fsum(terms)
 
 
-def stochastic_policy_value(p, policy, data):
-    total = math.fsum(
-        math.fsum(prob * p(r.x, t) for t, prob in policy.probs(r.x).items())
-        for r in data.rows
-    )
-    return total / len(data.rows)
-
-
 def dr_weight(data, future, x, t):
     """The future-composition weight |I^x| / |J_t^x| * |J| / |I|."""
     treated = len(rows_where(data, t=t, x=x))
     if treated == 0:
         raise SupportError(f"no observed rows with x={x!r}, t={t}")
     return len(units_where(future, x=x)) / treated * len(data.rows) / len(future.units)
-
-
-def dr_budget(p, data, future, t):
-    """The budget of a doubly robust verdict: the stable-prediction gap plus the absolute
-    average signed difference."""
-    return audit_sp(p, data, future)[t] + abs(avg_signed_difference(data, future, t))
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +253,40 @@ def audit_ml_groupwise(p, data, future, partition):
     return per, details
 
 
+def cellwise_transfer(p, data, future, t, partition=None):
+    """|kappa_t| + the largest |mean future residual - mean observed residual| over the cells:
+    the partition's, or one per covariate value of either population without one.  Every
+    cell must hold future units and observed rows under t."""
+    oracle = future.require_oracle()
+    data.check_treatment(t)
+    if partition is None:
+        groups = [(units_where(future, x=x), rows_where(data, t=t, x=x))
+                  for x in sorted(set(xs(data)) | set(xs(future)))]
+    else:
+        groups = [(units_where(future, cell=c), rows_where(data, t=t, cell=c))
+                  for c in partition.cells]
+    kappa, gaps = [], []
+    for units, obs_rows in groups:
+        if not units or not obs_rows:
+            raise SupportError("a cell is empty on one side")
+        fut_resid = math.fsum(p(u.x, t) - oracle.y(u.unit, t) for u in units) / len(units)
+        obs_resid = math.fsum(p(r.x, t) - r.y for r in obs_rows) / len(obs_rows)
+        kappa.append(len(units) / len(future.units) * obs_resid)
+        gaps.append(abs(fut_resid - obs_resid))
+    return abs(math.fsum(kappa)) + max([0.0, *gaps])
+
+
+def budget(p, data, future, t, partition, transfer):
+    """The stable-prediction gap at t plus the transfer term that ``transfer`` names."""
+    if transfer == "cfd":
+        term = audit_cfd(p, future, (t,))[t]
+    elif transfer == "signed":
+        term = abs(avg_signed_difference(data, future, t, partition))
+    else:
+        term = cellwise_transfer(p, data, future, t, partition)
+    return audit_sp(p, data, future)[t] + term
+
+
 def audit_dr_condition(data, future, t, f=None):
     oracle = future.require_oracle()
     if f is None:
@@ -303,12 +323,6 @@ def audit_compliance_stability(data, future):
 
 # ---------------------------------------------------------------------------
 # bounds
-
-
-def iv_ate_lower_bound(py, data, eps, delta):
-    mean1 = math.fsum(py(r.x, 1) for r in data.rows) / len(data.rows)
-    mean0 = math.fsum(py(r.x, 0) for r in data.rows) / len(data.rows)
-    return mean1 - mean0 - 2 * (eps + delta)
 
 
 def iv_ate_lower_bound_randomized(data, eps, delta):

@@ -12,6 +12,7 @@ from finitepop.audit import (
     audit_ml_groupwise,
     audit_sp,
     avg_signed_difference,
+    budget,
     dominance_holds,
 )
 from finitepop.core import (
@@ -269,14 +270,14 @@ def test_no_estimator_or_audit_tests_cell_membership():
     def answers(part):
         params = {"partition": part}
         fitted = coarsened.fit(d, params)
-        eps = audit_sp(fitted, d, f).per_treatment
         return [
             empirical_propensity(d, 1, part), common_support_check(d, part),
             [coarsened_matching_estimate(d, part, t).estimate for t in (0, 1)],
             [coarsened.estimate(fitted, d, t, params).estimate for t in (0, 1)],
             [avg_signed_difference(d, f, t, part) for t in (0, 1)],
             [audit_ml_groupwise(ExactMatching.fit(d), d, f, t, part).details for t in (0, 1)],
-            {t: (eps[t], coarsened.transfer(fitted, d, f, t, params)) for t in (0, 1)},
+            audit_sp(fitted, d, f).per_treatment,
+            {t: budget(fitted, d, f, t, part, coarsened.transfer) for t in (0, 1)},
         ]
 
     partitions = [CovariatePartition.singletons(d.xs()),

@@ -17,7 +17,8 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "wall_s", "better": "lower"}, {"name": "units_per_s", "better": "higher"}]
+METRICS = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+           {"name": "units_per_s", "better": "higher", "bound": 0.25}]
 
 
 def pairs_of(base, change, name="wall_s"):
@@ -50,6 +51,31 @@ def test_higher_is_better_metrics_count_a_larger_value_as_a_win():
     change = [120.0, 100.0, 90.0]
     s = bench_pairs.summarize(pairs_of(base, change, "units_per_s"), METRICS[1:])["units_per_s"]
     assert s["change_wins"] == 1 and s["median_gap"] == 0.0 and not s["claim_holds"]
+
+
+TIGHT = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]  # (q3 - q1) / median 0.015
+WIDE = [0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 0.9, 1.1, 1.0, 1.0]  # (q3 - q1) / median 0.35
+
+
+@pytest.mark.parametrize("base, change, result", [
+    pytest.param(TIGHT, [b * 1.25 for b in TIGHT], "within bound", id="worse-by-the-bound"),
+    pytest.param(TIGHT, [b * 0.5 for b in TIGHT], "within bound", id="better"),
+    pytest.param(TIGHT, [b * 1.3 for b in TIGHT], "worse", id="worse-beyond-a-tight-spread"),
+    pytest.param(WIDE, WIDE, "unresolved", id="the-same-within-a-wide-spread"),
+    pytest.param(WIDE, [b + 1.0 for b in WIDE], "unresolved", id="worse-within-a-wide-spread"),
+    pytest.param(WIDE, [b * 0.3 for b in WIDE], "within bound", id="every-change-run-better"),
+])
+def test_the_no_regression_rule_of_a_lower_is_better_metric(base, change, result):
+    s = bench_pairs.summarize(pairs_of(base, change), METRICS[:1])["wall_s"]
+    assert s["no_regression"] == result and s["bound"] == 0.25
+
+
+@pytest.mark.parametrize("factor, result", [(0.8, "within bound"), (0.7, "worse")])
+def test_the_no_regression_rule_of_a_higher_is_better_metric(factor, result):
+    base = [100 * b for b in TIGHT]
+    pairs = pairs_of(base, [b * factor for b in base], "units_per_s")
+    s = bench_pairs.summarize(pairs, METRICS[1:])["units_per_s"]
+    assert s["no_regression"] == result
 
 
 def test_one_pair_has_no_spread():

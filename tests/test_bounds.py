@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from finitepop.bounds import (
     BoundReport,
     OutcomeBounds,
-    iv_ate_lower_bound,
     iv_ate_lower_bound_randomized,
     robins_manski_bounds,
 )
@@ -25,33 +24,14 @@ def iv_fixture():
     )
 
 
-def test_iv_lower_bound_constant_predictions():
-    py = lambda x, z: 8.0 if z == 1 else 3.0
-    got = iv_ate_lower_bound(py, iv_fixture(), 0.0, 0.0)
-    assert got.lower == pytest.approx(5.0)
-
-
-def test_iv_lower_bound_subtracts_budgets():
-    py = lambda x, z: 8.0 if z == 1 else 3.0
-    got = iv_ate_lower_bound(py, iv_fixture(), 0.25, 0.25)
-    assert got.lower == pytest.approx(4.0)
-
-
-def test_iv_lower_bound_zero_contrast():
-    py = lambda x, z: 8.0
-    got = iv_ate_lower_bound(py, iv_fixture(), 0.3, 0.2)
-    assert got.lower == pytest.approx(-1.0)
-    assert got.lower <= 0
-
-
 def test_iv_lower_bound_requires_both_arms():
     d = ObservedDataset((Row(1, XA, 1, 1.0, z=1), Row(2, XA, 0, 0.0, z=1)))
-    with pytest.raises(SchemaError):
-        iv_ate_lower_bound(lambda x, z: 0.0, d, 0.0, 0.0)
+    with pytest.raises(SupportError, match="no observed rows with z=0"):
+        iv_ate_lower_bound_randomized(d, 0.0, 0.0)
 
 
 def test_iv_lower_bound_marks_untestable_assumptions():
-    got = iv_ate_lower_bound(lambda x, z: 0.0, iv_fixture(), 0.0, 0.0)
+    got = iv_ate_lower_bound_randomized(iv_fixture(), 0.0, 0.0)
     assert "exclusion_restriction" in got.assumed
     assert "dominance" in got.assumed
 

@@ -943,6 +943,43 @@ def test_a_predictor_entry_of_the_wrong_type_exits_2(tmp_path, p8_files, capsys,
     assert capsys.readouterr().err.startswith(f"{pred}: line 2: bad predictor entry ")
 
 
+NON_FINITE = {".nan": "nan", ".inf": "inf", "-.inf": "-inf"}
+BOUND_PARAMETERS = {"k0": "rm_bounds, k0: {v}, k1: 12", "k1": "rm_bounds, k0: 0, k1: {v}",
+                    "delta": "rm_bounds, k0: 0, k1: 12, delta: {v}",
+                    "eps": "iv_lower, eps: {v}, delta: 0"}
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("key", BOUND_PARAMETERS)
+def test_a_non_finite_method_parameter_exits_2(tmp_path, p8_files, capsys, key, value):
+    """At the line of the methods list, as a parameter of the wrong type does."""
+    obs, _ = p8_files
+    entry = BOUND_PARAMETERS[key].format(v=value)
+    cfg = write_config(tmp_path, "c.yaml", f"schema: 1\nobserved: {obs}\nmethods:\n"
+                       f"  - {{name: {entry}}}\n")
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    method = entry.split(",")[0]
+    assert capsys.readouterr().err == (f"{cfg}: line 3: method {method}: parameter {key} must be "
+                                       f"a finite number, got {NON_FINITE[value]}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_a_non_finite_prediction_exits_2_at_the_entries_line(tmp_path, p8_files, capsys, value):
+    obs, fut = p8_files
+    text = P8_PREDICTOR.replace("p: 10.0", f"p: {value}")
+    pred = write_config(tmp_path, "pred.yaml", text)
+    cfg = write_config(tmp_path, "c.yaml", f"schema: 1\nmode: oracle\nobserved: {obs}\n"
+                       f"future: {fut}\nmethods: [{{name: plugin, predictor: {pred}}}]\n")
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"{pred}: line 2: bad predictor entry {{'x': {{'level': 'a'}}, 't': 1, "
+        f"'p': {NON_FINITE[value]}}}: p must be a finite number\n")
+    assert not out.exists()
+
+
 def test_oracle_mode_without_a_future_exits_2_at_the_mode_line(tmp_path, p8_files, capsys):
     obs, _ = p8_files
     cfg = write_config(
@@ -1101,8 +1138,8 @@ def test_a_dr_run_without_a_future_exits_2_at_the_future_key(tmp_path, p8_files,
 
 def test_each_transfer_term_reads_the_future_outcomes_under_its_treatment_only(monkeypatch):
     d, full = p8_observed(), p8_future()
-    params = {"partition": CovariatePartition.from_members({"all": [XA, XB]}),
-              "predictor": External(lambda x, t: 5.0)}
+    part = CovariatePartition.from_members({"all": [XA, XB]})
+    params = {"partition": part, "predictor": External(lambda x, t: 5.0)}
     read = []
     real = FuturePopulation.outcome_column
     monkeypatch.setattr(FuturePopulation, "outcome_column",
@@ -1110,7 +1147,8 @@ def test_each_transfer_term_reads_the_future_outcomes_under_its_treatment_only(m
     for name, method in METHODS.items():
         read.clear()
         future = FuturePopulation(full.units, {1: full.outcomes[1]})  # y(t=1) only, read afresh
-        method.transfer(method.fit(d, params), d, future, 1, params)
+        audit.budget(method.fit(d, params), d, future, 1, part if method.cells else None,
+                     method.transfer)
         assert set(read) == {1}, name
 
 
@@ -1151,7 +1189,8 @@ EVERY_POINT_METHOD = ("methods: [rct, matching, {name: coarsened, partition: par
 def test_a_run_checks_support_once_per_partition_and_prices_each_signed_difference_once(
         tmp_path, monkeypatch):
     """matching and coarsened each fit and estimate twice from one support report per
-    partition, and matching and dr share the signed difference at each t."""
+    partition, and each method prices each treatment's verdict with one budget, read per cell
+    of its partition where its registry entry says so."""
     save_observed_csv(p8_observed(), tmp_path / "observed.csv")
     save_future_csv(p8_future(), tmp_path / "future.csv")
     (tmp_path / "part.yaml").write_text(ONE_CELL)
@@ -1160,16 +1199,41 @@ def test_a_run_checks_support_once_per_partition_and_prices_each_signed_differen
                        "future: future.csv\nout: run.json\n" + EVERY_POINT_METHOD)
     monkeypatch.chdir(tmp_path)
     support = counted(monkeypatch, core, "common_support_check")
-    signed = counted(monkeypatch, audit, "avg_signed_difference")
+    budgets = counted(monkeypatch, audit, "budget")
     assert main(["run", "--config", cfg]) == 0
     part = cli.load_partition_file("part.yaml")
     assert [p for _, p in support] == [None, part]  # matching's, then coarsened's
-    assert [(t, p) for _, _, t, p in signed] == [(0, None), (1, None), (0, part), (1, part)]
+    assert [(t, p, transfer) for _, _, _, t, p, transfer in budgets] == [
+        (0, None, "cfd"), (1, None, "cfd"), (0, None, "signed"), (1, None, "signed"),
+        (0, part, "signed"), (1, part, "signed"), (0, part, "cellwise"), (1, part, "cellwise"),
+        (0, None, "signed"), (1, None, "signed")]
+
+
+def test_a_partition_key_on_rct_matching_or_dr_leaves_its_report_as_it_is(tmp_path,
+                                                                          monkeypatch):
+    """Which cells a budget reads is fixed by the method's registry entry: only coarsened and
+    plugin read their partition.  Over one cell of both levels the signed difference here
+    would be 2.85, against 0.75 over single levels."""
+    (tmp_path / "observed.csv").write_text("id,t,y,xc_level\n1,1,10,a\n2,0,6,a\n3,1,10,a\n"
+                                           "4,0,6,a\n5,1,4,b\n6,1,4,b\n7,1,4,b\n8,0,2,b\n")
+    (tmp_path / "future.csv").write_text("id,xc_level,y_t0,y_t1\n11,a,6,11\n12,a,6,11\n"
+                                         "13,a,6,11\n14,b,2,4\n")
+    (tmp_path / "part.yaml").write_text(ONE_CELL)
+    (tmp_path / "pred.yaml").write_text(P8_PREDICTOR)
+    monkeypatch.chdir(tmp_path)
+    reports = []
+    for extra in ("", ", partition: part.yaml"):
+        methods = ", ".join(f"{{name: {m}{extra}}}" for m in ("rct", "matching",
+                                                               "dr, predictor: pred.yaml"))
+        cfg = write_config(tmp_path, "run.yaml", "schema: 1\nmode: oracle\nobserved: observed.csv"
+                           f"\nfuture: future.csv\nout: run.json\nmethods: [{methods}]\n")
+        reports.append((main(["run", "--config", cfg]), (tmp_path / "run.json").read_bytes()))
+    assert reports[0] == reports[1]
 
 
 def test_a_sweep_computes_each_shared_term_once_per_replication(tmp_path, monkeypatch):
-    """Three replications: three datasets, each with its own support reports and signed
-    differences, so nothing computed for one replication is read in another."""
+    """Three replications: three datasets, each with its own support reports and budgets, so
+    nothing computed for one replication is read in another."""
     (tmp_path / "part.yaml").write_text(ONE_CELL)
     (tmp_path / "pred.yaml").write_text(P8_PREDICTOR)
     cfg = write_config(tmp_path, "sweep.yaml", "schema: 1\nseed: 4\nreplications: 3\n"
@@ -1177,13 +1241,13 @@ def test_a_sweep_computes_each_shared_term_once_per_replication(tmp_path, monkey
                        "  base_outcomes: {a: [6.0, 10.0], b: [2.0, 4.0]}\n" + EVERY_POINT_METHOD)
     monkeypatch.chdir(tmp_path)
     support = counted(monkeypatch, core, "common_support_check")
-    signed = counted(monkeypatch, audit, "avg_signed_difference")
+    budgets = counted(monkeypatch, audit, "budget")
     assert main(["sweep", "--config", cfg, "--out", "sweep.json"]) in (0, 1)
-    datasets = {id(args[0]): args[0] for args in support + signed}
+    datasets = {id(args[0]): args[0] for args in support}
     assert len(datasets) == 3  # kept alive by the recorded calls, so the ids are distinct
     for data in datasets.values():
         assert len([a for a in support if a[0] is data]) == 2
-        assert len([a for a in signed if a[0] is data]) == 4
+        assert len([a for a in budgets if a[1] is data]) == 10  # 5 methods, 2 treatments
 
 
 @pytest.mark.parametrize("method", ["matching", "coarsened"])

@@ -15,7 +15,6 @@ from finitepop.core import (
     Row,
     SupportError,
     Unit,
-    approx_eq,
     average,
     common_support_check,
     empirical_propensity,
@@ -23,17 +22,6 @@ from finitepop.core import (
     mean_of,
 )
 from finitepop.estimate import exact_matching_estimate
-
-
-def test_approx_eq_is_strict():
-    assert not approx_eq(1.0, 1.0, 0.0)
-    assert approx_eq(3.0, 3.4, 0.5)
-    assert not approx_eq(3.0, 3.5, 0.5)
-
-
-def test_approx_eq_rejects_negative_eps():
-    with pytest.raises(ValueError):
-        approx_eq(0.0, 0.0, -1.0)
 
 
 def test_covariate_normalizes_field_order():

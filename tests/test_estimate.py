@@ -27,7 +27,6 @@ from finitepop.estimate import (
     plugin_estimate,
     policy_value_estimate,
     rct_estimate,
-    stochastic_policy_value,
 )
 
 XC = Covariate.of(level="c")
@@ -245,45 +244,6 @@ def test_policy_value_empty_level_set_zero_weight_skipped():
     pol = Policy(assign=lambda x: 1 if x == XC else 0)
     got = policy_value_estimate(pol, "matching", d, {XA: 0.5, XB: 0.5})
     assert got.estimate == pytest.approx((6.0 + 2.0) / 2)
-
-
-def test_stochastic_policy_half_half():
-    d = p8_observed()
-    p = ExactMatching.fit(d)
-    pol = Policy(probabilities=lambda x: {0: 0.5, 1: 0.5})
-    got = stochastic_policy_value(p, pol, d)
-    assert got.estimate == pytest.approx(5.5)
-
-
-def test_stochastic_degenerate_equals_plugin():
-    d = p8_observed()
-    p = ExactMatching.fit(d)
-    pol = Policy(probabilities=lambda x: {1: 1.0})
-    assert stochastic_policy_value(p, pol, d).estimate == pytest.approx(
-        plugin_estimate(p, d, 1).estimate, rel=1e-12
-    )
-
-
-def test_stochastic_matches_deterministic_value():
-    d = p8_observed()
-    p = ExactMatching.fit(d)
-    pol = Policy(probabilities=lambda x: {1: 1.0} if x == XA else {0: 1.0})
-    assert stochastic_policy_value(p, pol, d).estimate == pytest.approx(6.0)
-
-
-def test_stochastic_invalid_probabilities():
-    d = p8_observed()
-    p = ExactMatching.fit(d)
-    pol = Policy(probabilities=lambda x: {0: 0.7, 1: 0.7})
-    with pytest.raises(ValueError):
-        stochastic_policy_value(p, pol, d)
-
-
-def test_policy_needs_exactly_one_rule():
-    with pytest.raises(ValueError):
-        Policy()
-    with pytest.raises(ValueError):
-        Policy(assign=lambda x: 1, probabilities=lambda x: {1: 1.0})
 
 
 def test_rct_constant_predictor_fits_group_means():

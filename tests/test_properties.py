@@ -16,7 +16,6 @@ from finitepop.core import (
     ObservedDataset,
     Row,
     Unit,
-    approx_eq,
     empirical_propensity,
 )
 from finitepop.estimate import (
@@ -159,16 +158,3 @@ def test_interval_width_monotone_in_delta(d1, d2, span):
     wide = robins_manski_bounds(data, 1, bounds, hi)
     assert narrow.lower <= narrow.upper
     assert (wide.upper - wide.lower) >= (narrow.upper - narrow.lower) - 1e-12
-
-
-@given(
-    st.floats(min_value=-100, max_value=100, allow_nan=False),
-    st.floats(min_value=-100, max_value=100, allow_nan=False),
-    st.floats(min_value=0, max_value=100, allow_nan=False),
-)
-@settings(max_examples=200, deadline=None)
-def test_approx_eq_strictness(r, s, eps):
-    got = approx_eq(r, s, eps)
-    assert got == (abs(r - s) < eps)
-    if eps == 0:
-        assert not got

@@ -23,7 +23,7 @@ from finitepop.core import (
     common_support_check,
     empirical_propensity,
 )
-from finitepop.estimate import Policy, Tabular
+from finitepop.estimate import METHODS, Tabular
 
 # 0.0 and -0.0 are equal covariate values with different reprs; both occur.
 POOL = tuple(Covariate.of(g=g, v=v) for g in "abc" for v in (0.0, -0.0, 1.5))
@@ -126,10 +126,6 @@ def test_estimators(case):
         for w in (weights, lambda x, t: 0.5 + len(repr(x)) % 3):
             same(lambda: estimate.doubly_robust_estimate(table, w, data, t).estimate,
                  lambda: ref.doubly_robust_estimate(table, w, data, t))
-    ts = sorted(data.treatments)
-    policy = Policy(probabilities=lambda x: {t: 1.0 / len(ts) for t in ts})
-    same(lambda: estimate.stochastic_policy_value(table, policy, data).estimate,
-         lambda: ref.stochastic_policy_value(table, policy, data))
 
 
 @EXAMPLES
@@ -155,33 +151,28 @@ def test_audits(case):
                  lambda: ref.audit_dr_condition(data, future, t, f))
 
 
-def dr_budget(p, data, future, t):
-    """The budget of a doubly robust verdict, from its transfer term."""
-    dr = estimate.METHODS["dr"]
-    return audit.audit_sp(p, data, future).per_treatment[t] + dr.transfer(p, data, future, t, {})
-
-
 @EXAMPLES
 @given(scenarios())
-def test_dr_budget(case):
-    data, future, _, table = case
+def test_budget(case):
+    """Each method's budget, priced as its registry entry names, with the drawn table and the
+    observed cell means as predictors, and with each partition the entry may read."""
+    data, future, partition, table = case
     try:
         cell_means = Tabular(ref.matching_table(data))
     except Exception:
         cell_means = table
-    for p in (table, cell_means):
-        for t in sorted(data.treatments):
-            same(lambda: dr_budget(p, data, future, t), lambda: ref.dr_budget(p, data, future, t))
+    for method in METHODS.values():
+        for part in (None, partition) if method.cells else (None,):
+            for p in (table, cell_means):
+                for t in sorted(data.treatments):
+                    same(lambda: audit.budget(p, data, future, t, part, method.transfer),
+                         lambda: ref.budget(p, data, future, t, part, method.transfer))
 
 
 @EXAMPLES
 @given(scenarios())
 def test_bounds(case):
-    data, _, _, table = case
-    same(lambda: bounds.iv_ate_lower_bound(table, data, 0.1, 0.2).lower,
-         lambda: ref.iv_ate_lower_bound(table, data, 0.1, 0.2)
-         if data.has_instrument and {0, 1} <= {r.z for r in data.rows}
-         else 1 / 0)
+    data, _, _, _ = case
     same(lambda: bounds.iv_ate_lower_bound_randomized(data, 0.1, 0.2).lower,
          lambda: ref.iv_ate_lower_bound_randomized(data, 0.1, 0.2)
          if data.has_instrument else 1 / 0)
