@@ -84,10 +84,11 @@ def robins_manski_bounds(
 ) -> BoundReport:
     """APO interval from bounded outcomes and a randomised instrument.
 
-    For t=1 the interval combines the share assigned z=1 that took t=0 (bounded
+    For t=1 the interval combines the share of the z=1 arm that took t=0 (bounded
     by the outcome range) with the observed mean of those who took t=1 under
     z=1; for t=0 the symmetric construction uses the z=0 arm.  Relies on stable
-    compliance-group shares between observed and future populations.
+    compliance-group shares between the observed arm and the future; delta prices
+    their gap.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
@@ -96,12 +97,13 @@ def robins_manski_bounds(
     bounds.validate(data)
     if t not in (0, 1):
         raise ValueError("interval bounds are defined for binary treatments only")
-    # Of the rows assigned z=t, those that took t give the mean, the others the edge.
+    # Shares are taken over the z=t arm: its rows that took t give the mean, the rest the edge.
     taker_ys = data.ys_tz.get((t, t), ())
     if not taker_ys:
         raise SupportError(f"group (t={t}, z={t}) is empty")
-    edge_share = len(data.ys_tz.get((1 - t, t), ())) / len(data)
-    mean_share = len(taker_ys) / len(data)
+    arm = sum(len(ys) for (_, z), ys in data.ys_tz.items() if z == t)
+    edge_share = (arm - len(taker_ys)) / arm
+    mean_share = len(taker_ys) / arm
     observed_mean = mean_of(taker_ys)
     lower = edge_share * bounds.k0 - delta + mean_share * observed_mean
     upper = edge_share * bounds.k1 + delta + mean_share * observed_mean

@@ -630,8 +630,6 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def _quantile(sorted_vals: list[float], q: float) -> float:
-    if not sorted_vals:
-        return float("nan")
     pos = q * (len(sorted_vals) - 1)
     lo = int(math.floor(pos))
     hi = min(lo + 1, len(sorted_vals) - 1)
@@ -680,10 +678,10 @@ def cmd_sweep(cfg: dict) -> int:
         summary[name] = {
             "pass_rate": bucket["passes"] / bucket["judged"] if bucket["judged"] else None,
             "judged": bucket["judged"],
-            "error_q50": _quantile(errs, 0.5),
-            "error_q90": _quantile(errs, 0.9),
-            "error_max": errs[-1] if errs else float("nan"),
         }
+        if errs:  # the bounds' verdicts carry no error
+            summary[name].update(error_q50=_quantile(errs, 0.5), error_q90=_quantile(errs, 0.9),
+                                 error_max=errs[-1])
     report = {
         "replications": replications,
         "seed": master_seed,

@@ -442,7 +442,6 @@ class CovariatePartition:
 class SupportReport(NamedTuple):
     ok: bool
     violations: tuple[tuple[str, int], ...] = ()
-    note: str | None = None
 
 
 def empirical_propensity(
@@ -467,9 +466,9 @@ def common_support_check(
     data: ObservedDataset,
     partition: CovariatePartition | None = None,
 ) -> SupportReport:
-    """List every (x-or-cell, t) pair with no observed rows; ok iff none."""
+    """List every (x-or-cell, t) pair with no observed rows; ok iff there are rows and none."""
     if len(data) == 0:
-        return SupportReport(ok=False, note="empty dataset: every cell is vacuously absent")
+        return SupportReport(ok=False)
     if partition is None:
         groups = [(repr(x), (x,)) for x in data.xs()]
     else:

@@ -141,36 +141,21 @@ class Policy(NamedTuple):
 # Reports
 
 
-class Guarantee(NamedTuple):
-    eps: float
-    delta: float
-    form: str = "eps_plus_delta"
-
-    @property
-    def bound(self) -> float:
-        return self.eps + self.delta
-
-    def to_json(self) -> dict:
-        return {"eps": self.eps, "delta": self.delta, "bound": self.bound, "form": self.form}
-
-
 class EstimateReport(NamedTuple):
+    """An estimate; ``treatment`` (none for an ATE) and ``support`` are written only when set."""
+
     estimate: float
     method: str
     treatment: int | None = None
-    guarantee: Guarantee | None = None
     support: SupportReport | None = None
-    notes: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "treatment": self.treatment,
-            "estimate": self.estimate,
-            "guarantee": self.guarantee.to_json() if self.guarantee else None,
-            "support": self.support._asdict() if self.support else None,
-            "notes": list(self.notes),
-        }
+        out = {"method": self.method, "estimate": self.estimate}
+        if self.treatment is not None:
+            out["treatment"] = self.treatment
+        if self.support is not None:
+            out["support"] = self.support._asdict()
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -250,20 +235,12 @@ def doubly_robust_estimate(
 
 
 def ate_estimate(apo1: EstimateReport, apo0: EstimateReport) -> EstimateReport:
-    """Difference of two APO estimates; guarantee budgets add."""
+    """Difference of two APO estimates of one method family."""
     if apo1.method != apo0.method:
         raise ValueError(
             f"mismatched method families: {apo1.method} vs {apo0.method}"
         )
-    guarantee = None
-    if apo1.guarantee and apo0.guarantee:
-        guarantee = Guarantee(
-            apo1.guarantee.eps + apo0.guarantee.eps,
-            apo1.guarantee.delta + apo0.guarantee.delta,
-        )
-    return EstimateReport(
-        apo1.estimate - apo0.estimate, f"ate_{apo1.method}", guarantee=guarantee
-    )
+    return EstimateReport(apo1.estimate - apo0.estimate, f"ate_{apo1.method}")
 
 
 # ---------------------------------------------------------------------------

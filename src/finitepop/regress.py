@@ -1,6 +1,5 @@
-"""Least-squares fitting of linear outcome models, identification checking,
-the omitted-variable-bias consistency check, and the two-step instrument
-procedure for predicting policy APOs.
+"""Least-squares fitting of linear outcome models, identification checking and
+the omitted-variable-bias consistency check.
 
 Treatment is coerced to a real for regression.  Categorical covariates are
 one-hot encoded with the lexicographically first level dropped.  numpy is
@@ -10,11 +9,9 @@ imported inside the functions that fit, so importing this module loads none.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import Covariate, FinitePopError, ObservedDataset, SupportError, fsum, mean_of
-from .estimate import EstimateReport, Policy
 
 if TYPE_CHECKING:
     import numpy as np
@@ -179,58 +176,3 @@ def ovb_consistency_check(data: ObservedDataset, long_model: LinearModel) -> flo
     design = np.column_stack([ts, np.ones_like(ts)])
     coefs, *_ = np.linalg.lstsq(design, y, rcond=None)
     return abs(float(coefs[0]) - long_model.beta)
-
-
-def _policy_mean_treatment(policy: Policy, profile: Mapping[Covariate, float]) -> float:
-    total = fsum(profile.values())
-    return fsum([wt * policy.assign(x) for x, wt in profile.items()]) / total
-
-
-def iv_regression_policy_apo(
-    data: ObservedDataset,
-    target: float | Policy,
-    gamma: float,
-    profile: Mapping[Covariate, float] | None = None,
-):
-    """Two-step instrument procedure for predicting a treatment rule's APO.
-
-    Step 1 selects the instrument value whose observed mean treatment is
-    gamma-close to the target mean treatment (ties broken toward the larger z);
-    step 2 returns that arm's observed mean outcome.  With gamma=inf this
-    reduces to picking the nearest arm.
-    """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    data.require_instrument()
-    if isinstance(target, Policy):
-        if profile is None:
-            raise ValueError("a covariate profile is required to average a target policy")
-        target_level = _policy_mean_treatment(target, profile)
-    else:
-        target_level = float(target)
-
-    arms: dict[int, tuple[float, float]] = {}
-    for z in data.instrument_values():
-        groups = {t: ys for (t, arm), ys in data.ys_tz.items() if arm == z}
-        outcomes = tuple(chain.from_iterable(groups.values()))
-        mean_t = fsum(float(t) * len(ys) for t, ys in groups.items()) / len(outcomes)
-        arms[z] = (mean_t, mean_of(outcomes))
-
-    qualifying = [z for z, (mean_t, _) in arms.items() if abs(mean_t - target_level) < gamma]
-    if not qualifying:
-        closest = min(arms.items(), key=lambda kv: abs(kv[1][0] - target_level))
-        achievable = sorted(mt for mt, _ in arms.values())
-        raise SupportError(
-            f"no instrument arm within gamma={gamma} of target mean treatment "
-            f"{target_level}; achievable mean treatments: {achievable} "
-            f"(closest {closest[1][0]} at z={closest[0]})"
-        )
-    best = min(qualifying, key=lambda z: (abs(arms[z][0] - target_level), -z))
-    return EstimateReport(
-        arms[best][1],
-        "iv_regression_policy_apo",
-        notes=(
-            f"selected z={best} with observed mean treatment {arms[best][0]} "
-            f"for target {target_level} (ties broken toward larger z)",
-        ),
-    )

@@ -331,11 +331,12 @@ def iv_ate_lower_bound_randomized(data, eps, delta):
 
 
 def robins_manski_bounds(data, t, k0, k1, delta):
-    """(lower, upper)."""
-    edge_rows = rows_where(data, t=1 - t, z=t)
-    mean_rows = rows_where(data, t=t, z=t)
-    edge_share = len(edge_rows) / len(data.rows)
-    mean_share = len(mean_rows) / len(data.rows)
+    """(lower, upper), with the shares taken over the rows of the z = t arm."""
+    arm_rows = rows_where(data, z=t)
+    edge_rows = [r for r in arm_rows if r.t != t]
+    mean_rows = [r for r in arm_rows if r.t == t]
+    edge_share = len(edge_rows) / len(arm_rows)
+    mean_share = len(mean_rows) / len(arm_rows)
     observed_mean = mean_y(mean_rows)
     lower = edge_share * k0 - delta + mean_share * observed_mean
     upper = edge_share * k1 + delta + mean_share * observed_mean

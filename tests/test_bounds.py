@@ -1,5 +1,5 @@
 import pytest
-from fixtures import XA, XB, p8_observed
+from fixtures import XA, XB, p8_future, p8_observed
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -72,22 +72,33 @@ def rm_fixture():
 
 
 def test_robins_manski_fixture_exact():
+    # the z=1 arm: half took t=0 (the edge), half took t=1 with mean 10
     got = robins_manski_bounds(rm_fixture(), 1, OutcomeBounds(0.0, 10.0), 0.0)
-    assert got.lower == 2.5
-    assert got.upper == 5.0
+    assert got.lower == 5.0
+    assert got.upper == 10.0
 
 
 def test_robins_manski_delta_widens():
     got = robins_manski_bounds(rm_fixture(), 1, OutcomeBounds(0.0, 10.0), 0.5)
-    assert got.lower == pytest.approx(2.0)
-    assert got.upper == pytest.approx(5.5)
+    assert got.lower == pytest.approx(4.5)
+    assert got.upper == pytest.approx(10.5)
 
 
 def test_robins_manski_t0_uses_z0_arm():
     got = robins_manski_bounds(rm_fixture(), 0, OutcomeBounds(0.0, 10.0), 0.0)
-    # edge group (t=1, z=0) has one row; mean group (t=0, z=0) mean 2
-    assert got.lower == pytest.approx((1 / 4) * 0.0 + (1 / 4) * 2.0)
-    assert got.upper == pytest.approx((1 / 4) * 10.0 + (1 / 4) * 2.0)
+    # edge group (t=1, z=0) has one of the arm's two rows; mean group (t=0, z=0) mean 2
+    assert got.lower == pytest.approx((1 / 2) * 0.0 + (1 / 2) * 2.0)
+    assert got.upper == pytest.approx((1 / 2) * 10.0 + (1 / 2) * 2.0)
+
+
+def test_robins_manski_shares_are_taken_over_the_z_t_arm():
+    # z = t on every row, so every row of an arm took its t: each interval is the
+    # arm's mean, which is the future's APO.
+    data, future = p8_observed(with_instrument=True), p8_future()
+    for t, apo in ((0, 4.0), (1, 7.0)):
+        assert future.apo(t) == apo
+        got = robins_manski_bounds(data, t, OutcomeBounds(0.0, 12.0), 0.0)
+        assert got.lower <= apo <= got.upper, (t, got.lower, got.upper)
 
 
 def test_robins_manski_degenerate_constant():
@@ -145,5 +156,5 @@ def test_bound_report_rejects_crossed_interval():
 
 def test_bound_report_json():
     js = robins_manski_bounds(rm_fixture(), 1, OutcomeBounds(0.0, 10.0), 0.0).to_json()
-    assert js["lower"] == 2.5 and js["upper"] == 5.0
+    assert js["lower"] == 5.0 and js["upper"] == 10.0
     assert "compliance_stability" in js["assumed"]

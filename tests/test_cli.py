@@ -186,20 +186,24 @@ def test_sweep_rejects_replications_below_one(tmp_path, capsys, replications):
 
 
 def test_sweep_exits_1_when_a_verdict_fails(tmp_path):
-    # delta 0 prices none of the compliance-share gap, so the interval misses.
-    cfg = write_config(
-        tmp_path, "sweep.yaml",
-        "schema: 1\nseed: 3\nreplications: 3\n"
-        "methods: [rct, {name: rm_bounds, k0: 0.0, k1: 10.0, delta: 0.0}]\n"
-        "scenario:\n  n_observed: 60\n  n_future: 60\n  levels: [a, b]\n"
-        "  base_outcomes:\n    a: [2.0, 6.0]\n    b: [3.0, 5.0]\n  noise_sd: 0.5\n"
-        "  instrument: {z_probability: 0.5}\n",
-    )
-    out = tmp_path / "s.json"
-    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
-    summary = json.loads(out.read_text())["summary"]
-    assert summary["rct"]["pass_rate"] == 1.0
-    assert summary["rm_bounds"]["pass_rate"] < 1.0
+    # The break lowers y(1) of the future's never-takers by 3, so the future's ATE can fall
+    # below the arm contrast that iv_lower, with eps and delta 0, reports as its lower bound.
+    # Without the break the same sweep passes.
+    for dominance_break, code, iv_pass_rate in ((0.0, 0, 1.0), (3.0, 1, 2 / 3)):
+        cfg = write_config(
+            tmp_path, "sweep.yaml",
+            "schema: 1\nseed: 3\nreplications: 3\n"
+            "methods: [rct, {name: iv_lower, eps: 0.0, delta: 0.0}]\n"
+            "scenario:\n  n_observed: 60\n  n_future: 60\n  levels: [a, b]\n"
+            "  base_outcomes:\n    a: [2.0, 6.0]\n    b: [3.0, 5.0]\n  noise_sd: 0.5\n"
+            f"  instrument: {{z_probability: 0.5, dominance_break: {dominance_break}}}\n",
+        )
+        out = tmp_path / "s.json"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == code
+        report = json.loads(out.read_text())
+        assert report["summary"]["rct"]["pass_rate"] == 1.0
+        assert report["summary"]["iv_lower"]["pass_rate"] == iv_pass_rate
+        assert report["dominance_fail_rate"] == (0 if code == 0 else 1)
 
 
 @pytest.mark.parametrize("entry, key", [

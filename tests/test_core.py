@@ -95,7 +95,7 @@ def test_common_support_missing_control():
 def test_common_support_empty_dataset():
     report = common_support_check(ObservedDataset(()))
     assert not report.ok
-    assert report.note is not None
+    assert report.violations == ()
 
 
 def test_mean_of_empty_errors():

@@ -16,7 +16,6 @@ from finitepop.core import (
 from finitepop.estimate import (
     CoarsenedMatching,
     ExactMatching,
-    Guarantee,
     Policy,
     RctConstant,
     Tabular,
@@ -186,15 +185,6 @@ def test_ate_identical_inputs_zero():
     assert ate_estimate(r, r).estimate == 0.0
 
 
-def test_ate_budgets_add():
-    g = Guarantee(eps=0.1, delta=0.2)
-    a1 = rct_estimate(p8_observed(), 1)
-    r1 = type(a1)(a1.estimate, a1.method, 1, guarantee=g)
-    r0 = type(a1)(4.0, a1.method, 0, guarantee=g)
-    combined = ate_estimate(r1, r0)
-    assert combined.guarantee.bound == pytest.approx(0.6)
-
-
 def test_ate_mismatched_methods_error():
     d = p8_observed()
     with pytest.raises(ValueError):
@@ -268,6 +258,7 @@ def test_coarsened_predictor_evaluates_by_cell():
 
 def test_estimate_report_json():
     js = rct_estimate(p8_observed(), 1).to_json()
-    assert js["method"] == "rct"
-    assert js["treatment"] == 1
-    assert js["estimate"] == 7.0
+    assert js == {"method": "rct", "treatment": 1, "estimate": 7.0}
+    r = exact_matching_estimate(p8_observed(), 1)
+    assert r.to_json()["support"] == {"ok": True, "violations": ()}
+    assert ate_estimate(r, r).to_json() == {"method": "ate_exact_matching", "estimate": 0.0}

@@ -10,6 +10,7 @@ change of output, never to absorb a difference.
 
 import csv
 import hashlib
+import json
 import math
 
 import pytest
@@ -153,25 +154,30 @@ GOLDEN = {
     "audit-ml_groupwise": ("0db932d17001a9f31ec396361c5b53fe161ae3540cbe304b11d0d6bcb79b956f", 0),
     "audit-signed_difference": ("8a257d46177de722996b008d239c73a7f2d00da5eac89b944640acf0a8f41d78", 0),
     "audit-sp": ("be2e5ade6b3d279483d0f52c80c3aaa4abe8e2979ed143a3b57fb1bb8ee8db87", 0),
-    "run-iv": ("9dacbd01d024d600cb64d45af8208f2c668dfc91e4e93507e0e36d0f2c612d10", 0),
-    "run-wide": ("db51e26a51b5d9aa72520eaad29693e2e595714d8b8af75863735629f7f85b5c", 0),
-    "run-wide-data": ("1fd5d524480c2071e4dadd7b2a76734faf2787b17b70ce2c16221af4d6cd5dc0", 0),
-    "run-wide-shifted": ("659a5f8ebd37af3725fc0eb4fba650e14ff61072959dbc4b5299b2b66f93499e", 0),
+    "run-iv": ("2aa5eff2ab88075834797571ce66a7eb032431a8c926b1c9c3bc220fd6a6ad7c", 0),
+    "run-wide": ("1f54a6a682f5bc58e663cc07047bab31d3de79b97242df25b432c4a5f71cad7b", 0),
+    "run-wide-data": ("6b04c431d115de6463b8175ed93ce9b1652e28fa9b9df9a692d1228e202f2e3b", 0),
+    "run-wide-shifted": ("d3e3c453ee8df668e04f536a77fc480db41ba46ae15695fd86deadcfa70a3853", 0),
     "simulate-iv/future.csv": ("648c747d257bf921c1febee6c4436b105e05b9738c298c6dfb5143c02d715965", 0),
     "simulate-iv/ground_truth.json": ("1882db799a12d3ba335974b519297aea5712ac255889fb21383aada5aab127eb", 0),
     "simulate-iv/observed.csv": ("dd83084026b213d238838120f52899c63c14b96f3d0633e628bb64e9095f748d", 0),
     "simulate-wide/future.csv": ("7cef91630a5d5b213e2edfc0eb7df34e4ed2ba6829f497301f575dcd4cf738f6", 0),
     "simulate-wide/ground_truth.json": ("cc1a73b16792b6411556c27a5f13f0c9587261f53a9c8dc0a0a1f2a6ef1f0bad", 0),
     "simulate-wide/observed.csv": ("936f3eae7f70f363e42fcb158a339b5c2d92b318c20a35de08b984664f56e0d2", 0),
-    "sweep-iv": ("13c3ac50d2a5c40eb317d971e9158e72dc61f1439c1d3f85e9b544415796038c", 0),
+    "sweep-iv": ("90a5a4199f22c97f1212095ea680bfcfc564a4abfad4e0d662a8996098cd873f", 0),
 }
 
 
 @pytest.fixture(scope="module")
-def corpus(tmp_path_factory):
+def outputs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("golden")
-    return {name: (hashlib.sha256(path.read_bytes()).hexdigest(), code)
-            for name, (path, code) in _corpus(tmp).items()}
+    return {name: (path.read_bytes(), code) for name, (path, code) in _corpus(tmp).items()}
+
+
+@pytest.fixture(scope="module")
+def corpus(outputs):
+    return {name: (hashlib.sha256(data).hexdigest(), code)
+            for name, (data, code) in outputs.items()}
 
 
 def test_corpus_covers_every_pinned_output(corpus):
@@ -181,3 +187,18 @@ def test_corpus_covers_every_pinned_output(corpus):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_rendered_output_matches_pinned_digest(corpus, name):
     assert corpus[name] == GOLDEN[name]
+
+
+def test_reports_carry_only_the_keys_a_run_fills(outputs):
+    """A run's per-treatment and ATE entries hold no null, ``guarantee``, ``notes`` or
+    ``support.note``, and a sweep summary holds no "nan" error quantile."""
+    runs = [json.loads(data) for name, (data, _) in outputs.items() if name.startswith("run-")]
+    entries = [e for report in runs for method in report["methods"].values()
+               for e in [*method.get("per_treatment", {}).values(), method.get("ate")] if e]
+    assert len(runs) == 4 and len(entries) > 40
+    for entry in entries:
+        assert None not in entry.values() and not {"guarantee", "notes"} & set(entry), entry
+        assert "note" not in entry.get("support", {}), entry
+    summary = json.loads(outputs["sweep-iv"][0])["summary"]
+    for name, row in summary.items():
+        assert "nan" not in row.values(), name

@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from finitepop.core import Covariate, ObservedDataset, Row, SupportError
-from finitepop.estimate import Policy
+from finitepop.core import Covariate, ObservedDataset, Row
 from finitepop.regress import (
     RankDeficiencyError,
     check_linear_identification,
     fit_linear,
-    iv_regression_policy_apo,
     ovb_consistency_check,
     xt_covariance,
 )
@@ -128,44 +126,3 @@ def test_ovb_constant_treatment_degenerate():
     rows = tuple(Row(i, Covariate.of(x=float(i)), 1, float(i)) for i in range(4))
     with pytest.raises(RankDeficiencyError):
         ovb_consistency_check(ObservedDataset(rows), fit_linear(grid_data()))
-
-
-def iv_arms(mean_t1=0.8, mean_t0=0.2):
-    """Ten rows per z arm with the stated mean treatments and distinct y means."""
-    rows = []
-    unit = 0
-    for z, mean_t, y in ((1, mean_t1, 9.0), (0, mean_t0, 3.0)):
-        n_treated = round(10 * mean_t)
-        for j in range(10):
-            rows.append(Row(unit, Covariate.of(x=0.0), int(j < n_treated), y, z=z))
-            unit += 1
-    return ObservedDataset(tuple(rows))
-
-
-def test_iv_regression_selects_matching_arm():
-    got = iv_regression_policy_apo(iv_arms(), 0.8, 0.05)
-    assert got.estimate == pytest.approx(9.0)
-
-
-def test_iv_regression_no_arm_in_range():
-    with pytest.raises(SupportError, match="0.2"):
-        iv_regression_policy_apo(iv_arms(), 0.5, 0.05)
-
-
-def test_iv_regression_tie_prefers_larger_z():
-    d = iv_arms(mean_t1=0.5, mean_t0=0.5)
-    got = iv_regression_policy_apo(d, 0.5, 0.1)
-    assert got.estimate == pytest.approx(9.0)  # z=1 arm outcome mean
-
-
-def test_iv_regression_infinite_gamma_nearest_arm():
-    got = iv_regression_policy_apo(iv_arms(), 0.3, math.inf)
-    assert got.estimate == pytest.approx(3.0)  # z=0 arm (mean t 0.2) is nearest
-
-
-def test_iv_regression_policy_target():
-    pol = Policy(assign=lambda x: 1)
-    got = iv_regression_policy_apo(
-        iv_arms(mean_t1=1.0), pol, 0.05, profile={Covariate.of(x=0.0): 1.0}
-    )
-    assert got.estimate == pytest.approx(9.0)
