@@ -137,21 +137,24 @@ def _oracle_cells(rows: dict, t: int, partition, every: bool) -> list[Cell]:
 
 
 def budget(p, data: ObservedDataset, future: FuturePopulation, t: int,
-           partition: CovariatePartition | None, transfer: str) -> float:
+           partition: CovariatePartition | None, transfer: str) -> tuple[float, float]:
     """|s_t| plus the transfer term that ``transfer`` names, from one table of (p, t, partition):
     ``cfd`` |truth - mean p over I|; ``signed`` |sum_c w_I(c) * (y_I(c) - y_J(c))|; ``cellwise``
-    |kappa_t| + max_c |r_I(c) - r_J(c)|, which bounds |kappa_t + tau_t| for any p."""
+    |kappa_t| + max_c |r_I(c) - r_J(c)|, which bounds |kappa_t + tau_t| for any p.  Beside it,
+    the largest magnitude of p and of the outcomes under t on either side, which the verdict's
+    slack reads."""
     if len(data) == 0:
         raise SupportError("observed dataset is empty")
     whole = _whole(rows := _oracle_rows(p, data, future, t))
+    scale = max(data.extent(t), future.extent(t), *map(abs, whole.j.vs))
     sp = abs((p_i := whole.i.p) - whole.j.p)  # each mean is an O(n) sum, so read once
     if transfer == "cfd":
-        return sp + abs(whole.i.y - p_i)
+        return sp + abs(future.apo(t) - p_i), scale
     cells = _oracle_cells(rows, t, partition, transfer == "cellwise")
     if transfer == "signed":
-        return sp + abs(fsum([c.i.n / len(future) * (c.i.y - c.j.y) for c in cells]))
+        return sp + abs(fsum([c.i.n / len(future) * (c.i.y - c.j.y) for c in cells])), scale
     terms = [(c.i.n / len(future) * (r_j := c.j.r), abs(c.i.r - r_j)) for c in cells]
-    return sp + (abs(fsum([k for k, _ in terms])) + max([0.0, *(g for _, g in terms)]))
+    return sp + (abs(fsum([k for k, _ in terms])) + max([0.0, *(g for _, g in terms)])), scale
 
 
 def audit_sp(p, data: ObservedDataset, future: FuturePopulation) -> AuditResult:
@@ -170,9 +173,9 @@ def audit_cfd(p, future: FuturePopulation, treatments=(0, 1)) -> AuditResult:
     """Calibration-on-future-data gap |true APO - mean prediction over future| per treatment."""
     if future.outcomes is None:
         raise OracleError("CFD unobservable without ground truth")
-    cells = {t: _whole(_rows(p, t, ({}, {}), (future.n_x, future.ys(t)))) for t in treatments}
-    return AuditResult("calibration_on_future_data",
-                       {t: abs(c.i.y - c.i.p) for t, c in cells.items()})
+    return AuditResult("calibration_on_future_data", {  # the truth is read before p runs
+        t: abs(future.apo(t) - _whole(_rows(p, t, ({}, {}), (future.n_x, {}))).i.p)
+        for t in treatments})
 
 
 def avg_signed_difference(

@@ -36,6 +36,9 @@ class OutcomeBounds:
 
 
 class BoundReport:
+    """A bound; ``treatment`` (none for an ATE) and ``upper`` (none for a one-sided bound) are
+    written only when set."""
+
     __slots__ = ("lower", "upper", "eps", "delta", "method", "treatment", "assumed")
 
     def __init__(self, lower: float, upper: float | None, eps: float, delta: float, method: str,
@@ -46,15 +49,13 @@ class BoundReport:
         self.method, self.treatment, self.assumed = method, treatment, assumed
 
     def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "treatment": self.treatment,
-            "lower": self.lower,
-            "upper": self.upper,
-            "eps": self.eps,
-            "delta": self.delta,
-            "assumed": list(self.assumed),
-        }
+        out = {"method": self.method, "lower": self.lower, "eps": self.eps, "delta": self.delta,
+               "assumed": list(self.assumed)}
+        if self.treatment is not None:
+            out["treatment"] = self.treatment
+        if self.upper is not None:
+            out["upper"] = self.upper
+        return out
 
 
 _IV_ASSUMED = ("exclusion_restriction", "dominance")

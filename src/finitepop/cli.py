@@ -44,7 +44,8 @@ EXIT_VERDICT_FAIL = 1
 EXIT_SCHEMA = 2
 EXIT_PRECONDITION = 3
 
-_SLACK = 1e-10
+# A verdict's slack, in ulps of the largest magnitude it reads (README, "Verdicts").
+_ULPS = 64
 
 
 class ConfigError(SchemaError):
@@ -436,6 +437,15 @@ def _lookup(table: dict, kind: str, name, at: str, params: dict | None = None):
     return entry
 
 
+def _passes(value: float, scale: float, lower: float = -math.inf, upper: float = math.inf,
+            slacks: int = 1) -> bool:
+    """The one judge of every verdict: whether ``value`` lies in [lower, upper], each end
+    widened by ``slacks`` times _ULPS ulps of ``scale``, the largest magnitude the verdict
+    reads.  Scaling everything it reads by a power of two scales the slack alike."""
+    slack = slacks * _ULPS * math.ulp(scale)
+    return lower - slack <= value <= upper + slack
+
+
 def _rm_bounds(params: dict, data: ObservedDataset, truth: dict | None) -> dict:
     from .bounds import OutcomeBounds, robins_manski_bounds
     ob = OutcomeBounds(params["k0"], params["k1"])
@@ -443,20 +453,21 @@ def _rm_bounds(params: dict, data: ObservedDataset, truth: dict | None) -> dict:
     per_t = {t: robins_manski_bounds(data, t, ob, delta) for t in sorted(data.treatments)}
     entry: dict = {"per_treatment": {str(t): b.to_json() for t, b in per_t.items()}}
     if truth is not None:
-        entry["verdicts"] = {
-            str(t): {"truth": truth[t], "pass": b.lower - _SLACK <= truth[t] <= b.upper + _SLACK}
-            for t, b in per_t.items()
-        }
+        k = max(abs(ob.k0), abs(ob.k1), delta)
+        entry["verdicts"] = {str(t): {"truth": truth[t], "pass": _passes(
+            truth[t], max(k, abs(truth[t])), b.lower, b.upper)} for t, b in per_t.items()}
     return entry
 
 
 def _iv_lower(params: dict, data: ObservedDataset, truth: dict | None) -> dict:
     from .bounds import iv_ate_lower_bound_randomized
-    b = iv_ate_lower_bound_randomized(data, params["eps"], params["delta"])
+    eps, delta = params["eps"], params["delta"]
+    b = iv_ate_lower_bound_randomized(data, eps, delta)
     entry: dict = {"ate_lower": b.to_json()}
     if truth is not None:
         ate = truth[1] - truth[0]
-        entry["verdicts"] = {"ate": {"truth": ate, "pass": ate >= b.lower - _SLACK}}
+        scale = max(max(map(abs, data.y)), eps + delta, abs(truth[1]), abs(truth[0]))
+        entry["verdicts"] = {"ate": {"truth": ate, "pass": _passes(ate, scale, b.lower)}}
     return entry
 
 
@@ -533,16 +544,17 @@ def _run_point_method(method, params, data, future, truth) -> dict:
         return entry
     partition = params.get("partition") if method.cells else None
     entry["verdicts"] = verdicts = {}
+    scales = {}
     for t, report in per_t.items():
         error = abs(report.estimate - truth[t])
-        limit = budget(p, data, future, t, partition, method.transfer)
+        limit, scales[t] = budget(p, data, future, t, partition, method.transfer)
         verdicts[str(t)] = {"truth": truth[t], "error": error, "budget": limit,
-                            "pass": error <= limit + _SLACK}
+                            "pass": _passes(error, scales[t], upper=limit)}
     if 0 in per_t and 1 in per_t:
         ate, limit = truth[1] - truth[0], verdicts["1"]["budget"] + verdicts["0"]["budget"]
         err = abs((per_t[1].estimate - per_t[0].estimate) - ate)
         verdicts["ate"] = {"truth": ate, "error": err, "budget": limit,
-                           "pass": err <= limit + 2 * _SLACK}
+                           "pass": _passes(err, max(scales[1], scales[0]), upper=limit, slacks=2)}
     return entry
 
 
@@ -676,7 +688,7 @@ def cmd_sweep(cfg: dict) -> int:
     for name, bucket in sorted(per_method.items()):
         errs = sorted(bucket["errors"])
         summary[name] = {
-            "pass_rate": bucket["passes"] / bucket["judged"] if bucket["judged"] else None,
+            "pass_rate": bucket["passes"] / bucket["judged"],
             "judged": bucket["judged"],
         }
         if errs:  # the bounds' verdicts carry no error

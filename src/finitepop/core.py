@@ -9,8 +9,9 @@ grouped by covariate value on first use, from one stable sort of the codes, and
 answer the same three queries: ``xs()``, the sorted distinct values; ``n_x``,
 the members per value; and ``ys(t)``, the outcomes under t per value (the
 realised outcomes of the rows with treatment t, or the oracle outcomes of every
-unit).  Instrument queries add the observed ``ys_tz``.  Every estimator, audit
-and bound is a reduction over these, costing O(|X| * |T|) once they are built.
+unit), with ``extent(t)`` their largest magnitude.  Instrument queries add the
+observed ``ys_tz``.  Every estimator, audit and bound is a reduction over these,
+costing O(|X| * |T|) once they are built.
 Sums stay exactly rounded (math.fsum), so a value evaluated once per distinct x
 and repeated once per member gives the same bits as the member-by-member sum.
 """
@@ -155,6 +156,16 @@ class _Grouped:
     @cached_property
     def _ys(self) -> dict[int, Mapping[Covariate, tuple[float, ...]]]:
         return {}  # ys(t), filled once per t
+
+    @cached_property
+    def _extent(self) -> dict[int, float]:
+        return {}  # extent(t), found once per t
+
+    def extent(self, t: int) -> float:
+        """The largest magnitude among the outcomes under t (0.0 without any), found once."""
+        if t not in self._extent:
+            self._extent[t] = max(map(abs, chain.from_iterable(self.ys(t).values())), default=0.0)
+        return self._extent[t]
 
 
 def pooled(
@@ -373,9 +384,15 @@ class FuturePopulation(_Grouped):
             raise OracleError("operation requires the compliance oracle (oracle mode only)")
         return self
 
+    @cached_property
+    def _apo(self) -> dict[int, float]:
+        return {}  # apo(t), summed once per t
+
     def apo(self, t: int) -> float:
-        """True average potential outcome under treatment t, from the oracle."""
-        return mean_of(self.outcome_column(t))
+        """True average potential outcome under treatment t, from the oracle; summed once."""
+        if t not in self._apo:
+            self._apo[t] = mean_of(self.outcome_column(t))
+        return self._apo[t]
 
     def ate(self, t1: int = 1, t0: int = 0) -> float:
         return self.apo(t1) - self.apo(t0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING
 
 from .core import Covariate, FuturePopulation, ObservedDataset, fsum
@@ -142,7 +142,12 @@ class Scenario:
     observed: ObservedDataset
     future: FuturePopulation
     spec: ScenarioSpec
-    ground_truth: dict = field(default_factory=dict)
+
+    @property
+    def ground_truth(self) -> dict:
+        """The APOs and the ATE, from the future's truth (summed once per treatment)."""
+        apo = {t: self.future.apo(t) for t in (0, 1)}
+        return {"apo": apo, "ate": apo[1] - apo[0]}
 
     def to_json(self) -> dict:
         spec = asdict(self.spec)
@@ -220,15 +225,6 @@ def _clip(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
     import numpy as np
     w = np.where(v > lo, v, lo)
     return np.where(w < hi, w, hi)
-
-
-def _ground_truth(y: np.ndarray) -> dict:
-    """APOs and ATE of an outcome table with one row per unit and one column per t.
-
-    ``math.fsum`` is exactly rounded, so each APO equals ``future.apo(t)``.
-    """
-    apo = {t: fsum(y[:, t].tolist()) / len(y) for t in (0, 1)}
-    return {"apo": apo, "ate": apo[1] - apo[0]}
 
 
 def generate(spec: ScenarioSpec) -> Scenario:
@@ -321,7 +317,7 @@ def generate(spec: ScenarioSpec) -> Scenario:
         outcomes={t: y[:, t].tolist() for t in (0, 1)},
         compliance=compliance,
     )
-    return Scenario(observed, future, spec, _ground_truth(y))
+    return Scenario(observed, future, spec)
 
 
 def _even_cell_codes(levels, weights, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -396,7 +392,7 @@ def generate_compliance_stable_scenario(
         n_observed=n_observed, n_future=m, levels=("all",),
         base_outcomes=(("all", ((k0 + k1) / 2, (k0 + k1) / 2)),),
         outcome_range=outcome_range, seed=seed,
-    ), _ground_truth(y))
+    ))
 
 
 def random_partition_concentration(

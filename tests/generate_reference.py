@@ -146,8 +146,7 @@ def generate(spec: ScenarioSpec) -> Scenario:
         outcomes=columns(units, outcomes),
         compliance=columns(units, compliance),
     )
-    apo = {t: future.apo(t) for t in (0, 1)}
-    return Scenario(observed, future, spec, {"apo": apo, "ate": apo[1] - apo[0]})
+    return Scenario(observed, future, spec)
 
 
 def _force_support(levels: list[str], ts: list[int]) -> None:
@@ -236,9 +235,8 @@ def generate_compliance_stable_scenario(
     future = FuturePopulation(
         tuple(units), columns(units, outcomes), columns(units, compliance)
     )
-    truth = {"apo": {s: future.apo(s) for s in (0, 1)}, "ate": future.ate()}
     return Scenario(observed, future, ScenarioSpec(
         n_observed=n_observed, n_future=len(units), levels=("all",),
         base_outcomes=(("all", ((k0 + k1) / 2, (k0 + k1) / 2)),),
         outcome_range=outcome_range, seed=seed,
-    ), truth)
+    ))

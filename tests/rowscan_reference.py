@@ -277,14 +277,19 @@ def cellwise_transfer(p, data, future, t, partition=None):
 
 
 def budget(p, data, future, t, partition, transfer):
-    """The stable-prediction gap at t plus the transfer term that ``transfer`` names."""
+    """The stable-prediction gap at t plus the transfer term that ``transfer`` names, and the
+    largest magnitude of p at either population's values and of either side's outcomes under t."""
     if transfer == "cfd":
         term = audit_cfd(p, future, (t,))[t]
     elif transfer == "signed":
         term = abs(avg_signed_difference(data, future, t, partition))
     else:
         term = cellwise_transfer(p, data, future, t, partition)
-    return audit_sp(p, data, future)[t] + term
+    limit = audit_sp(p, data, future)[t] + term
+    magnitudes = [p(x, t) for x in set(xs(data)) | set(xs(future))]
+    magnitudes += [r.y for r in rows_where(data, t=t)]
+    magnitudes += [future.y(u.unit, t) for u in future.units]
+    return limit, max(map(abs, magnitudes))
 
 
 def audit_dr_condition(data, future, t, f=None):

@@ -48,10 +48,7 @@ from finitepop.estimate import (
     policy_value_estimate,
     rct_estimate,
 )
-from finitepop.regress import (
-    fit_linear,
-    ovb_consistency_check,
-)
+from finitepop.regress import fit_linear
 from finitepop.simulate import (
     InstrumentSpec,
     ScenarioSpec,
@@ -444,16 +441,6 @@ def test_linear_fit_and_ovb_fixtures():
     assert abs(model.a["x"] - 2.0) <= 1e-9
     assert abs(model.beta - 3.0) <= 1e-9
     assert abs(model.c - 1.0) <= 1e-9
-
-    assert ovb_consistency_check(grid_data(), model) <= 1e-9
-
-    confounded = ObservedDataset(
-        tuple(
-            Row(i, Covariate.of(x=float(t)), t, 5.0 * t + 1.0)
-            for i, t in enumerate([0, 1, 0, 1, 0, 1])
-        )
-    )
-    assert abs(ovb_consistency_check(confounded, model) - 2.0) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

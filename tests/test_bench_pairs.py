@@ -97,9 +97,14 @@ def test_the_host_records_whether_cli_runs_compile_their_imports(monkeypatch, va
     assert got["python"] == sys.version.split()[0] and got["nproc"] >= 1
 
 
-def _perfbench_child(pid: int, deadline: float) -> int:
-    """The pid of the perfbench run that process ``pid`` started, once it runs."""
+def _perfbench_child(proc: subprocess.Popen, deadline: float) -> int:
+    """The pid of the perfbench run that ``proc`` started, once it runs; fails with its stderr
+    as soon as ``proc`` has exited."""
+    pid = proc.pid
     while time.monotonic() < deadline:
+        if proc.poll() is not None:
+            err = proc.stderr.read().decode(errors="replace")
+            raise AssertionError(f"bench_pairs.py exited with {proc.returncode}: {err}")
         for kid in Path(f"/proc/{pid}/task/{pid}/children").read_text().split():
             try:
                 if b"perfbench/run.py" in Path(f"/proc/{kid}/cmdline").read_bytes():
@@ -120,13 +125,14 @@ def test_a_stopped_run_stops_its_perfbench_run_and_removes_its_tree(tmp_path, si
         cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
     )
     try:
-        child = _perfbench_child(proc.pid, time.monotonic() + 60)
+        child = _perfbench_child(proc, time.monotonic() + 60)
         assert [p.name for p in tmp_path.iterdir()][0].startswith("bench-base-")
         time.sleep(0.5)  # into set-up or the timed invocations
         proc.send_signal(signum)
-        _, err = proc.communicate(timeout=30)
+        proc.wait(timeout=30)
     finally:
-        proc.kill()
+        proc.kill()  # nothing to do once it has exited
+        _, err = proc.communicate()  # reaps it and closes the pipe on every path
     assert proc.returncode == 128 + signum, err
     assert not Path(f"/proc/{child}").exists()
     assert list(tmp_path.iterdir()) == []

@@ -9,7 +9,7 @@ import yaml
 from fixtures import XA, XB, External, p8_future, p8_observed
 
 from finitepop import audit, cli, core
-from finitepop.cli import main, render_report
+from finitepop.cli import load_config, main, render_report
 from finitepop.core import Covariate, CovariatePartition, FuturePopulation, Unit
 from finitepop.estimate import (
     METHODS,
@@ -451,6 +451,30 @@ def test_proposition_sweep_config_passes(tmp_path):
     for method in ("rct", "matching"):
         assert summary[method]["pass_rate"] == 1
         assert summary[method]["judged"] == 50 * 3  # t=0, t=1 and the ATE
+
+
+def test_the_scaled_proposition_sweep_is_the_same_sweep_in_another_unit(tmp_path):
+    """Its outcome keys are the unscaled sweep's times 2^30 and its other keys the same, so
+    its summary is the unscaled one with every error times 2^30 and the same pass rates."""
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    (base, _), (scaled, _) = (load_config(str(scripts / name)) for name in
+                              ("proposition_sweep.yaml", "proposition_sweep_scaled.yaml"))
+    f = 2.0**30
+    outcomes = {"base_outcomes": {lv: [y * f for y in ys]
+                                  for lv, ys in base["scenario"]["base_outcomes"].items()},
+                "noise_sd": base["scenario"]["noise_sd"] * f,
+                "outcome_range": [0.0, 10.0 * f]}  # the default range, [0, 10]
+    assert "outcome_range" not in base["scenario"]
+    assert scaled == {**base, "scenario": {**base["scenario"], **outcomes}}
+    summaries = []
+    for name in ("proposition_sweep.yaml", "proposition_sweep_scaled.yaml"):
+        out = tmp_path / name.replace(".yaml", ".json")
+        assert main(["sweep", "--config", str(scripts / name), "--replications", "50",
+                     "--out", str(out)]) == 0
+        summaries.append(json.loads(out.read_text())["summary"])
+    assert summaries[1] == {method: {k: v * f if k.startswith("error_") else v
+                                     for k, v in row.items()}
+                            for method, row in summaries[0].items()}
 
 
 TWO_LEVELS = (

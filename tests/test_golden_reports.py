@@ -154,7 +154,7 @@ GOLDEN = {
     "audit-ml_groupwise": ("0db932d17001a9f31ec396361c5b53fe161ae3540cbe304b11d0d6bcb79b956f", 0),
     "audit-signed_difference": ("8a257d46177de722996b008d239c73a7f2d00da5eac89b944640acf0a8f41d78", 0),
     "audit-sp": ("be2e5ade6b3d279483d0f52c80c3aaa4abe8e2979ed143a3b57fb1bb8ee8db87", 0),
-    "run-iv": ("2aa5eff2ab88075834797571ce66a7eb032431a8c926b1c9c3bc220fd6a6ad7c", 0),
+    "run-iv": ("a57fb6e4055178d1a4757e6b44a4588859d8d4c390ccd91aba745c7401e3d48d", 0),
     "run-wide": ("1f54a6a682f5bc58e663cc07047bab31d3de79b97242df25b432c4a5f71cad7b", 0),
     "run-wide-data": ("6b04c431d115de6463b8175ed93ce9b1652e28fa9b9df9a692d1228e202f2e3b", 0),
     "run-wide-shifted": ("d3e3c453ee8df668e04f536a77fc480db41ba46ae15695fd86deadcfa70a3853", 0),
@@ -190,11 +190,12 @@ def test_rendered_output_matches_pinned_digest(corpus, name):
 
 
 def test_reports_carry_only_the_keys_a_run_fills(outputs):
-    """A run's per-treatment and ATE entries hold no null, ``guarantee``, ``notes`` or
-    ``support.note``, and a sweep summary holds no "nan" error quantile."""
+    """A run's per-treatment, ATE and ATE-bound entries hold no null, ``guarantee``, ``notes``
+    or ``support.note``, and a sweep summary holds no "nan" error quantile."""
     runs = [json.loads(data) for name, (data, _) in outputs.items() if name.startswith("run-")]
     entries = [e for report in runs for method in report["methods"].values()
-               for e in [*method.get("per_treatment", {}).values(), method.get("ate")] if e]
+               for e in [*method.get("per_treatment", {}).values(), method.get("ate"),
+                         method.get("ate_lower")] if e]
     assert len(runs) == 4 and len(entries) > 40
     for entry in entries:
         assert None not in entry.values() and not {"guarantee", "notes"} & set(entry), entry
