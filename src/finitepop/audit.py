@@ -1,24 +1,26 @@
 """Auditors for the testable assumption quantities.
 
 Each auditor returns the realized discrepancy as a real number, not a pass/fail
-flag.  All but the instrument audits are views of one residual table.  With
-w_I(c) the future share of cell c, and r_J(c) and r_I(c) the mean of p - y over
-its observed rows treated with t and over its future units, the error of the
-plug-in of p over the observed covariates splits exactly (Kitagawa, JASA 1955;
-Oaxaca, IER 1973) as estimate - truth = s_t + kappa_t + tau_t, where
+flag.  All but the instrument audits read one residual table.  With w_I(c) the
+future share of cell c, and r_J(c) and r_I(c) the mean of p - y over its observed
+rows treated with t and over its future units, the error of the plug-in of p over
+the observed covariates splits exactly (Kitagawa, JASA 1955; Oaxaca, IER 1973) as
+estimate - truth = s_t + kappa_t + tau_t, where
 
     s_t = mean of p over J - mean of p over I       (covariates only)
     kappa_t = sum_c w_I(c) * r_J(c)                  (no oracle)
     tau_t = sum_c w_I(c) * (r_I(c) - r_J(c)).       Sums are exactly rounded (fsum).
 
-``budget`` prices a point method's verdict from that table; ``AUDITS`` names each audit
-that the ``audit`` verb runs.
+``terms`` builds that table for (p, t, partition) and returns what a verdict reads of it;
+``budget`` prices a point method's verdict from them.  ``AUDITS`` names each audit that the
+``audit`` verb runs: ``sp``, ``cfd``, ``signed_difference`` and ``ml_groupwise`` read fields
+of ``terms`` at each treatment.  Compliance stability compares the future's P(s(z) = t) with
+the share of the observed z arm that took t.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import reduce
 from itertools import chain, repeat
 from operator import sub
 from typing import NamedTuple
@@ -99,34 +101,13 @@ def _cell(name: str, xs, rows: list) -> Cell:
     return Cell(name, tuple(xs), j, i)
 
 
-def _table(rows: dict, partition: CovariatePartition | None) -> list[Cell]:
-    cells = partition.groups(rows) if partition else {f"x{i}": [x] for i, x in enumerate(rows)}
-    return [_cell(name, xs, [rows[x] for x in xs]) for name, xs in cells.items()]
-
-
-def residual_table(p, t: int, observed: tuple, future: tuple,
-                   partition: CovariatePartition | None) -> list[Cell]:
-    """The residual table of p at t: a ``Cell`` per partition cell, or per covariate value of
-    either population (x0, x1, ... in sorted order) without one.  ``observed`` and ``future``
-    are ``(pop.n_x, pop.ys(t))``, ``{}`` for outcomes not read.  p runs once per value."""
-    return _table(_rows(p, t, observed, future), partition)
-
-
-def _whole(rows: dict) -> Cell:
-    """The table of ``rows`` as one cell of every covariate value of either population."""
-    return _cell("all", rows, list(rows.values()))
-
-
-def _oracle_rows(p, data: ObservedDataset, future: FuturePopulation, t: int) -> dict:
-    """The rows at t with the observed outcomes and the future's (OracleError without them)."""
-    data.check_treatment(t)
-    return _rows(p, t, (data.n_x, data.ys(t)), (future.n_x, future.ys(t)))
-
-
-def _oracle_cells(rows: dict, t: int, partition, every: bool) -> list[Cell]:
-    """The table of ``_oracle_rows``.  Every cell (when ``every``), or only those with future
-    units, must hold units and observed rows treated with t: else SupportError."""
-    cells = _table(rows, partition)
+def _cells(rows: dict, t: int, partition, every: bool) -> list[Cell]:
+    """The table of ``rows`` at t, a ``Cell`` per partition cell, or per covariate value of
+    either population (x0, x1, ... in sorted order) without one.  Every cell (when
+    ``every``), or only those with future units, must hold units and observed rows treated
+    with t: else SupportError.  The cells without future units are left out."""
+    groups = partition.groups(rows) if partition else {f"x{i}": [x] for i, x in enumerate(rows)}
+    cells = [_cell(name, xs, [rows[x] for x in xs]) for name, xs in groups.items()]
     for c in cells:
         if every and (not c.i.n or not c.j.n_t):
             raise SupportError(f"cell {c.name}: empty on {'observed' if c.i.n else 'future'} side")
@@ -136,83 +117,53 @@ def _oracle_cells(rows: dict, t: int, partition, every: bool) -> list[Cell]:
     return [c for c in cells if c.i.n]
 
 
+class Terms(NamedTuple):
+    """The terms of one table of (p, t, partition); see ``terms``."""
+
+    s: float
+    transfer: float | None
+    gaps: dict
+    scale: float
+
+
+def terms(p, data: ObservedDataset, future: FuturePopulation, t: int,
+          partition: CovariatePartition | None, transfer: str | None) -> Terms:
+    """The terms of a verdict at t, from one table of (p, t, partition), p run once per
+    covariate value of either population: s_t over one cell of every value; the transfer
+    term that ``transfer`` names, signed: ``cfd`` the truth - mean p over I, ``signed``
+    sum_c w_I(c) * (y_I(c) - y_J(c)), ``cellwise`` kappa_t with the cell gaps
+    r_I(c) - r_J(c) by cell name; and M (``scale``), the largest magnitude of p and of the
+    outcomes read on either side.  ``None`` reads no outcome and has no transfer term.
+    Outcomes are read before p runs."""
+    if transfer == "cfd" and future.outcomes is None:
+        raise OracleError("CFD unobservable without ground truth")
+    if len(data) == 0:
+        raise SupportError("observed dataset is empty")
+    data.check_treatment(t)
+    ys = (data.ys(t), future.ys(t)) if transfer else ({}, {})
+    rows = _rows(p, t, (data.n_x, ys[0]), (future.n_x, ys[1]))
+    whole = _cell("all", rows, list(rows.values()))
+    s = whole.j.p - (p_i := whole.i.p)  # each mean is an O(n) sum, so read once
+    extents = (data.extent(t), future.extent(t)) if transfer else ()
+    scale = max([*extents, *map(abs, whole.j.vs)])
+    if transfer is None:
+        return Terms(s, None, {}, scale)
+    if transfer == "cfd":
+        return Terms(s, future.apo(t) - p_i, {}, scale)
+    cells = _cells(rows, t, partition, transfer == "cellwise")
+    if transfer == "signed":
+        return Terms(s, fsum([c.i.n / len(future) * (c.i.y - c.j.y) for c in cells]), {}, scale)
+    r_j = {c.name: c.j.r for c in cells}
+    return Terms(s, fsum([c.i.n / len(future) * r_j[c.name] for c in cells]),
+                 {c.name: c.i.r - r_j[c.name] for c in cells}, scale)
+
+
 def budget(p, data: ObservedDataset, future: FuturePopulation, t: int,
            partition: CovariatePartition | None, transfer: str) -> tuple[float, float]:
-    """|s_t| plus the transfer term that ``transfer`` names, from one table of (p, t, partition):
-    ``cfd`` |truth - mean p over I|; ``signed`` |sum_c w_I(c) * (y_I(c) - y_J(c))|; ``cellwise``
-    |kappa_t| + max_c |r_I(c) - r_J(c)|, which bounds |kappa_t + tau_t| for any p.  Beside it,
-    the largest magnitude of p and of the outcomes under t on either side, which the verdict's
-    slack reads."""
-    if len(data) == 0:
-        raise SupportError("observed dataset is empty")
-    whole = _whole(rows := _oracle_rows(p, data, future, t))
-    scale = max(data.extent(t), future.extent(t), *map(abs, whole.j.vs))
-    sp = abs((p_i := whole.i.p) - whole.j.p)  # each mean is an O(n) sum, so read once
-    if transfer == "cfd":
-        return sp + abs(future.apo(t) - p_i), scale
-    cells = _oracle_cells(rows, t, partition, transfer == "cellwise")
-    if transfer == "signed":
-        return sp + abs(fsum([c.i.n / len(future) * (c.i.y - c.j.y) for c in cells])), scale
-    terms = [(c.i.n / len(future) * (r_j := c.j.r), abs(c.i.r - r_j)) for c in cells]
-    return sp + (abs(fsum([k for k, _ in terms])) + max([0.0, *(g for _, g in terms)])), scale
-
-
-def audit_sp(p, data: ObservedDataset, future: FuturePopulation) -> AuditResult:
-    """Stable-predictions gap |mean of p over future - mean of p over observed| per treatment.
-
-    Uses covariates only; the future oracle is neither needed nor consulted.
-    """
-    if len(data) == 0:
-        raise SupportError("observed dataset is empty")
-    cells = {t: _whole(_rows(p, t, (data.n_x, {}), (future.n_x, {})))
-             for t in sorted(data.treatments)}
-    return AuditResult("stable_predictions", {t: abs(c.i.p - c.j.p) for t, c in cells.items()})
-
-
-def audit_cfd(p, future: FuturePopulation, treatments=(0, 1)) -> AuditResult:
-    """Calibration-on-future-data gap |true APO - mean prediction over future| per treatment."""
-    if future.outcomes is None:
-        raise OracleError("CFD unobservable without ground truth")
-    return AuditResult("calibration_on_future_data", {  # the truth is read before p runs
-        t: abs(future.apo(t) - _whole(_rows(p, t, ({}, {}), (future.n_x, {}))).i.p)
-        for t in treatments})
-
-
-def avg_signed_difference(
-    data: ObservedDataset,
-    future: FuturePopulation,
-    t: int,
-    partition: CovariatePartition | None = None,
-) -> float:
-    """Future-composition-weighted signed gap between true and observed group means.
-
-    Per covariate value (or partition cell when one is given), takes the true
-    future mean outcome under t minus the observed treated-group mean, weighted
-    by the group's share of the future population.  Signed: opposite-sign local
-    gaps cancel.
-    """
-    cells = _oracle_cells(_oracle_rows(lambda x, t: 0.0, data, future, t), t, partition, False)
-    return fsum([c.i.n / len(future) * (c.i.y - c.j.y) for c in cells])
-
-
-def audit_ml_groupwise(
-    p,
-    data: ObservedDataset,
-    future: FuturePopulation,
-    t: int,
-    partition: CovariatePartition | None = None,
-) -> AuditResult:
-    """Area-wise residual-transfer gaps at treatment t for an arbitrary predictor.
-
-    Per cell: mean future residual (prediction minus true outcome under t over
-    the cell's future units) minus mean observed residual over the cell's rows
-    treated with t.  Its value at t is the max absolute cell gap.  Without a
-    partition every covariate value is its own cell.
-    """
-    cells = _oracle_cells(_oracle_rows(p, data, future, t), t, partition, True)
-    details = {(c.name, t): c.i.r - c.j.r for c in cells}
-    return AuditResult("groupwise_residual_transfer",
-                       {t: max([0.0, *map(abs, details.values())])}, details)
+    """|s_t| + (|transfer term| + max_c |gap|) of ``terms``, and its M, which the verdict's
+    slack reads.  For ``cellwise`` the sum bounds |kappa_t + tau_t| for any p."""
+    s, term, gaps, scale = terms(p, data, future, t, partition, transfer)
+    return abs(s) + (abs(term) + max([0.0, *map(abs, gaps.values())])), scale
 
 
 def audit_dr_condition(
@@ -226,10 +177,12 @@ def audit_dr_condition(
     Per covariate value: (observed share of x) * (true future mean under t minus
     observed treated mean) * f(x, t).  f defaults to the constant one; a scalar
     is treated as a constant function.  Note the weights come from the observed
-    composition, unlike avg_signed_difference which weights by the future one.
+    composition, unlike the signed difference which weights by the future one.
     """
     fn = f if callable(f) else lambda x, t, k=1.0 if f is None else float(f): k
-    cells = _oracle_cells(_oracle_rows(lambda x, t: 0.0, data, future, t), t, None, False)
+    data.check_treatment(t)
+    rows = _rows(lambda x, t: 0.0, t, (data.n_x, data.ys(t)), (future.n_x, future.ys(t)))
+    cells = _cells(rows, t, None, False)
     return fsum([c.j.n / len(data) * (c.i.y - c.j.y) * fn(c.xs[0], t) for c in cells])
 
 
@@ -256,27 +209,39 @@ def dominance_holds(result: AuditResult) -> bool:
 
 
 def audit_compliance_stability(data: ObservedDataset, future: FuturePopulation) -> AuditResult:
-    """Gap between future and observed compliance-group shares, per (t, z)."""
+    """Gap, per (t, z), between the future's share P(s(z) = t) and the share of the observed
+    z arm that took t: the arm share that ``robins_manski_bounds`` reads."""
     future.require_compliance()
     if not data.has_instrument:
         raise SchemaError("observed data has no instrument column z")
     per: dict[tuple[int, int], float] = {}
     for z in data.instrument_values():
+        arm = sum(len(ys) for (_, w), ys in data.ys_tz.items() if w == z)
         for t in sorted(data.treatments):
             i_share = future.compliance_column(z).count(t) / len(future)
-            j_share = len(data.ys_tz.get((t, z), ())) / len(data)
-            per[(t, z)] = abs(i_share - j_share)
+            per[(t, z)] = abs(i_share - len(data.ys_tz.get((t, z), ())) / arm)
     return AuditResult("compliance_stability", per)
 
 
+def _groupwise(p, data: ObservedDataset, future: FuturePopulation, params: dict) -> AuditResult:
+    """The cell gaps of ``terms`` at each treatment over ``params["partition"]`` (each value
+    its own cell without one), and their largest magnitude per treatment."""
+    gaps = {t: terms(p, data, future, t, params.get("partition"), "cellwise").gaps
+            for t in sorted(data.treatments)}
+    return AuditResult("groupwise_residual_transfer",
+                       {t: max([0.0, *map(abs, g.values())]) for t, g in gaps.items()},
+                       {(name, t): gap for t, g in gaps.items() for name, gap in g.items()})
+
+
 AUDITS = {  # name -> audit of (predictor, data, future, method parameters)
-    "sp": lambda p, d, f, _: audit_sp(p, d, f),
-    "cfd": lambda p, d, f, _: audit_cfd(p, f, tuple(sorted(d.treatments))),
+    "sp": lambda p, d, f, _: AuditResult("stable_predictions", {
+        t: abs(terms(p, d, f, t, None, None).s) for t in sorted(d.treatments)}),
+    "cfd": lambda p, d, f, _: AuditResult("calibration_on_future_data", {
+        t: abs(terms(p, d, f, t, None, "cfd").transfer) for t in sorted(d.treatments)}),
     "signed_difference": lambda p, d, f, _: AuditResult("avg_signed_difference", {
-        t: avg_signed_difference(d, f, t) for t in sorted(d.treatments)}),
-    "ml_groupwise": lambda p, d, f, ps: reduce(  # one result per treatment, joined in order
-        lambda a, b: AuditResult(a.name, a.per_treatment | b.per_treatment, a.details | b.details),
-        [audit_ml_groupwise(p, d, f, t, ps.get("partition")) for t in sorted(d.treatments)]),
+        t: terms(lambda x, t: 0.0, d, f, t, None, "signed").transfer  # reads no p
+        for t in sorted(d.treatments)}),
+    "ml_groupwise": _groupwise,
     "dr_condition": lambda p, d, f, _: AuditResult("dr_condition", {
         t: audit_dr_condition(d, f, t) for t in sorted(d.treatments)}),
     "dominance": lambda p, d, f, _: audit_dominance(f),

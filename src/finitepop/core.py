@@ -219,16 +219,6 @@ class ObservedDataset(_Grouped):
         return self._ys[t]
 
     @cached_property
-    def _support(self) -> dict:
-        return {}  # support(partition), filled once per partition
-
-    def support(self, partition: CovariatePartition | None = None) -> SupportReport:
-        """``common_support_check`` of these rows, run once per partition."""
-        if partition not in self._support:
-            self._support[partition] = common_support_check(self, partition)
-        return self._support[partition]
-
-    @cached_property
     def ys_tz(self) -> Mapping[tuple[int, int | None], tuple[float, ...]]:
         """Outcomes per (t, z), in row order; built only for instrument queries."""
         groups: dict[tuple[int, int | None], list[float]] = {}
@@ -456,11 +446,6 @@ class CovariatePartition:
         return out
 
 
-class SupportReport(NamedTuple):
-    ok: bool
-    violations: tuple[tuple[str, int], ...] = ()
-
-
 def empirical_propensity(
     data: ObservedDataset,
     t: int,
@@ -477,21 +462,3 @@ def empirical_propensity(
         return {x: len(ys.get(x, ())) / n for x, n in data.n_x.items()}
     return {name: len(pooled(ys, members)) / sum(map(data.n_x.__getitem__, members))
             for name, members in partition.groups(data.xs()).items() if members}
-
-
-def common_support_check(
-    data: ObservedDataset,
-    partition: CovariatePartition | None = None,
-) -> SupportReport:
-    """List every (x-or-cell, t) pair with no observed rows; ok iff there are rows and none."""
-    if len(data) == 0:
-        return SupportReport(ok=False)
-    if partition is None:
-        groups = [(repr(x), (x,)) for x in data.xs()]
-    else:
-        groups = [item for item in partition.groups(data.xs()).items() if item[1]]
-    violations = tuple(
-        (label, t) for label, xs in groups for t in sorted(data.treatments)
-        if not pooled(data.ys(t), xs)
-    )
-    return SupportReport(ok=not violations, violations=violations)

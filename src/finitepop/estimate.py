@@ -16,7 +16,6 @@ from .core import (
     ObservedDataset,
     PredictorError,
     SupportError,
-    SupportReport,
     average,
     empirical_propensity,
     fsum,
@@ -42,20 +41,19 @@ class Predictor:
         raise NotImplementedError
 
 
-def _supported(
-    data: ObservedDataset, partition: CovariatePartition | None, treatments
-) -> SupportReport:
-    """The support report of ``data``; the first of ``treatments`` that some x (or cell)
-    lacks is a SupportError naming them."""
-    support = data.support(partition)
+def _supported(data: ObservedDataset, partition: CovariatePartition | None, treatments) -> None:
+    """The first of ``treatments`` that some x (or cell) of ``data`` lacks is a SupportError
+    naming them."""
+    groups = ([(repr(x), (x,)) for x in data.xs()] if partition is None
+              else [item for item in partition.groups(data.xs()).items() if item[1]])
     for t in treatments:
-        bad = ", ".join(label for label, s in support.violations if s == t)
+        ys = data.ys(t)
+        bad = ", ".join(label for label, xs in groups if ys.keys().isdisjoint(xs))
         if bad:
             raise SupportError(
                 f"common support fails for t={t} at {bad}" if partition is None
                 else f"empty treated cell for t={t}: {bad}"
             )
-    return support
 
 
 class RctConstant(Predictor):
@@ -142,19 +140,16 @@ class Policy(NamedTuple):
 
 
 class EstimateReport(NamedTuple):
-    """An estimate; ``treatment`` (none for an ATE) and ``support`` are written only when set."""
+    """An estimate; ``treatment`` (none for an ATE) is written only when set."""
 
     estimate: float
     method: str
     treatment: int | None = None
-    support: SupportReport | None = None
 
     def to_json(self) -> dict:
         out = {"method": self.method, "estimate": self.estimate}
         if self.treatment is not None:
             out["treatment"] = self.treatment
-        if self.support is not None:
-            out["support"] = self.support._asdict()
         return out
 
 
@@ -194,13 +189,13 @@ def _horvitz_thompson(
     Support is checked at t first; the other treatments follow, since the matching
     predictor this sum equals needs them all."""
     data.check_treatment(t)
-    support = _supported(data, partition, (t, *sorted(data.treatments - {t})))
+    _supported(data, partition, (t, *sorted(data.treatments - {t})))
     prop = empirical_propensity(data, t, partition)
     if partition is not None:  # every observed value must lie in a cell
         prop = {x: prop[partition.cell_of(x).name] for x in data.xs()}
     terms = [y / prop[x] for x, ys in data.ys(t).items() for y in ys]
     method = "exact_matching" if partition is None else "coarsened_matching"
-    return EstimateReport(fsum(terms) / len(data), method, t, support=support)
+    return EstimateReport(fsum(terms) / len(data), method, t)
 
 
 def plugin_estimate(p: Predictor, data: ObservedDataset, t: int) -> EstimateReport:

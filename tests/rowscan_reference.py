@@ -253,8 +253,8 @@ def audit_ml_groupwise(p, data, future, partition):
     return per, details
 
 
-def cellwise_transfer(p, data, future, t, partition=None):
-    """|kappa_t| + the largest |mean future residual - mean observed residual| over the cells:
+def residual_cells(p, data, future, t, partition=None):
+    """(future share, mean future residual, mean observed residual) of p - y under t per cell:
     the partition's, or one per covariate value of either population without one.  Every
     cell must hold future units and observed rows under t."""
     oracle = future.require_oracle()
@@ -265,15 +265,22 @@ def cellwise_transfer(p, data, future, t, partition=None):
     else:
         groups = [(units_where(future, cell=c), rows_where(data, t=t, cell=c))
                   for c in partition.cells]
-    kappa, gaps = [], []
+    cells = []
     for units, obs_rows in groups:
         if not units or not obs_rows:
             raise SupportError("a cell is empty on one side")
         fut_resid = math.fsum(p(u.x, t) - oracle.y(u.unit, t) for u in units) / len(units)
         obs_resid = math.fsum(p(r.x, t) - r.y for r in obs_rows) / len(obs_rows)
-        kappa.append(len(units) / len(future.units) * obs_resid)
-        gaps.append(abs(fut_resid - obs_resid))
-    return abs(math.fsum(kappa)) + max([0.0, *gaps])
+        cells.append((len(units) / len(future.units), fut_resid, obs_resid))
+    return cells
+
+
+def cellwise_transfer(p, data, future, t, partition=None):
+    """|kappa_t| + the largest |mean future residual - mean observed residual| over the cells
+    of ``residual_cells``."""
+    cells = residual_cells(p, data, future, t, partition)
+    kappa = math.fsum(w * obs_resid for w, _, obs_resid in cells)
+    return abs(kappa) + max([0.0, *(abs(fut - obs) for _, fut, obs in cells)])
 
 
 def budget(p, data, future, t, partition, transfer):
@@ -318,10 +325,11 @@ def audit_compliance_stability(data, future):
         raise SchemaError("observed data has no instrument column z")
     per = {}
     for z in sorted({r.z for r in data.rows}):
+        arm_rows = rows_where(data, z=z)
         for t in sorted(data.treatments):
             takers = [u for u in future.units if future.s(u.unit, z) == t]
             i_share = len(takers) / len(future.units)
-            j_share = len(rows_where(data, t=t, z=z)) / len(data.rows)
+            j_share = len(rows_where(data, t=t, z=z)) / len(arm_rows)
             per[(t, z)] = abs(i_share - j_share)
     return per
 

@@ -15,12 +15,11 @@ import rowscan_reference as ref
 from fixtures import columns
 
 from finitepop.audit import (
+    AUDITS,
     audit_dominance,
     audit_dr_condition,
-    audit_ml_groupwise,
-    audit_sp,
-    avg_signed_difference,
     dominance_holds,
+    terms,
 )
 from finitepop.bounds import (
     OutcomeBounds,
@@ -106,15 +105,13 @@ def test_exact_matching_error_within_audited_budget_1000_scenarios():
     for i in range(1000):
         scenario = generate(random_scenario_spec(rng, 101, i))
         p = ExactMatching.fit(scenario.observed)
-        sp = audit_sp(p, scenario.observed, scenario.future)
         for t in (0, 1):
             err = abs(
                 exact_matching_estimate(scenario.observed, t).estimate
                 - scenario.future.apo(t)
             )
-            budget = sp.per_treatment[t] + abs(
-                avg_signed_difference(scenario.observed, scenario.future, t)
-            )
+            read = terms(p, scenario.observed, scenario.future, t, None, "signed")
+            budget = abs(read.s) + abs(read.transfer)
             assert err <= budget + SLACK, (i, t, err, budget)
     assert time.time() - started < 10.0
 
@@ -125,17 +122,13 @@ def test_coarsened_matching_error_within_audited_budget_1000_scenarios():
         scenario = generate(random_scenario_spec(rng, 202, i))
         partition, _ = random_partition(rng, scenario.observed.xs())
         p = CoarsenedMatching.fit(scenario.observed, partition)
-        sp = audit_sp(p, scenario.observed, scenario.future)
         for t in (0, 1):
             err = abs(
                 coarsened_matching_estimate(scenario.observed, partition, t).estimate
                 - scenario.future.apo(t)
             )
-            budget = sp.per_treatment[t] + abs(
-                avg_signed_difference(
-                    scenario.observed, scenario.future, t, partition=partition
-                )
-            )
+            read = terms(p, scenario.observed, scenario.future, t, partition, "signed")
+            budget = abs(read.s) + abs(read.transfer)
             assert err <= budget + SLACK, (i, t, err, budget)
 
 
@@ -159,14 +152,13 @@ def test_plugin_error_within_stability_plus_groupwise_budget():
                 for x in cell_xs:
                     table[(x, t)] = base(x, t) + offsets[x] - center
         p = Tabular(table)
-        sp = audit_sp(p, scenario.observed, scenario.future)
         for t in (0, 1):
             err = abs(
                 plugin_estimate(p, scenario.observed, t).estimate
                 - scenario.future.apo(t)
             )
-            groupwise = audit_ml_groupwise(p, scenario.observed, scenario.future, t, partition)
-            budget = sp.per_treatment[t] + groupwise.per_treatment[t]
+            read = terms(p, scenario.observed, scenario.future, t, partition, "cellwise")
+            budget = abs(read.s) + max([0.0, *map(abs, read.gaps.values())])
             assert err <= budget + SLACK, (i, t, err, budget)
 
 
@@ -203,7 +195,7 @@ def test_dr_correct_predictions_arbitrary_weights_1000_scenarios():
             for t in (0, 1)
         }
         w = lambda x, t: weights[(x, t)]
-        sp = audit_sp(p, scenario.observed, scenario.future)
+        sp = AUDITS["sp"](p, scenario.observed, scenario.future, {})
         for t in (0, 1):
             err = abs(
                 doubly_robust_estimate(p, w, scenario.observed, t).estimate
@@ -237,7 +229,7 @@ def test_dr_correct_weights_arbitrary_predictions_1000_scenarios():
                 for t in (0, 1)
             }
         )
-        sp = audit_sp(p, scenario.observed, scenario.future)
+        sp = AUDITS["sp"](p, scenario.observed, scenario.future, {})
         for t in (0, 1):
             assert abs(audit_dr_condition(scenario.observed, scenario.future, t)) < 1e-9
             err = abs(

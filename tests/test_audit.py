@@ -5,15 +5,12 @@ from fixtures import XA, XB, External, columns, p8_future, p8_observed
 
 from finitepop.audit import (
     AUDITS,
-    audit_cfd,
     audit_compliance_stability,
     audit_dominance,
     audit_dr_condition,
-    audit_ml_groupwise,
-    audit_sp,
-    avg_signed_difference,
     budget,
     dominance_holds,
+    terms,
 )
 from finitepop.core import (
     Covariate,
@@ -25,7 +22,6 @@ from finitepop.core import (
     Row,
     SupportError,
     Unit,
-    common_support_check,
     empirical_propensity,
 )
 from finitepop.estimate import METHODS, ExactMatching, coarsened_matching_estimate
@@ -44,26 +40,36 @@ def shifted_p8_future(shift_a=0.0, shift_b=0.0):
 
 
 def groupwise(p, d, f, part=None):
-    """audit_ml_groupwise at each treatment of d in order, merged as the audit verb merges it."""
+    """The cell gaps of ``terms`` at each treatment of d in order, as the audit verb reads them."""
     return AUDITS["ml_groupwise"](p, d, f, {"partition": part})
+
+
+def audit(name, p, d, f):
+    """The audit verb's entry ``name`` on (p, d, f), without method parameters."""
+    return AUDITS[name](p, d, f, {})
+
+
+def signed(d, f):
+    """The signed difference per treatment of d, which reads no predictor."""
+    return audit("signed_difference", None, d, f).per_treatment
 
 
 def test_sp_zero_when_compositions_match():
     d, f = p8_observed(), p8_future()
-    res = audit_sp(ExactMatching.fit(d), d, f)
+    res = audit("sp", ExactMatching.fit(d), d, f)
     assert res.per_treatment == {0: 0.0, 1: 0.0}
 
 
 def test_sp_detects_composition_shift():
     d = p8_observed()
     future = FuturePopulation((Unit(11, XA), Unit(12, XA)))
-    res = audit_sp(ExactMatching.fit(d), d, future)
+    res = audit("sp", ExactMatching.fit(d), d, future)
     assert res.per_treatment[1] == pytest.approx(3.0)  # |10 - 7|
 
 
 def test_sp_constant_predictor_always_zero():
     d, f = p8_observed(), p8_future()
-    res = audit_sp(External(lambda x, t: 4.25), d, f)
+    res = audit("sp", External(lambda x, t: 4.25), d, f)
     assert res.per_treatment == {0: 0.0, 1: 0.0}
 
 
@@ -72,38 +78,36 @@ def test_sp_ignores_the_oracle():
     with_oracle = p8_future()
     without = FuturePopulation(with_oracle.units)
     p = ExactMatching.fit(d)
-    assert audit_sp(p, d, with_oracle).per_treatment == audit_sp(p, d, without).per_treatment
+    assert audit("sp", p, d, with_oracle).per_treatment == audit("sp", p, d, without).per_treatment
 
 
 def test_cfd_zero_for_cell_mean_predictor():
-    res = audit_cfd(ExactMatching.fit(p8_observed()), p8_future())
+    res = audit("cfd", ExactMatching.fit(p8_observed()), p8_observed(), p8_future())
     assert res.per_treatment == {0: 0.0, 1: 0.0}
 
 
 def test_cfd_zero_predictor():
-    res = audit_cfd(External(lambda x, t: 0.0), p8_future())
+    res = audit("cfd", External(lambda x, t: 0.0), p8_observed(), p8_future())
     assert res.per_treatment[1] == pytest.approx(7.0)
 
 
 def test_cfd_requires_oracle():
     future = FuturePopulation(p8_future().units)
     with pytest.raises(OracleError, match="CFD unobservable without ground truth"):
-        audit_cfd(ExactMatching.fit(p8_observed()), future)
+        audit("cfd", ExactMatching.fit(p8_observed()), p8_observed(), future)
 
 
 def test_signed_difference_zero_on_p8():
-    assert avg_signed_difference(p8_observed(), p8_future(), 1) == 0.0
+    assert signed(p8_observed(), p8_future())[1] == 0.0
 
 
 def test_signed_difference_weighted_shift():
-    got = avg_signed_difference(p8_observed(), shifted_p8_future(shift_a=2.0), 1)
+    got = signed(p8_observed(), shifted_p8_future(shift_a=2.0))[1]
     assert got == pytest.approx(1.0)  # (2/4)*2 + (2/4)*0
 
 
 def test_signed_difference_cancellation():
-    got = avg_signed_difference(
-        p8_observed(), shifted_p8_future(shift_a=2.0, shift_b=-2.0), 1
-    )
+    got = signed(p8_observed(), shifted_p8_future(shift_a=2.0, shift_b=-2.0))[1]
     assert got == pytest.approx(0.0, abs=1e-12)
 
 
@@ -113,12 +117,12 @@ def test_signed_difference_needs_support():
 
     no_treated_a = ObservedDataset(tuple(r for r in d.rows if r.unit != 1))
     with pytest.raises(SupportError):
-        avg_signed_difference(no_treated_a, p8_future(), 1)
+        signed(no_treated_a, p8_future())
 
 
 def test_signed_difference_bounded_by_max_cell_gap():
     f = shifted_p8_future(shift_a=3.0, shift_b=-1.0)
-    got = avg_signed_difference(p8_observed(), f, 1)
+    got = signed(p8_observed(), f)[1]
     assert abs(got) <= 3.0
 
 
@@ -126,8 +130,8 @@ def test_cfd_matches_abs_signed_difference_for_matching_predictor():
     d = p8_observed()
     f = shifted_p8_future(shift_a=1.5, shift_b=0.5)
     p = ExactMatching.fit(d)
-    cfd = audit_cfd(p, f).per_treatment[1]
-    asd = avg_signed_difference(d, f, 1)
+    cfd = audit("cfd", p, d, f).per_treatment[1]
+    asd = signed(d, f)[1]
     assert cfd == pytest.approx(abs(asd), abs=1e-12)
 
 
@@ -143,7 +147,7 @@ def test_ml_groupwise_constant_bias_cancels():
     part = CovariatePartition.singletons(d.xs())
     base = ExactMatching.fit(d)
     biased = External(lambda x, t: base(x, t) + 1.0)
-    res = audit_ml_groupwise(biased, d, f, 1, part)
+    res = groupwise(biased, d, f, part)
     assert res.per_treatment[1] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -151,7 +155,7 @@ def test_ml_groupwise_future_only_bias_shows():
     d = p8_observed()
     f = shifted_p8_future(shift_a=-1.0, shift_b=-1.0)  # predictor now overshoots future by 1
     part = CovariatePartition.singletons(d.xs())
-    res = audit_ml_groupwise(ExactMatching.fit(d), d, f, 1, part)
+    res = groupwise(ExactMatching.fit(d), d, f, part)
     assert res.per_treatment[1] == pytest.approx(1.0)
 
 
@@ -232,13 +236,25 @@ def test_dominance_empty_group_vacuous():
 
 def test_compliance_stability_exact_match():
     d = p8_observed(with_instrument=True)
-    # mirror the observed (t, z) composition exactly: (1,1), (0,0) at 1/2 each
+    # mirror each observed arm exactly: every z=1 row took 1 and every z=0 row took 0
     f = _iv_future(
         [(1.0, 2.0), (1.0, 2.0), (1.0, 2.0), (1.0, 2.0)],
         [(0, 1), (0, 1), (0, 1), (0, 1)],
     )
     res = audit_compliance_stability(d, f)
-    assert res.per_treatment[(1, 1)] == pytest.approx(abs(1.0 - 2 / 4))
+    assert res.per_treatment == {(0, 0): 0.0, (1, 0): 0.0, (0, 1): 0.0, (1, 1): 0.0}
+
+
+def test_compliance_stability_reads_arm_shares():
+    """Shares are taken within each z arm, not over all rows: a future that mirrors both
+    arms of unequal size and mixed uptake reads 0 at every (t, z)."""
+    # (z, t): a quarter of the z=0 arm of 4 took 1, and three quarters of the z=1 arm of 8
+    zs_ts = [(0, 0)] * 3 + [(0, 1)] + [(1, 1)] * 6 + [(1, 0)] * 2
+    d = ObservedDataset(tuple(Row(i, XA, t, 1.0, z) for i, (z, t) in enumerate(zs_ts)))
+    # (s(0), s(1)): s(0) = 1 for a quarter of the units and s(1) = 1 for three quarters
+    f = _iv_future([(1.0, 2.0)] * 8, [(1, 1)] * 2 + [(0, 1)] * 4 + [(0, 0)] * 2)
+    res = audit_compliance_stability(d, f)
+    assert res.per_treatment == {(0, 0): 0.0, (1, 0): 0.0, (0, 1): 0.0, (1, 1): 0.0}
 
 
 def test_compliance_stability_requires_z_column():
@@ -249,7 +265,7 @@ def test_compliance_stability_requires_z_column():
 
 
 def test_audit_result_json_shape():
-    res = audit_sp(ExactMatching.fit(p8_observed()), p8_observed(), p8_future())
+    res = audit("sp", ExactMatching.fit(p8_observed()), p8_observed(), p8_future())
     js = res.to_json()
     assert set(js) == {"assumption", "per_treatment", "cells"}
     assert js["assumption"] == "stable_predictions"
@@ -271,12 +287,12 @@ def test_no_estimator_or_audit_tests_cell_membership():
         params = {"partition": part}
         fitted = coarsened.fit(d, params)
         return [
-            empirical_propensity(d, 1, part), common_support_check(d, part),
+            empirical_propensity(d, 1, part),
             [coarsened_matching_estimate(d, part, t).estimate for t in (0, 1)],
             [coarsened.estimate(fitted, d, t, params).estimate for t in (0, 1)],
-            [avg_signed_difference(d, f, t, part) for t in (0, 1)],
-            [audit_ml_groupwise(ExactMatching.fit(d), d, f, t, part).details for t in (0, 1)],
-            audit_sp(fitted, d, f).per_treatment,
+            [terms(fitted, d, f, t, part, "signed") for t in (0, 1)],
+            [terms(ExactMatching.fit(d), d, f, t, part, "cellwise") for t in (0, 1)],
+            audit("sp", fitted, d, f).per_treatment,
             {t: budget(fitted, d, f, t, part, coarsened.transfer) for t in (0, 1)},
         ]
 

@@ -115,7 +115,18 @@ def _perfbench_child(proc: subprocess.Popen, deadline: float) -> int:
     raise AssertionError("no perfbench run started")
 
 
+def _head_resolves() -> bool:
+    """Whether HEAD names a commit in the repository root, which ``--base HEAD`` reads."""
+    try:
+        check = subprocess.run(["git", "rev-parse", "--verify", "HEAD"], cwd=ROOT,
+                               capture_output=True)
+    except OSError:  # no git
+        return False
+    return check.returncode == 0
+
+
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads children from /proc")
+@pytest.mark.skipif(not _head_resolves(), reason="benchmarks --base HEAD: needs a git checkout")
 @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["TERM", "INT"])
 def test_a_stopped_run_stops_its_perfbench_run_and_removes_its_tree(tmp_path, signum):
     env = {**os.environ, "TMPDIR": str(tmp_path)}

@@ -10,11 +10,12 @@ and each method's error must split exactly as its residual table says.
 
 import math
 
+import rowscan_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitepop import cli
-from finitepop.audit import avg_signed_difference, residual_table
+from finitepop.audit import terms
 from finitepop.core import CovariatePartition
 from finitepop.estimate import METHODS, Tabular
 from finitepop.simulate import ScenarioSpec, generate
@@ -85,7 +86,6 @@ def test_each_error_splits_into_its_audited_terms(case):
     data, future = scenario.observed, scenario.future
     cells = {"rct": None, "matching": None, "coarsened": partition,
              "plugin": partition if plugin_cells else None, "dr": None}
-    whole = CovariatePartition.from_members({"all": data.xs()})  # every future value is observed
     params = {"partition": partition, "predictor": table, "future": future}
     for name, method in METHODS.items():
         p = method.fit(data, params)
@@ -93,14 +93,12 @@ def test_each_error_splits_into_its_audited_terms(case):
             error = method.estimate(p, data, t, params).estimate - future.apo(t)
             scale = max(*(abs(p(x, t)) for x in data.xs()), *map(abs, data.y),
                         *map(abs, future.outcome_column(t)))
-            (both,) = residual_table(p, t, (data.n_x, {}), (future.n_x, {}), whole)
-            s = both.j.p - both.i.p
+            s = terms(p, data, future, t, None, None).s
             if name == "dr":
-                asd = avg_signed_difference(data, future, t)
+                asd = terms(p, data, future, t, None, "signed").transfer
                 assert _close(error, s - asd, scale), (name, t)
                 continue
-            table_t = residual_table(p, t, (data.n_x, data.ys(t)), (future.n_x, future.ys(t)),
-                                     cells[name])
-            kappa = math.fsum(c.i.n / len(future) * c.j.r for c in table_t)
-            tau = math.fsum(c.i.n / len(future) * (c.i.r - c.j.r) for c in table_t)
+            kappa = terms(p, data, future, t, cells[name], "cellwise").transfer
+            tau = math.fsum(w * (fut - obs)
+                            for w, fut, obs in ref.residual_cells(p, data, future, t, cells[name]))
             assert _close(error, s + kappa + tau, scale), (name, t)

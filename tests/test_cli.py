@@ -8,7 +8,7 @@ import pytest
 import yaml
 from fixtures import XA, XB, External, p8_future, p8_observed
 
-from finitepop import audit, cli, core
+from finitepop import audit, cli
 from finitepop.cli import load_config, main, render_report
 from finitepop.core import Covariate, CovariatePartition, FuturePopulation, Unit
 from finitepop.estimate import (
@@ -1214,11 +1214,9 @@ EVERY_POINT_METHOD = ("methods: [rct, matching, {name: coarsened, partition: par
                       " {name: dr, predictor: pred.yaml}]\n")
 
 
-def test_a_run_checks_support_once_per_partition_and_prices_each_signed_difference_once(
-        tmp_path, monkeypatch):
-    """matching and coarsened each fit and estimate twice from one support report per
-    partition, and each method prices each treatment's verdict with one budget, read per cell
-    of its partition where its registry entry says so."""
+def test_a_run_prices_each_treatment_with_one_budget(tmp_path, monkeypatch):
+    """Each method prices each treatment's verdict with one budget, read per cell of its
+    partition where its registry entry says so."""
     save_observed_csv(p8_observed(), tmp_path / "observed.csv")
     save_future_csv(p8_future(), tmp_path / "future.csv")
     (tmp_path / "part.yaml").write_text(ONE_CELL)
@@ -1226,11 +1224,9 @@ def test_a_run_checks_support_once_per_partition_and_prices_each_signed_differen
     cfg = write_config(tmp_path, "run.yaml", "schema: 1\nmode: oracle\nobserved: observed.csv\n"
                        "future: future.csv\nout: run.json\n" + EVERY_POINT_METHOD)
     monkeypatch.chdir(tmp_path)
-    support = counted(monkeypatch, core, "common_support_check")
     budgets = counted(monkeypatch, audit, "budget")
     assert main(["run", "--config", cfg]) == 0
     part = cli.load_partition_file("part.yaml")
-    assert [p for _, p in support] == [None, part]  # matching's, then coarsened's
     assert [(t, p, transfer) for _, _, _, t, p, transfer in budgets] == [
         (0, None, "cfd"), (1, None, "cfd"), (0, None, "signed"), (1, None, "signed"),
         (0, part, "signed"), (1, part, "signed"), (0, part, "cellwise"), (1, part, "cellwise"),
@@ -1260,21 +1256,19 @@ def test_a_partition_key_on_rct_matching_or_dr_leaves_its_report_as_it_is(tmp_pa
 
 
 def test_a_sweep_computes_each_shared_term_once_per_replication(tmp_path, monkeypatch):
-    """Three replications: three datasets, each with its own support reports and budgets, so
-    nothing computed for one replication is read in another."""
+    """Three replications: three datasets, each with its own budgets, so nothing computed for
+    one replication is read in another."""
     (tmp_path / "part.yaml").write_text(ONE_CELL)
     (tmp_path / "pred.yaml").write_text(P8_PREDICTOR)
     cfg = write_config(tmp_path, "sweep.yaml", "schema: 1\nseed: 4\nreplications: 3\n"
                        "scenario:\n  n_observed: 40\n  n_future: 20\n  levels: [a, b]\n"
                        "  base_outcomes: {a: [6.0, 10.0], b: [2.0, 4.0]}\n" + EVERY_POINT_METHOD)
     monkeypatch.chdir(tmp_path)
-    support = counted(monkeypatch, core, "common_support_check")
     budgets = counted(monkeypatch, audit, "budget")
     assert main(["sweep", "--config", cfg, "--out", "sweep.json"]) in (0, 1)
-    datasets = {id(args[0]): args[0] for args in support}
+    datasets = {id(args[1]): args[1] for args in budgets}
     assert len(datasets) == 3  # kept alive by the recorded calls, so the ids are distinct
     for data in datasets.values():
-        assert len([a for a in support if a[0] is data]) == 2
         assert len([a for a in budgets if a[1] is data]) == 10  # 5 methods, 2 treatments
 
 

@@ -16,12 +16,11 @@ from finitepop.core import (
     SupportError,
     Unit,
     average,
-    common_support_check,
     empirical_propensity,
     fsum,
     mean_of,
 )
-from finitepop.estimate import exact_matching_estimate
+from finitepop.estimate import _supported, exact_matching_estimate, rct_estimate
 
 
 def test_covariate_normalizes_field_order():
@@ -79,23 +78,22 @@ def test_empty_treated_cell_gives_zero_propensity():
 
 
 def test_common_support_p8_ok():
-    report = common_support_check(p8_observed())
-    assert report.ok
-    assert report.violations == ()
+    assert _supported(p8_observed(), None, (0, 1)) is None
 
 
 def test_common_support_missing_control():
     d = p8_observed()
     rows = tuple(r for r in d.rows if r.unit != 2)  # drop the control at x=a
-    report = common_support_check(ObservedDataset(rows))
-    assert not report.ok
-    assert report.violations == ((repr(XA), 0),)
+    with pytest.raises(SupportError) as failure:
+        _supported(ObservedDataset(rows), None, (1, 0))
+    assert str(failure.value) == f"common support fails for t=0 at {XA!r}"
 
 
 def test_common_support_empty_dataset():
-    report = common_support_check(ObservedDataset(()))
-    assert not report.ok
-    assert report.violations == ()
+    """No row lacks support, and no point method takes the empty dataset."""
+    assert _supported(ObservedDataset(()), None, (0, 1)) is None
+    with pytest.raises(SupportError):
+        rct_estimate(ObservedDataset(()), 0)
 
 
 def test_mean_of_empty_errors():

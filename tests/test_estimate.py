@@ -260,5 +260,5 @@ def test_estimate_report_json():
     js = rct_estimate(p8_observed(), 1).to_json()
     assert js == {"method": "rct", "treatment": 1, "estimate": 7.0}
     r = exact_matching_estimate(p8_observed(), 1)
-    assert r.to_json()["support"] == {"ok": True, "violations": ()}
+    assert r.to_json() == {"method": "exact_matching", "treatment": 1, "estimate": 7.0}
     assert ate_estimate(r, r).to_json() == {"method": "ate_exact_matching", "estimate": 0.0}

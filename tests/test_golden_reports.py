@@ -54,6 +54,14 @@ def _partition(path, levels, n_cells):
     return _dump(path, {"schema": 1, "cells": cells})
 
 
+WIDE_SCENARIO = {  # run-wide shape: 1,000 + 1,000 units in 200 levels
+    "schema": 1, "seed": 7, "n_observed": 1000, "n_future": 1000,
+    "levels": WIDE_LEVELS, "base_outcomes": _base_outcomes(WIDE_LEVELS),
+    "noise_sd": 1.0, "outcome_range": [0.0, 10.0], "assignment": "propensity",
+    "propensities": {lv: (0.3, 0.5, 0.7)[i % 3] for i, lv in enumerate(WIDE_LEVELS)},
+}
+
+
 def _corpus(tmp):
     """Build the corpus; return {output name: (path, exit code)}."""
     outputs = {}
@@ -66,14 +74,8 @@ def _corpus(tmp):
         else:
             outputs[name] = (out, code)
 
-    # run-wide shape: 1,000 + 1,000 units in 200 levels.
     wide = tmp / "wide"
-    record("simulate-wide", "simulate", _dump(tmp / "sim_wide.yaml", {
-        "schema": 1, "seed": 7, "n_observed": 1000, "n_future": 1000,
-        "levels": WIDE_LEVELS, "base_outcomes": _base_outcomes(WIDE_LEVELS),
-        "noise_sd": 1.0, "outcome_range": [0.0, 10.0], "assignment": "propensity",
-        "propensities": {lv: (0.3, 0.5, 0.7)[i % 3] for i, lv in enumerate(WIDE_LEVELS)},
-    }), wide)
+    record("simulate-wide", "simulate", _dump(tmp / "sim_wide.yaml", WIDE_SCENARIO), wide)
     means = _cell_means(wide / "observed.csv")
     exact = _predictor(tmp / "pred_wide.yaml", means)
     shifted = _predictor(
@@ -148,15 +150,15 @@ def _corpus(tmp):
 
 GOLDEN = {
     "audit-cfd": ("4173390b4ded5be6cc2b6f0e9d56850766b28472922fc45a81dced4216154692", 0),
-    "audit-compliance_stability": ("93cced236520cdea055c49dc933469d0c962f8861a5c0abf8981965164e0a66c", 0),
+    "audit-compliance_stability": ("d5c07514aae6a1e8a9ae923f3461d47c6168431b0d17813dd4516786bdbf7f13", 0),
     "audit-dominance": ("7806330a9ee2cf8977ca3b73910c22f7efbad5e07b509085c87b846d8a2266a0", 0),
     "audit-dr_condition": ("9721b2371d89eb4032c764b4734fa5deb26b6a587c122465bf52ef3a44476758", 0),
     "audit-ml_groupwise": ("0db932d17001a9f31ec396361c5b53fe161ae3540cbe304b11d0d6bcb79b956f", 0),
     "audit-signed_difference": ("8a257d46177de722996b008d239c73a7f2d00da5eac89b944640acf0a8f41d78", 0),
     "audit-sp": ("be2e5ade6b3d279483d0f52c80c3aaa4abe8e2979ed143a3b57fb1bb8ee8db87", 0),
-    "run-iv": ("a57fb6e4055178d1a4757e6b44a4588859d8d4c390ccd91aba745c7401e3d48d", 0),
-    "run-wide": ("1f54a6a682f5bc58e663cc07047bab31d3de79b97242df25b432c4a5f71cad7b", 0),
-    "run-wide-data": ("6b04c431d115de6463b8175ed93ce9b1652e28fa9b9df9a692d1228e202f2e3b", 0),
+    "run-iv": ("d3c885ccd8bf922fb861a1f2f8fb8f8bb3d4aa7de93d68e87ae3526a8d3b42db", 0),
+    "run-wide": ("5bb65c4de448978e48d5d39106ab35b3c4029d895017c1f4051ec2216bda9990", 0),
+    "run-wide-data": ("68fe91abcbab00ccbb5fb71af1f5e1bd9d01610432fdf466dbd12c6d456b8c02", 0),
     "run-wide-shifted": ("d3e3c453ee8df668e04f536a77fc480db41ba46ae15695fd86deadcfa70a3853", 0),
     "simulate-iv/future.csv": ("648c747d257bf921c1febee6c4436b105e05b9738c298c6dfb5143c02d715965", 0),
     "simulate-iv/ground_truth.json": ("1882db799a12d3ba335974b519297aea5712ac255889fb21383aada5aab127eb", 0),
@@ -191,15 +193,42 @@ def test_rendered_output_matches_pinned_digest(corpus, name):
 
 def test_reports_carry_only_the_keys_a_run_fills(outputs):
     """A run's per-treatment, ATE and ATE-bound entries hold no null, ``guarantee``, ``notes``
-    or ``support.note``, and a sweep summary holds no "nan" error quantile."""
+    or ``support``, and a sweep summary holds no "nan" error quantile."""
     runs = [json.loads(data) for name, (data, _) in outputs.items() if name.startswith("run-")]
     entries = [e for report in runs for method in report["methods"].values()
                for e in [*method.get("per_treatment", {}).values(), method.get("ate"),
                          method.get("ate_lower")] if e]
     assert len(runs) == 4 and len(entries) > 40
     for entry in entries:
-        assert None not in entry.values() and not {"guarantee", "notes"} & set(entry), entry
-        assert "note" not in entry.get("support", {}), entry
+        assert None not in entry.values() and not {"guarantee", "notes", "support"} & set(entry), entry
     summary = json.loads(outputs["sweep-iv"][0])["summary"]
     for name, row in summary.items():
         assert "nan" not in row.values(), name
+
+
+def test_the_audit_verb_explains_each_point_verdict(tmp_path):
+    """On the run-wide scenario, each rct verdict's budget is sp + |cfd| of ``finitepop audit``
+    with the rct predictor, and each matching and dr budget is sp + |signed_difference| with
+    the method's predictor, bit for bit."""
+    wide = tmp_path / "wide"
+    assert main(["simulate", "--config", _dump(tmp_path / "sim.yaml", WIDE_SCENARIO),
+                 "--out", str(wide)]) == 0
+    data = {"schema": 1, "mode": "oracle", "observed": str(wide / "observed.csv"),
+            "future": str(wide / "future.csv")}
+    exact = _predictor(tmp_path / "pred.yaml", _cell_means(wide / "observed.csv"))
+    run = tmp_path / "run.json"
+    assert main(["run", "--config", _dump(tmp_path / "run.yaml", {
+        **data, "methods": ["rct", "matching", {"name": "dr", "predictor": exact}]}),
+        "--out", str(run)]) == 0
+    methods = json.loads(run.read_text())["methods"]
+    for method, predictor, transfer in (("rct", "rct", "cfd"),
+                                        ("matching", "matching", "signed_difference"),
+                                        ("dr", exact, "signed_difference")):
+        out = tmp_path / f"audit_{method}.json"
+        assert main(["audit", "--config", _dump(tmp_path / f"audit_{method}.yaml", {
+            **data, "predictor": predictor, "audits": ["sp", transfer]}),
+            "--out", str(out)]) == 0
+        audits = json.loads(out.read_text())["audits"]
+        for t in ("0", "1"):
+            sp, term = (audits[name]["per_treatment"][t] for name in ("sp", transfer))
+            assert methods[method]["verdicts"][t]["budget"] == sp + abs(term), (method, t)

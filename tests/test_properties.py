@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from fixtures import columns
 from hypothesis import strategies as st
 
-from finitepop.audit import audit_cfd, avg_signed_difference
+from finitepop.audit import AUDITS
 from finitepop.bounds import OutcomeBounds, robins_manski_bounds
 from finitepop.core import (
     Covariate,
@@ -120,8 +120,8 @@ def test_constant_policy_value_equals_single_arm(data, t):
 def test_cfd_is_abs_signed_difference_for_matching(pair, t):
     data, future = pair
     p = ExactMatching.fit(data)
-    cfd = audit_cfd(p, future).per_treatment[t]
-    asd = avg_signed_difference(data, future, t)
+    cfd = AUDITS["cfd"](p, data, future, {}).per_treatment[t]
+    asd = AUDITS["signed_difference"](p, data, future, {}).per_treatment[t]
     assert close(cfd, abs(asd))
 
 
@@ -129,7 +129,7 @@ def test_cfd_is_abs_signed_difference_for_matching(pair, t):
 @settings(max_examples=100, deadline=None)
 def test_signed_difference_bounded_by_max_group_gap(pair):
     data, future = pair
-    asd = avg_signed_difference(data, future, 1)
+    asd = AUDITS["signed_difference"](None, data, future, {}).per_treatment[1]
     worst = 0.0
     for x in future.xs():
         units = ref.units_where(future, x=x)

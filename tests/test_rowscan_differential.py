@@ -19,8 +19,8 @@ from finitepop.core import (
     FuturePopulation,
     ObservedDataset,
     Row,
+    SupportError,
     Unit,
-    common_support_check,
     empirical_propensity,
 )
 from finitepop.estimate import METHODS, Tabular
@@ -101,7 +101,15 @@ def test_propensity_and_support(case):
     for part in (None, partition):
         for t in sorted(data.treatments):
             assert empirical_propensity(data, t, part) == ref.empirical_propensity(data, t, part)
-        assert common_support_check(data, part).violations == ref.support_violations(data, part)
+        for t in sorted(data.treatments):  # the support check names every violation at t
+            bad = ", ".join(label for label, s in ref.support_violations(data, part) if s == t)
+            want = bad and (f"common support fails for t={t} at {bad}" if part is None
+                            else f"empty treated cell for t={t}: {bad}")
+            try:
+                got = estimate._supported(data, part, (t,))
+            except SupportError as exc:
+                got = str(exc)
+            assert got == (want or None)
 
 
 @EXAMPLES
@@ -133,10 +141,12 @@ def test_estimators(case):
 def test_audits(case):
     data, future, partition, table = case
     ts = tuple(sorted(data.treatments))
-    same(lambda: audit.audit_sp(table, data, future).per_treatment,
+    same(lambda: audit.AUDITS["sp"](table, data, future, {}).per_treatment,
          lambda: ref.audit_sp(table, data, future))
-    same(lambda: audit.audit_cfd(table, future, ts).per_treatment,
+    same(lambda: audit.AUDITS["cfd"](table, data, future, {}).per_treatment,
          lambda: ref.audit_cfd(table, future, ts))
+    same(lambda: audit.AUDITS["signed_difference"](table, data, future, {}).per_treatment,
+         lambda: {t: ref.avg_signed_difference(data, future, t) for t in ts})
     same(lambda: (lambda r: (r.per_treatment, r.details))(
         audit.AUDITS["ml_groupwise"](table, data, future, {"partition": partition})),
          lambda: ref.audit_ml_groupwise(table, data, future, partition))
@@ -144,7 +154,7 @@ def test_audits(case):
          lambda: ref.audit_compliance_stability(data, future))
     for t in ts:
         for part in (None, partition):
-            same(lambda: audit.avg_signed_difference(data, future, t, part),
+            same(lambda: audit.terms(table, data, future, t, part, "signed").transfer,
                  lambda: ref.avg_signed_difference(data, future, t, part))
         for f in (None, 2.5, lambda x, t: len(repr(x)) / 7):
             same(lambda: audit.audit_dr_condition(data, future, t, f),
